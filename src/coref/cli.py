@@ -54,20 +54,27 @@ class DocumentInput:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DocumentInput":
+        """Build from one decoded JSON document; schema errors raise DocumentError."""
+        if not isinstance(data, dict):
+            raise DocumentError("?", f"expected a JSON object, found {type(data).__name__}")
         doc_id = str(data.get("id", "?"))
-        try:
-            sentences = list(data["sentences"])
-        except KeyError:
-            raise DocumentError(doc_id, "missing 'sentences' field") from None
+        if "sentences" not in data:
+            raise DocumentError(doc_id, "missing 'sentences' field")
+        sentences = data["sentences"]
+        if not isinstance(sentences, list) or not all(isinstance(s, str) for s in sentences):
+            raise DocumentError(doc_id, "'sentences' is not a list of strings")
+        for key in ("annotations", "gold_mentions", "gold_clusters"):
+            if data.get(key) is not None and not isinstance(data[key], list):
+                raise DocumentError(doc_id, f"{key!r} is not a list")
         annotations = []
-        for entry in data.get("annotations", []):
+        for entry in data.get("annotations") or []:
             try:
-                annotations.append(TokenAnnotation(
-                    sentence_index=int(entry["s"]),
-                    token_index=int(entry["t"]),
-                    supersense=entry.get("supersense"),
-                    ner=entry.get("ner"),
-                ))
+                ann = TokenAnnotation(int(entry["s"]), int(entry["t"]),
+                                      entry.get("supersense"), entry.get("ner"))
+                if not all(isinstance(label, (str, type(None)))
+                           for label in (ann.supersense, ann.ner)):
+                    raise TypeError("supersense and ner must be strings")
+                annotations.append(ann)
             except (KeyError, TypeError, ValueError) as err:
                 raise DocumentError(doc_id, f"bad annotation {entry!r}: {err}") from None
         gold_mentions = None
@@ -81,9 +88,14 @@ class DocumentInput:
                     raise DocumentError(doc_id, f"bad gold mention {entry!r}: {err}") from None
         gold_clusters = None
         if data.get("gold_clusters") is not None:
-            gold_clusters = [[int(mid) for mid in cluster]
-                             for cluster in data["gold_clusters"]]
-        return cls(doc_id=doc_id, sentences=sentences, annotations=annotations,
+            try:
+                if not all(isinstance(cluster, list) for cluster in data["gold_clusters"]):
+                    raise TypeError("each cluster must be a list of mention ids")
+                gold_clusters = [[int(mid) for mid in cluster]
+                                 for cluster in data["gold_clusters"]]
+            except (TypeError, ValueError) as err:
+                raise DocumentError(doc_id, f"bad gold clusters: {err}") from None
+        return cls(doc_id=doc_id, sentences=list(sentences), annotations=annotations,
                    gold_mentions=gold_mentions, gold_clusters=gold_clusters)
 
 
@@ -290,27 +302,15 @@ def score_corpus(doc_scores: Sequence[tuple[str, PairCounts, Optional[tuple[floa
         b3 = Score(1.0, 1.0, 1.0)  # vacuous: no scorable mentions anywhere
     per_doc = []
     for doc_id, counts, doc_b3 in doc_scores:
-        doc_pair = score_from_counts(counts)
-        entry = {
-            "id": doc_id,
-            "pairwise": {"p": doc_pair.precision, "r": doc_pair.recall,
-                         "f": doc_pair.f1},
-        }
+        entry = {"id": doc_id, "pairwise": _prf(score_from_counts(counts))}
         if doc_b3 is not None:
-            doc_b3_score = Score(doc_b3[0], doc_b3[1],
-                                 _f1_of(doc_b3[0], doc_b3[1]))
-            entry["b3"] = {"p": doc_b3_score.precision, "r": doc_b3_score.recall,
-                           "f": doc_b3_score.f1}
+            entry["b3"] = _prf(Score.from_pr(*doc_b3))
         per_doc.append(entry)
-    return {
-        "pairwise": {"p": pair.precision, "r": pair.recall, "f": pair.f1},
-        "b3": {"p": b3.precision, "r": b3.recall, "f": b3.f1},
-        "per_doc": per_doc,
-    }
+    return {"pairwise": _prf(pair), "b3": _prf(b3), "per_doc": per_doc}
 
 
-def _f1_of(p: float, r: float) -> float:
-    return 2 * p * r / (p + r) if p + r > 0 else 0.0
+def _prf(score: Score) -> dict:
+    return {"p": score.precision, "r": score.recall, "f": score.f1}
 
 
 def _format_score_text(report: dict) -> str:
@@ -439,104 +439,68 @@ def load_documents(inputs: Sequence[str]) -> list[DocumentInput]:
     return docs
 
 
-def _load_lexicon(args: argparse.Namespace) -> Lexicon:
-    directory = args.resources or os.environ.get(RESOURCES_ENV)
-    if directory:
-        return load_lexicon(directory)
-    return default_lexicon()
-
-
 # ---------------------------------------------------------------------------
-# Subcommand drivers
+# Running a subcommand
 # ---------------------------------------------------------------------------
 
-def _cmd_resolve(args: argparse.Namespace) -> int:
-    lex = _load_lexicon(args)
-    cfg = build_config(args)
-    failed = False
-    for document in load_documents(args.inputs):
-        try:
-            result = run_pipeline(document, cfg, lex)
-        except DocumentError as err:
-            print(f"error: {err}", file=sys.stderr)
-            failed = True
-            continue
-        for m in result.mentions:
-            label = result.clustering.label_of(m.mention_id)
-            print(f"{document.doc_id}\t{m.sentence_index}\t{m.span[0]}"
-                  f"\t{m.span[1]}\t{label}")
-        if args.render:
-            for line in render_brackets(result.tree, result.mentions,
-                                        result.clustering):
-                print(f"# {line}")
-    return 1 if failed else 0
+def _run_command(args: argparse.Namespace) -> int:
+    """Run ``args.command`` over every input document, then print its report.
 
-
-def _cmd_score(args: argparse.Namespace) -> int:
-    if not args.gold:
+    A document that fails is reported on stderr and skipped; the exit status
+    is then 1.
+    """
+    if args.command == "score" and not args.gold:
         print("error: score requires --gold (gold clusters read from the inputs)",
               file=sys.stderr)
         return 2
-    lex = _load_lexicon(args)
+    directory = args.resources or os.environ.get(RESOURCES_ENV)
+    lex = load_lexicon(directory) if directory else default_lexicon()
     cfg = build_config(args)
+    use_gold = args.command != "resolve" and args.gold
     failed = False
     doc_scores = []
+    trace_total = TraceReport(has_gold=use_gold)
     for document in load_documents(args.inputs):
         try:
             result = run_pipeline(document, cfg, lex)
-            gold = gold_clustering(document, result.mentions)
-            if gold is None:
+            gold = gold_clustering(document, result.mentions) if use_gold else None
+            if use_gold and gold is None:
                 raise DocumentError(document.doc_id, "no gold clusters in input")
-            counts = pairwise_counts(result.clustering, gold)
-            b3 = (b_cubed_doc(result.clustering, gold)
-                  if result.mentions else None)
+            if args.command == "score":
+                doc_scores.append((document.doc_id, pairwise_counts(result.clustering, gold),
+                                   b_cubed_doc(result.clustering, gold)
+                                   if result.mentions else None))
+            elif args.command == "trace":
+                trace_total += trace_report(result.decisions, result.mentions, gold)
         except (DocumentError, ValueError) as err:
             print(f"error: {err}", file=sys.stderr)
             failed = True
             continue
-        doc_scores.append((document.doc_id, counts, b3))
-    report = score_corpus(doc_scores)
-    if args.as_json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print(_format_score_text(report))
-    return 1 if failed else 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    lex = _load_lexicon(args)
-    cfg = build_config(args)
-    failed = False
-    total = TraceReport(has_gold=args.gold)
-    for document in load_documents(args.inputs):
-        try:
-            result = run_pipeline(document, cfg, lex)
-            gold = gold_clustering(document, result.mentions) if args.gold else None
-            if args.gold and gold is None:
-                raise DocumentError(document.doc_id, "no gold clusters in input")
-        except (DocumentError, ValueError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            failed = True
-            continue
-        total = total + trace_report(result.decisions, result.mentions, gold)
-    print(total.to_text(args.min_pronoun_count))
+        if args.command == "resolve":
+            for m in result.mentions:
+                label = result.clustering.label_of(m.mention_id)
+                print(f"{document.doc_id}\t{m.sentence_index}\t{m.span[0]}"
+                      f"\t{m.span[1]}\t{label}")
+            if args.render:
+                for line in render_brackets(result.tree, result.mentions,
+                                            result.clustering):
+                    print(f"# {line}")
+    if args.command == "score":
+        report = score_corpus(doc_scores)
+        print(json.dumps(report, sort_keys=True) if args.as_json
+              else _format_score_text(report))
+    elif args.command == "trace":
+        print(trace_total.to_text(args.min_pronoun_count))
     return 1 if failed else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "resolve":
-            return _cmd_resolve(args)
-        if args.command == "score":
-            return _cmd_score(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-    except (LexiconError, ValueError, OSError) as err:
+        return _run_command(args)
+    except (DocumentError, LexiconError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -8,11 +8,15 @@ the loaded tables are immutable.
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
+
+if TYPE_CHECKING:
+    from importlib.resources.abc import Traversable
 
 log = logging.getLogger(__name__)
 
@@ -188,16 +192,16 @@ _FILES = {
 }
 
 
-def load_lexicon(directory: str | Path) -> Lexicon:
-    """Load all resource tables from ``directory``.
+def load_lexicon(directory: str | Path | Traversable) -> Lexicon:
+    """Load all resource tables from ``directory``, a path or package resource.
 
     Raises LexiconError naming the file when one is missing, or the file and
     line number when an entry is malformed.
     """
-    directory = Path(directory)
+    directory = Path(directory) if isinstance(directory, str) else directory
     parsed = {}
     for label, (filename, parser) in _FILES.items():
-        path = directory / filename
+        path = directory.joinpath(filename)
         if not path.is_file():
             raise LexiconError(f"{label} file not found: {path}")
         parsed[label] = parser(filename, path.read_text(encoding="utf-8"))
@@ -212,30 +216,10 @@ def load_lexicon(directory: str | Path) -> Lexicon:
     return lexicon
 
 
-_DEFAULT: Optional[Lexicon] = None
-
-
+@functools.cache
 def default_lexicon() -> Lexicon:
     """The lexicon shipped with the package (loaded once, then cached)."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        base = importlib_resources.files("coref").joinpath("resources")
-        parsed = {}
-        for label, (filename, parser) in _FILES.items():
-            resource = base.joinpath(filename)
-            try:
-                text = resource.read_text(encoding="utf-8")
-            except FileNotFoundError:
-                raise LexiconError(f"{label} file not found: {resource}") from None
-            parsed[label] = parser(filename, text)
-        _DEFAULT = Lexicon(
-            names=NameLists(male_names=parsed["male names"],
-                            female_names=parsed["female names"]),
-            titles=parsed["titles"],
-            pronouns=parsed["pronouns"],
-            copulas=parsed["copulas"],
-        )
-    return _DEFAULT
+    return load_lexicon(importlib_resources.files("coref") / "resources")
 
 
 def gender_of_first_name(word: str, names: NameLists) -> Gender:

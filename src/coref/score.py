@@ -32,9 +32,10 @@ class Score:
     recall: float
     f1: float
 
-
-def _f1(p: float, r: float) -> float:
-    return 2 * p * r / (p + r) if p + r > 0 else 0.0
+    @classmethod
+    def from_pr(cls, p: float, r: float) -> "Score":
+        """Precision, recall and their harmonic mean (0 when both are 0)."""
+        return cls(p, r, 2 * p * r / (p + r) if p + r > 0 else 0.0)
 
 
 def _ratio(num: int, den: int, other_den: int) -> float:
@@ -81,7 +82,7 @@ def pairwise_counts(sys: Clustering, gold: Clustering) -> PairCounts:
 def score_from_counts(counts: PairCounts) -> Score:
     p = _ratio(counts.tp, counts.tp + counts.fp, counts.tp + counts.fn)
     r = _ratio(counts.tp, counts.tp + counts.fn, counts.tp + counts.fp)
-    return Score(precision=p, recall=r, f1=_f1(p, r))
+    return Score.from_pr(p, r)
 
 
 def pairwise_micro(counts: Iterable[PairCounts]) -> Score:
@@ -116,4 +117,4 @@ def b_cubed_macro(doc_scores: Sequence[tuple[float, float]]) -> Score:
         raise ValueError("cannot macro-average zero documents")
     p = sum(s[0] for s in doc_scores) / len(doc_scores)
     r = sum(s[1] for s in doc_scores) / len(doc_scores)
-    return Score(precision=p, recall=r, f1=_f1(p, r))
+    return Score.from_pr(p, r)

@@ -36,7 +36,7 @@ class SyntaxNode:
     """
 
     __slots__ = ("label", "token", "children", "parent", "sentence_index",
-                 "span", "node_id", "depth", "doc", "_pre", "_post")
+                 "span", "node_id", "depth", "doc", "_post")
 
     def __init__(self, label: str, token: Optional[str] = None,
                  children: Sequence["SyntaxNode"] = ()):
@@ -49,7 +49,6 @@ class SyntaxNode:
         self.node_id = -1
         self.depth = 0
         self.doc: Optional[DocumentTree] = None
-        self._pre = -1
         self._post = -1
 
     def is_leaf(self) -> bool:
@@ -92,25 +91,18 @@ class DocumentTree:
         self.link_nodes = tuple(link_nodes)
         self.root = root
         self.nodes: list[SyntaxNode] = []
-        if root is not None:
-            for i, node in enumerate(root.walk()):
-                node.node_id = i
-                node.doc = self
-                self.nodes.append(node)
-            self._index()
-
-    def _index(self) -> None:
-        # Depth and preorder intervals drive dominance and path queries.
-        order = 0
-        stack: list[tuple[SyntaxNode, bool]] = [(self.root, False)]
+        # One preorder pass: node_id is the preorder number and _post the
+        # first number past the subtree, so dominance is an interval test.
+        stack: list[tuple[SyntaxNode, bool]] = [] if root is None else [(root, False)]
         while stack:
             node, done = stack.pop()
             if done:
-                node._post = order
+                node._post = len(self.nodes)
                 continue
+            node.node_id = len(self.nodes)
+            node.doc = self
             node.depth = 0 if node.parent is None else node.parent.depth + 1
-            node._pre = order
-            order += 1
+            self.nodes.append(node)
             stack.append((node, True))
             for child in reversed(node.children):
                 stack.append((child, False))
@@ -205,14 +197,12 @@ def _assign_spans(root: SyntaxNode) -> None:
         if done:
             node.span = (node.children[0].span[0], node.children[-1].span[1])
             continue
-        node.depth = 0 if node.parent is None else node.parent.depth + 1
         if node.is_leaf():
             node.span = (counter, counter + 1)
             counter += 1
         else:
             stack.append((node, True))
             for child in reversed(node.children):
-                child.parent = node
                 stack.append((child, False))
 
 
@@ -332,7 +322,7 @@ def dominates(a: SyntaxNode, b: SyntaxNode) -> bool:
     Raises ValueError for nodes from different documents.
     """
     if a.doc is not None and a.doc is b.doc:
-        return a._pre <= b._pre < a._post
+        return a.node_id <= b.node_id < a._post
     node: Optional[SyntaxNode] = b
     while node is not None:
         if node is a:

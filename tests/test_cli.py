@@ -294,19 +294,6 @@ def test_cli_score_json_report(tmp_path, capsys):
     assert report["pairwise"]["r"] == pytest.approx(1.0)
 
 
-def test_cli_failures_do_not_abort_remaining_documents(tmp_path, capsys):
-    docs = ablation_corpus()[:2]
-    corpus = _write_corpus(tmp_path, docs)
-    (corpus / "aa-broken.json").write_text(json.dumps(
-        {"id": "aa-broken", "sentences": ["(S (NP"]}))
-    code = main(["score", "--gold", "--json", str(corpus)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "aa-broken" in captured.err
-    report = json.loads(captured.out)
-    assert [d["id"] for d in report["per_doc"]] == ["synth-00", "synth-01"]
-
-
 def test_cli_trace_text(tmp_path, capsys):
     corpus = _write_corpus(tmp_path, ablation_corpus())
     code = main(["trace", "--gold", str(corpus)])
@@ -317,15 +304,82 @@ def test_cli_trace_text(tmp_path, capsys):
     assert "total\t55" in captured.out
 
 
-def test_cli_resolve_continues_after_bad_document(tmp_path, capsys):
-    corpus = _write_corpus(tmp_path, ablation_corpus()[:1])
+def _doc_ids(out):
+    return sorted({line.split("\t")[0] for line in out.splitlines()})
+
+
+@pytest.mark.parametrize("argv, survivors", [
+    (["resolve"], lambda out: _doc_ids(out) == ["synth-00", "synth-01"]),
+    (["score", "--gold", "--json"],
+     lambda out: [d["id"] for d in json.loads(out)["per_doc"]] == ["synth-00", "synth-01"]),
+    # 2 + 3 decisions from the two surviving documents
+    (["trace", "--gold"], lambda out: "total\t5" in out.splitlines()),
+], ids=["resolve", "score", "trace"])
+def test_cli_continues_after_bad_document(tmp_path, capsys, argv, survivors):
+    corpus = _write_corpus(tmp_path, ablation_corpus()[:2])
     (corpus / "aa-broken.json").write_text(json.dumps(
         {"id": "aa-broken", "sentences": ["(S (NP"]}))
-    code = main(["resolve", str(corpus)])
+    code = main([*argv, str(corpus)])
     captured = capsys.readouterr()
     assert code == 1
     assert "aa-broken" in captured.err
-    assert "synth-00\t" in captured.out
+    assert survivors(captured.out)
+
+
+_SENTENCE = "(S (NP (NNP John)) (VP (VBD left)) (. .))"
+
+
+@pytest.mark.parametrize("document, doc_id", [
+    ({"id": "b"}, "b"),
+    (["notadict"], "?"),
+    ({"id": "b", "sentences": None}, "b"),
+    ({"id": "b", "sentences": [3]}, "b"),
+    ({"id": "b", "sentences": _SENTENCE}, "b"),
+    ({"id": "b", "sentences": [_SENTENCE], "annotations": 5}, "b"),
+    ({"id": "b", "sentences": [_SENTENCE],
+      "annotations": [{"s": 0, "t": 0, "supersense": 5}]}, "b"),
+    ({"id": "b", "sentences": [_SENTENCE], "gold_mentions": 5}, "b"),
+    ({"id": "b", "sentences": [_SENTENCE], "gold_clusters": 5}, "b"),
+    ({"id": "b", "sentences": [_SENTENCE], "gold_clusters": [5]}, "b"),
+    ({"id": "b", "sentences": [_SENTENCE], "gold_clusters": ["01"]}, "b"),
+    ({"id": "b", "sentences": [_SENTENCE], "gold_clusters": [["x"]]}, "b"),
+], ids=["no-sentences", "not-an-object", "null-sentences", "non-string-sentence",
+        "string-sentences", "annotations-not-list", "annotation-label-not-string",
+        "gold-mentions-not-list", "gold-clusters-not-list", "cluster-not-list",
+        "cluster-is-string", "cluster-id-not-int"])
+def test_cli_schema_error_is_reported_without_traceback(tmp_path, document, doc_id):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(document))
+    run = run_cli(["resolve", str(path)], tmp_path)
+    err = run.stderr.decode()
+    assert run.returncode == 2
+    assert err.startswith(f"error: document {doc_id!r}: ")
+    assert "Traceback" not in err
+    assert run.stdout == b""
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv, broken", [
+    ("resolve_render", ["resolve", "--render"], False),
+    ("score_gold", ["score", "--gold"], False),
+    ("score_gold_json", ["score", "--gold", "--json"], False),
+    ("trace_gold", ["trace", "--gold"], False),
+    # The flag makes some P/R/F differ from 1.0, so the F1 arithmetic is pinned.
+    ("score_gold_json_broken", ["score", "--gold", "--json", "--strict-typechecking"], True),
+])
+def test_cli_output_matches_golden_bytes(tmp_path, capsys, name, argv, broken):
+    """Exact output on the ablation corpus, pinned in ``tests/golden``."""
+    corpus = _write_corpus(tmp_path, ablation_corpus())
+    if broken:
+        (corpus / "synth-05-broken.json").write_text(json.dumps(
+            {"id": "synth-05-broken", "sentences": ["(S (NP"]}))
+    assert main([*argv, str(corpus)]) == (1 if broken else 0)
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    expected_err = (GOLDEN / f"{name}.err").read_text(encoding="utf-8") if broken else ""
+    assert captured.err == expected_err
 
 
 def test_resources_env_var_override(tmp_path, capsys, monkeypatch,

@@ -1,7 +1,10 @@
+from importlib import resources as importlib_resources
+
 import pytest
 
 from coref import (Gender, GrammaticalPerson, LexiconError, Number, Personhood,
-                   gender_of_first_name, load_lexicon, pronoun_lookup)
+                   default_lexicon, gender_of_first_name, load_lexicon,
+                   pronoun_lookup)
 
 
 def test_load_fixture_directory(fixture_lex):
@@ -16,6 +19,16 @@ def test_census_format_line_loads(fixture_lex):
     assert "mary" in fixture_lex.names.female_names
     assert "john" in fixture_lex.names.male_names
     assert "fred" in fixture_lex.names.male_names
+
+
+def test_package_resources_load_as_default_lexicon():
+    packaged = load_lexicon(importlib_resources.files("coref") / "resources")
+    assert packaged == default_lexicon()
+    assert default_lexicon() is default_lexicon()
+
+
+def test_directory_given_as_string(fixture_resources, fixture_lex):
+    assert load_lexicon(str(fixture_resources)) == fixture_lex
 
 
 def test_missing_file_reports_which(tmp_path):

@@ -219,6 +219,24 @@ def test_dominates_across_documents_is_an_error():
         dominates(doc1.root, doc2.root)
 
 
+def test_dominance_and_depth_follow_parent_chain_on_random_documents():
+    rng = random.Random(20261018)
+    for _ in range(25):
+        texts = [to_ptb(_random_tree(rng)) for _ in range(rng.randint(1, 5))]
+        doc = link_document(read_ptb(" ".join(texts)))
+        for b in doc.nodes:
+            chain = []
+            node = b
+            while node is not None:
+                chain.append(node)
+                node = node.parent
+            assert chain[-1] is doc.root
+            assert b.depth == len(chain) - 1
+            ancestors = {id(node) for node in chain}
+            for a in doc.nodes:
+                assert dominates(a, b) == (id(a) in ancestors)
+
+
 def test_link_empty_document():
     doc = link_document([])
     assert doc.root is None

@@ -20,10 +20,10 @@ from .mention import (Mention, MentionKind, TokenAnnotation, TypeProfile,
                       classify_kind, extract_mentions, infer_gender,
                       infer_number, infer_personhood, map_gold_mentions)
 from .resolve import (Decision, MentionIndex, ResolveConfig, Rule,
-                      adjunct_violation, candidate_pool, detect_appositive,
-                      detect_pred_nom, detect_role_appositive, filter_nominal,
-                      filter_pronoun, i_within_i_violation, reflexive_violation,
-                      resolve_document, select_antecedent, type_compatible)
+                      candidate_pool, detect_appositive, detect_pred_nom,
+                      detect_role_appositive, filter_nominal, filter_pronoun,
+                      initial_adjuncts, reflexive_subject, resolve_document,
+                      select_antecedent, type_compatible)
 from .score import (PairCounts, Score, b_cubed_doc, b_cubed_macro,
                     pairwise_counts, pairwise_micro)
 from .treebank import (DOCLINK, DocumentTree, PtbParseError, SyntaxNode,

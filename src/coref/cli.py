@@ -259,8 +259,7 @@ def trace_report(decisions: Sequence[Decision], mentions: Sequence[Mention],
     """
     report = TraceReport(has_gold=gold is not None)
     by_id = {m.mention_id: m for m in mentions}
-    order = [m.mention_id for m in mentions]
-    position = {mid: i for i, mid in enumerate(order)}
+    position = {m.mention_id: i for i, m in enumerate(mentions)}
     for decision in decisions:
         report.rule_counts[decision.rule] += 1
         if gold is None:
@@ -268,9 +267,8 @@ def trace_report(decisions: Sequence[Decision], mentions: Sequence[Mention],
         mid = decision.mention_id
         if decision.antecedent is not None:
             correct = gold.same_entity(mid, decision.antecedent)
-        else:
-            correct = not any(gold.same_entity(mid, prev)
-                              for prev in order[:position[mid]])
+        else:  # correct iff the mention opens its gold entity
+            correct = min(gold.entity_of(mid), key=position.__getitem__) == mid
         report.rule_correct[decision.rule] += int(correct)
         report.rule_incorrect[decision.rule] += int(not correct)
         mention = by_id[mid]
@@ -392,7 +390,9 @@ def build_config(args: argparse.Namespace) -> ResolveConfig:
     values: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as handle:
-            values.update(json.load(handle))
+            values = json.load(handle)
+        if not isinstance(values, dict):
+            raise ValueError(f"{args.config}: config file does not hold a JSON object")
     for _, dest, _ in _ABLATION_FLAGS:
         override = getattr(args, dest, None)
         if override is not None:

@@ -120,23 +120,21 @@ def extract_mentions(doc: DocumentTree) -> list[Mention]:
     PRP/PRP$ leaves that head no NP (possessive determiners) become leaf
     mentions. Output is ordered by (sentence, span start, span end desc).
     """
-    if doc.root is None:
-        return []
-    highest_for_head: dict[int, SyntaxNode] = {}
-    for node in doc.root.walk():
-        if node.label != "NP":
-            continue
-        leaf = head_leaf(node)
-        best = highest_for_head.get(leaf.node_id)
-        if best is None or node.depth < best.depth:
-            highest_for_head[leaf.node_id] = node
-    nodes = list(highest_for_head.values())
-    for leaf in doc.root.leaves():
-        if leaf.label in PRONOUN_TAGS and leaf.node_id not in highest_for_head:
-            nodes.append(leaf)
-    mentions = [Mention(mention_id=-1, node=n, head=head_leaf(n),
-                        kind=_kind_of_tag(head_leaf(n).label))
-                for n in nodes]
+    highest_for_head: dict[SyntaxNode, SyntaxNode] = {}
+    pronoun_leaves = []
+    for node in doc.nodes:
+        if node.label == "NP":
+            leaf = head_leaf(node)
+            best = highest_for_head.get(leaf)
+            if best is None or node.depth < best.depth:
+                highest_for_head[leaf] = node
+        elif node.label in PRONOUN_TAGS and node.is_leaf():
+            pronoun_leaves.append(node)
+    for leaf in pronoun_leaves:
+        highest_for_head.setdefault(leaf, leaf)
+    mentions = [Mention(mention_id=-1, node=node, head=leaf,
+                        kind=_kind_of_tag(leaf.label))
+                for leaf, node in highest_for_head.items()]
     mentions.sort(key=document_order_key)
     for i, m in enumerate(mentions):
         m.mention_id = i
@@ -157,7 +155,7 @@ def map_gold_mentions(doc: DocumentTree,
             raise ValueError("gold mentions supplied for an empty document")
         return []
     by_sentence: dict[int, list[SyntaxNode]] = {}
-    for node in doc.root.walk():
+    for node in doc.nodes:
         if node.label == DOCLINK:
             continue
         by_sentence.setdefault(node.sentence_index, []).append(node)

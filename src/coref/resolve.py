@@ -59,6 +59,9 @@ class ResolveConfig:
         unknown = set(values) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        not_bool = sorted(k for k, v in values.items() if not isinstance(v, bool))
+        if not_bool:
+            raise ValueError(f"config values must be true or false: {not_bool}")
         return replace(cls(), **values)
 
 
@@ -197,48 +200,38 @@ def detect_pred_nom(m: Mention, index: MentionIndex, lex: Lexicon,
     return antecedent
 
 
-def i_within_i_violation(pron: Mention, cand: Mention) -> bool:
-    """A pronoun cannot refer to a mention whose node dominates it."""
-    return dominates(cand.node, pron.node)
-
-
-def reflexive_violation(pron: Mention, cand: Mention) -> bool:
-    """A non-reflexive object cannot corefer with its clause subject
-    ("The bank ruined it." -> it != bank)."""
+def reflexive_subject(pron: Mention) -> Optional[SyntaxNode]:
+    """Head leaf of the clause subject that a non-reflexive direct-object
+    pronoun cannot corefer with ("The bank ruined it." -> it != bank), or
+    None when the pronoun is reflexive, not a direct object, or has no
+    subject."""
     if pron.pronoun is not None and pron.pronoun.reflexive:
-        return False
+        return None
     vp = pron.node.parent
     if vp is None or vp.label != "VP":
-        return False  # not a direct object
+        return None
     _, subject = _clause_and_subject(vp)
-    if subject is None:
-        return False
-    return head_leaf(subject) is cand.head
+    return None if subject is None else head_leaf(subject)
 
 
-def _nonfinite_initial_adjuncts(clause: SyntaxNode,
-                                subject: SyntaxNode) -> list[SyntaxNode]:
+def initial_adjuncts(pron: Mention) -> list[SyntaxNode]:
+    """Sentence-initial non-finite adjuncts a clause-subject pronoun cannot
+    refer into ("To call John, he ..."); finite SBAR adjuncts are exempt
+    ("Because John likes cars, he ..."). Empty unless the pronoun is a
+    clause subject."""
+    node, clause = pron.node, pron.node.parent
+    if clause is None or clause.label not in CLAUSE_LABELS:
+        return []
+    if not any(sib.label == "VP" and sib.span[0] >= node.span[1]
+               for sib in clause.children):
+        return []  # not a subject
     adjuncts = []
     for child in clause.children:
-        if child is subject:
+        if child is node:
             break
         if child.label in ("S", "VP") and head_leaf(child).label in ("TO", "VBG"):
             adjuncts.append(child)
     return adjuncts
-
-
-def adjunct_violation(pron: Mention, cand: Mention) -> bool:
-    """A clause subject cannot refer into a sentence-initial non-finite
-    adjunct ("To call John, he ..."); finite SBAR adjuncts are exempt
-    ("Because John likes cars, he ...")."""
-    node, clause = pron.node, pron.node.parent
-    if clause is None or clause.label not in CLAUSE_LABELS:
-        return False
-    if not any(sib.label == "VP" and sib.span[0] >= node.span[1]
-               for sib in clause.children):
-        return False  # not a subject
-    return any(dominates(adjunct, cand.node)
-               for adjunct in _nonfinite_initial_adjuncts(clause, node))
 
 
 def _attribute_clash(a, b, unknown) -> bool:
@@ -266,14 +259,9 @@ def type_compatible(p: TypeProfile, c: TypeProfile, cfg: ResolveConfig) -> bool:
     return True
 
 
-def candidate_pool(m: Mention, mentions: Sequence[Mention]) -> list[Mention]:
+def candidate_pool(m: Mention, index: MentionIndex) -> list[Mention]:
     """All mentions strictly before ``m`` in document order."""
-    pool = []
-    for other in mentions:
-        if other is m:
-            return pool
-        pool.append(other)
-    raise ValueError(f"mention {m.mention_id} not in the mention sequence")
+    return index.mentions[:index.position[m.mention_id]]
 
 
 def is_second_person(m: Mention) -> bool:
@@ -285,6 +273,8 @@ def filter_pronoun(m: Mention, pool: Sequence[Mention],
                    cfg: ResolveConfig) -> list[Mention]:
     """Reject candidates that violate a syntactic constraint, clash on type,
     or fall under the pro-pro policy. Never accepts anything outright."""
+    subject_head = reflexive_subject(m)
+    adjuncts = initial_adjuncts(m)
     kept = []
     for cand in pool:
         if not cfg.allow_pro_pro_match and cand.kind is MentionKind.PRONOUN:
@@ -294,11 +284,10 @@ def filter_pronoun(m: Mention, pool: Sequence[Mention],
                 and m.pronoun is not None and cand.pronoun is not None
                 and m.pronoun.grammatical_person is not cand.pronoun.grammatical_person):
             continue
-        if i_within_i_violation(m, cand):
+        if dominates(cand.node, m.node):  # i-within-i
             continue
-        if reflexive_violation(m, cand):
-            continue
-        if adjunct_violation(m, cand):
+        if cand.head is subject_head or \
+                any(dominates(adjunct, cand.node) for adjunct in adjuncts):
             continue
         if m.profile and cand.profile and \
                 not type_compatible(m.profile, cand.profile, cfg):
@@ -351,7 +340,7 @@ def _resolve_one(m: Mention, index: MentionIndex, lex: Lexicon,
     if antecedent is not None:
         return Decision(m.mention_id, antecedent.mention_id, Rule.PRED_NOM)
 
-    pool = candidate_pool(m, index.mentions)
+    pool = candidate_pool(m, index)
     if m.kind is MentionKind.PRONOUN:
         if not cfg.resolve_pronouns:
             return Decision(m.mention_id, None, Rule.NULL)

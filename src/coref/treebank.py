@@ -7,6 +7,7 @@ boundaries.
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, Optional, Sequence
 
 #: Label of the synthetic nodes that join sentence trees.
@@ -81,7 +82,9 @@ class DocumentTree:
     """Sentence trees joined under right-branching DOCLINK nodes.
 
     Immutable after construction; with k sentences there are max(k-1, 0)
-    link nodes. An empty document has ``root is None``.
+    link nodes. An empty document has ``root is None``. Construction sets
+    every node's ``node_id``, ``doc``, ``depth`` and ``sentence_index``
+    (-1 on link nodes).
     """
 
     def __init__(self, sentence_roots: Sequence[SyntaxNode],
@@ -91,8 +94,11 @@ class DocumentTree:
         self.link_nodes = tuple(link_nodes)
         self.root = root
         self.nodes: list[SyntaxNode] = []
+        for i, sentence in enumerate(self.sentence_roots):
+            sentence.sentence_index = i
         # One preorder pass: node_id is the preorder number and _post the
         # first number past the subtree, so dominance is an interval test.
+        # A node below a sentence root takes its parent's sentence index.
         stack: list[tuple[SyntaxNode, bool]] = [] if root is None else [(root, False)]
         while stack:
             node, done = stack.pop()
@@ -101,15 +107,14 @@ class DocumentTree:
                 continue
             node.node_id = len(self.nodes)
             node.doc = self
-            node.depth = 0 if node.parent is None else node.parent.depth + 1
+            parent = node.parent
+            node.depth = 0 if parent is None else parent.depth + 1
+            if parent is not None and parent.sentence_index >= 0:
+                node.sentence_index = parent.sentence_index
             self.nodes.append(node)
             stack.append((node, True))
             for child in reversed(node.children):
                 stack.append((child, False))
-
-    def contains(self, node: SyntaxNode) -> bool:
-        i = node.node_id
-        return 0 <= i < len(self.nodes) and self.nodes[i] is node
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -117,6 +122,11 @@ class DocumentTree:
 
 def _byte_offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
+
+
+#: One PTB token: a bracket, or a run of characters that are neither
+#: brackets nor whitespace (``\s`` matches exactly what ``str.isspace`` does).
+_PTB_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 def read_ptb(text: str) -> list[SyntaxNode]:
@@ -129,28 +139,25 @@ def read_ptb(text: str) -> list[SyntaxNode]:
     """
     trees: list[SyntaxNode] = []
     stack: list[SyntaxNode] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c == "(":
-            j = i + 1
-            while j < n and text[j].isspace():
-                j += 1
-            k = j
-            while k < n and text[k] not in "()" and not text[k].isspace():
-                k += 1
-            label = text[j:k]
-            if not label:
+    leaf_count = 0  # leaves closed so far in the current sentence
+    tokens = _PTB_TOKEN.finditer(text)
+    for match in tokens:
+        token, i = match.group(), match.start()
+        if token == "(":
+            label = next(tokens, None)
+            if label is None or label.group() in ("(", ")"):
                 raise PtbParseError("empty node label", _byte_offset(text, i))
-            stack.append(SyntaxNode(label))
-            i = k
-        elif c == ")":
+            stack.append(SyntaxNode(label.group()))
+        elif token == ")":
             if not stack:
                 raise PtbParseError("unbalanced ')'", _byte_offset(text, i))
             node = stack.pop()
-            if node.token is None and not node.children:
+            if node.token is not None:
+                node.span = (leaf_count, leaf_count + 1)
+                leaf_count += 1
+            elif node.children:
+                node.span = (node.children[0].span[0], node.children[-1].span[1])
+            else:
                 raise PtbParseError(f"node ({node.label} has neither token nor children",
                                     _byte_offset(text, i))
             if stack:
@@ -162,13 +169,10 @@ def read_ptb(text: str) -> list[SyntaxNode]:
                 parent.children.append(node)
             else:
                 trees.append(node)
-            i += 1
+                leaf_count = 0
         else:
-            k = i
-            while k < n and text[k] not in "()" and not text[k].isspace():
-                k += 1
             if not stack:
-                raise PtbParseError(f"unexpected token {text[i:k]!r} outside brackets",
+                raise PtbParseError(f"unexpected token {token!r} outside brackets",
                                     _byte_offset(text, i))
             node = stack[-1]
             if node.children:
@@ -177,33 +181,12 @@ def read_ptb(text: str) -> list[SyntaxNode]:
             if node.token is not None:
                 raise PtbParseError("multiple tokens under one node",
                                     _byte_offset(text, i))
-            node.token = text[i:k]
-            i = k
+            node.token = token
     if stack:
-        raise PtbParseError("unbalanced '(' at end of input", _byte_offset(text, n))
+        raise PtbParseError("unbalanced '(' at end of input", _byte_offset(text, len(text)))
     if not trees:
         raise PtbParseError("empty input", 0)
-    for tree in trees:
-        _assign_spans(tree)
     return trees
-
-
-def _assign_spans(root: SyntaxNode) -> None:
-    # Postorder, iterative: leaves get consecutive indices, parents the hull.
-    counter = 0
-    stack: list[tuple[SyntaxNode, bool]] = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            node.span = (node.children[0].span[0], node.children[-1].span[1])
-            continue
-        if node.is_leaf():
-            node.span = (counter, counter + 1)
-            counter += 1
-        else:
-            stack.append((node, True))
-            for child in reversed(node.children):
-                stack.append((child, False))
 
 
 def to_ptb(node: SyntaxNode) -> str:
@@ -319,24 +302,12 @@ def head_leaf(node: SyntaxNode) -> SyntaxNode:
 def dominates(a: SyntaxNode, b: SyntaxNode) -> bool:
     """True iff ``b`` lies in ``a``'s subtree; a node dominates itself.
 
-    Raises ValueError for nodes from different documents.
+    Both nodes must belong to one ``DocumentTree``; nodes of different
+    documents, or of trees not yet linked into one, raise ValueError.
     """
-    if a.doc is not None and a.doc is b.doc:
-        return a.node_id <= b.node_id < a._post
-    node: Optional[SyntaxNode] = b
-    while node is not None:
-        if node is a:
-            return True
-        node = node.parent
-    root_a = a
-    while root_a.parent is not None:
-        root_a = root_a.parent
-    root_b = b
-    while root_b.parent is not None:
-        root_b = root_b.parent
-    if root_a is not root_b:
+    if a.doc is None or a.doc is not b.doc:
         raise ValueError("nodes belong to different documents")
-    return False
+    return a.node_id <= b.node_id < a._post
 
 
 def link_document(trees: Sequence[SyntaxNode]) -> DocumentTree:
@@ -346,9 +317,6 @@ def link_document(trees: Sequence[SyntaxNode]) -> DocumentTree:
     child and the linked remainder as its right child.
     """
     trees = list(trees)
-    for idx, tree in enumerate(trees):
-        for node in tree.walk():
-            node.sentence_index = idx
     if not trees:
         return DocumentTree([], [], None)
     if len(trees) == 1:
@@ -372,7 +340,7 @@ def path_distance(a: SyntaxNode, b: SyntaxNode, doc: DocumentTree) -> int:
     is not part of ``doc``.
     """
     for name, node in (("first", a), ("second", b)):
-        if not doc.contains(node):
+        if node.doc is not doc:
             raise ValueError(f"{name} node {node!r} is not in this document")
     x, y = a, b
     while x.depth > y.depth:

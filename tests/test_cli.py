@@ -358,6 +358,21 @@ def test_cli_schema_error_is_reported_without_traceback(tmp_path, document, doc_
     assert run.stdout == b""
 
 
+@pytest.mark.parametrize("config", [
+    "5", "[1]", '[["check_gender", false]]', '{"check_gender": "no"}',
+    '{"check_gender": 0}',
+], ids=["number", "list", "pair-list", "string-value", "integer-value"])
+def test_cli_bad_config_is_reported_without_traceback(tmp_path, config):
+    (tmp_path / "cfg.json").write_text(config)
+    corpus = _write_corpus(tmp_path, ablation_corpus()[:1])
+    run = run_cli(["resolve", "--config", "cfg.json", str(corpus)], tmp_path)
+    err = run.stderr.decode()
+    assert run.returncode == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert run.stdout == b""
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -368,14 +383,24 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     ("trace_gold", ["trace", "--gold"], False),
     # The flag makes some P/R/F differ from 1.0, so the F1 arithmetic is pinned.
     ("score_gold_json_broken", ["score", "--gold", "--json", "--strict-typechecking"], True),
+    # ``*_long`` cases run on long.jsonl: 20-40 sentence documents, one with
+    # gold mentions, pin long candidate pools, cross-sentence distances and
+    # gold-mention mapping.
+    ("resolve_render_long", ["resolve", "--render"], False),
+    ("score_gold_json_long", ["score", "--gold", "--json"], False),
+    ("trace_gold_long", ["trace", "--gold"], False),
 ])
 def test_cli_output_matches_golden_bytes(tmp_path, capsys, name, argv, broken):
-    """Exact output on the ablation corpus, pinned in ``tests/golden``."""
-    corpus = _write_corpus(tmp_path, ablation_corpus())
+    """Exact output on the ablation corpus (or ``long.jsonl``), pinned in
+    ``tests/golden``."""
+    if name.endswith("_long"):
+        path = GOLDEN / "long.jsonl"
+    else:
+        path = _write_corpus(tmp_path, ablation_corpus())
     if broken:
-        (corpus / "synth-05-broken.json").write_text(json.dumps(
+        (path / "synth-05-broken.json").write_text(json.dumps(
             {"id": "synth-05-broken", "sentences": ["(S (NP"]}))
-    assert main([*argv, str(corpus)]) == (1 if broken else 0)
+    assert main([*argv, str(path)]) == (1 if broken else 0)
     captured = capsys.readouterr()
     assert captured.out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     expected_err = (GOLDEN / f"{name}.err").read_text(encoding="utf-8") if broken else ""

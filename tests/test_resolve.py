@@ -1,10 +1,9 @@
 from coref import (Gender, MentionIndex, MentionKind, Number, Personhood,
                    ResolveConfig, Rule, TokenAnnotation, TypeProfile,
-                   adjunct_violation, annotation_index, attach_profiles,
-                   candidate_pool, detect_appositive, detect_pred_nom,
-                   detect_role_appositive, filter_nominal, filter_pronoun,
-                   i_within_i_violation, reflexive_violation,
-                   select_antecedent, type_compatible)
+                   annotation_index, attach_profiles, candidate_pool,
+                   detect_appositive, detect_pred_nom, detect_role_appositive,
+                   dominates, filter_nominal, filter_pronoun, initial_adjuncts,
+                   reflexive_subject, select_antecedent, type_compatible)
 from helpers import (EXAMPLE1_SENTENCES, decision_for, doc_with_mentions,
                      mention_with_head, pipeline)
 
@@ -154,10 +153,10 @@ def test_i_within_i_walmart(lex):
     gitano = mention_with_head(mentions, "Gitano")
     brand = mention_with_head(mentions, "brand")
     assert gitano.node.span == (2, 8)  # the appositive-containing NP
-    assert i_within_i_violation(its, gitano)
-    assert i_within_i_violation(its, brand)
+    assert dominates(gitano.node, its.node)
+    assert dominates(brand.node, its.node)
     walmart = mention_with_head(mentions, "Walmart")
-    assert not i_within_i_violation(its, walmart)
+    assert not dominates(walmart.node, its.node)
 
 
 def test_i_within_i_cross_sentence_is_false(lex):
@@ -167,27 +166,26 @@ def test_i_within_i_cross_sentence_is_false(lex):
         "(S (NP (PRP it)) (VP (VBD reopened)) (. .))")
     it = mention_with_head(mentions, "it")
     bank = mention_with_head(mentions, "bank")
-    assert not i_within_i_violation(it, bank)
+    assert not dominates(bank.node, it.node)
 
 
 def test_i_within_i_self_is_violation(lex):
     doc, mentions, index = _prepared(lex, "(S (NP (PRP it)) (VP (VBD broke)) (. .))")
     it = mention_with_head(mentions, "it")
-    assert i_within_i_violation(it, it)
+    assert dominates(it.node, it.node)
 
 
 def test_reflexive_violation_bank_it(lex):
     doc, mentions, index = _prepared(lex, BANK_IT)
     it = mention_with_head(mentions, "it")
     bank = mention_with_head(mentions, "bank")
-    assert reflexive_violation(it, bank)
+    assert reflexive_subject(it) is bank.head
 
 
 def test_reflexive_ok_bank_itself(lex):
     doc, mentions, index = _prepared(lex, BANK_ITSELF)
     itself = mention_with_head(mentions, "itself")
-    bank = mention_with_head(mentions, "bank")
-    assert not reflexive_violation(itself, bank)
+    assert reflexive_subject(itself) is None  # the bank is not excluded
 
 
 def test_reflexive_cross_sentence_candidate_is_false(lex):
@@ -197,21 +195,21 @@ def test_reflexive_cross_sentence_candidate_is_false(lex):
         BANK_IT)
     it = mention_with_head(mentions, "it")
     fund = mention_with_head(mentions, "fund")
-    assert not reflexive_violation(it, fund)
+    assert reflexive_subject(it) is not fund.head
 
 
 def test_adjunct_violation_to_call_john(lex):
     doc, mentions, index = _prepared(lex, TO_CALL)
     he = mention_with_head(mentions, "he")
     john = mention_with_head(mentions, "John")
-    assert adjunct_violation(he, john)
+    assert any(dominates(a, john.node) for a in initial_adjuncts(he))
 
 
 def test_adjunct_because_john_is_allowed(lex):
     doc, mentions, index = _prepared(lex, BECAUSE)
     he = mention_with_head(mentions, "he")
     john = mention_with_head(mentions, "John")
-    assert not adjunct_violation(he, john)
+    assert not any(dominates(a, john.node) for a in initial_adjuncts(he))
 
 
 def test_adjunct_candidate_outside_adjunct(lex):
@@ -221,7 +219,7 @@ def test_adjunct_candidate_outside_adjunct(lex):
         TO_CALL)
     he = mention_with_head(mentions, "he")
     earlier_john = mention_with_head(mentions, "John", occurrence=0)
-    assert not adjunct_violation(he, earlier_john)
+    assert not any(dominates(a, earlier_john.node) for a in initial_adjuncts(he))
 
 
 def test_gerund_adjunct_blocks(lex):
@@ -231,7 +229,7 @@ def test_gerund_adjunct_blocks(lex):
         " (VP (VBD waved)) (. .))")
     he = mention_with_head(mentions, "he")
     john = mention_with_head(mentions, "John")
-    assert adjunct_violation(he, john)
+    assert any(dominates(a, john.node) for a in initial_adjuncts(he))
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +285,10 @@ def test_candidate_pool(fixture_lex):
         fixture_lex,
         "(S (NP (NNP John)) (VP (VBD saw) (NP (DT the) (NN dog))"
         " (NP (DT a) (NN cat))) (. .))")
-    assert candidate_pool(mentions[0], mentions) == []
-    assert candidate_pool(mentions[2], mentions) == mentions[:2]
+    assert candidate_pool(mentions[0], index) == []
+    assert candidate_pool(mentions[2], index) == mentions[:2]
     for i, m in enumerate(mentions):
-        pool = candidate_pool(m, mentions)
+        pool = candidate_pool(m, index)
         assert m not in pool
         assert all(index.precedes(c, m) for c in pool)
 
@@ -298,7 +296,7 @@ def test_candidate_pool(fixture_lex):
 def test_filter_pronoun_john_bought_himself(fixture_lex):
     doc, mentions, index = _prepared(fixture_lex, EXAMPLE1_SENTENCES[0])
     himself = mention_with_head(mentions, "himself")
-    pool = candidate_pool(himself, mentions)
+    pool = candidate_pool(himself, index)
     kept = filter_pronoun(himself, pool, ResolveConfig())
     assert [m.head_word for m in kept] == ["John"]
 
@@ -309,7 +307,7 @@ def test_filter_pronoun_drops_pro_pro_when_disabled(fixture_lex):
         "(S (NP (PRP he)) (VP (VBD waved)) (. .))",
         "(S (NP (PRP he)) (VP (VBD left)) (. .))")
     second = mentions[1]
-    pool = candidate_pool(second, mentions)
+    pool = candidate_pool(second, index)
     assert len(filter_pronoun(second, pool, ResolveConfig())) == 1
     assert filter_pronoun(second, pool,
                           ResolveConfig(allow_pro_pro_match=False)) == []
@@ -321,7 +319,7 @@ def test_filter_pronoun_grammatical_person_check(fixture_lex):
         "(S (NP (PRP I)) (VP (VBD waved)) (. .))",
         "(S (NP (PRP he)) (VP (VBD left)) (. .))")
     he = mentions[1]
-    pool = candidate_pool(he, mentions)
+    pool = candidate_pool(he, index)
     assert len(filter_pronoun(he, pool, ResolveConfig())) == 1
     assert filter_pronoun(he, pool,
                           ResolveConfig(check_grammatical_person=True)) == []
@@ -333,7 +331,7 @@ def test_filter_nominal_substring_rule(fixture_lex):
         "(S (NP (NNP Japan)) (VP (VBD exported) (NP (NNS cars))) (. .))",
         "(S (NP (DT the) (NNP Japanese)) (VP (VBD bought) (NP (NNS houses))) (. .))")
     japanese = mention_with_head(mentions, "Japanese")
-    kept = filter_nominal(japanese, candidate_pool(japanese, mentions))
+    kept = filter_nominal(japanese, candidate_pool(japanese, index))
     assert [m.head_word for m in kept] == ["Japan"]
 
 
@@ -343,7 +341,7 @@ def test_filter_nominal_exact_head_match_false_positive(fixture_lex):
         "(S (NP (JJ Korean) (NNS officials)) (VP (VBD met)) (. .))",
         "(S (NP (JJ Iranian) (NNS officials)) (VP (VBD agreed)) (. .))")
     second = mentions[1]
-    kept = filter_nominal(second, candidate_pool(second, mentions))
+    kept = filter_nominal(second, candidate_pool(second, index))
     assert [m.head_word for m in kept] == ["officials"]
 
 
@@ -353,7 +351,7 @@ def test_filter_nominal_short_prefix_mismatch(fixture_lex):
         "(S (NP (NNP Iran)) (VP (VBD signed)) (. .))",
         "(S (NP (NNP Iraq)) (VP (VBD refused)) (. .))")
     iraq = mention_with_head(mentions, "Iraq")
-    assert filter_nominal(iraq, candidate_pool(iraq, mentions)) == []
+    assert filter_nominal(iraq, candidate_pool(iraq, index)) == []
 
 
 def test_select_antecedent_empty_is_null(fixture_lex):
@@ -371,7 +369,7 @@ def test_select_antecedent_calverts(fixture_lex):
     they = mention_with_head(mentions, "they")
     calverts = mention_with_head(mentions, "Calverts")
     estates = mention_with_head(mentions, "estates")
-    kept = filter_pronoun(they, candidate_pool(they, mentions), ResolveConfig())
+    kept = filter_pronoun(they, candidate_pool(they, index), ResolveConfig())
     assert calverts in kept and estates in kept
     assert select_antecedent(they, kept, doc) is calverts
 

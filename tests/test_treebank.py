@@ -73,6 +73,89 @@ def test_read_mixed_content_rejected():
         read_ptb("(NN the dog)")
 
 
+# Exact message and UTF-8 byte offset for each error path of ``read_ptb``,
+# with non-ASCII text before the error and non-space Unicode separators.
+PARSE_ERRORS = [
+    ("((S (NN a)))", "empty node label", 0),
+    ("(S ( (NN a)))", "empty node label", 3),
+    ("()", "empty node label", 0),
+    ("(S ())", "empty node label", 3),
+    ("(S (", "empty node label", 3),
+    ("(S (   \n", "empty node label", 3),
+    ("(", "empty node label", 0),
+    ("(S (NN a)))", "unbalanced ')'", 10),
+    (")", "unbalanced ')'", 0),
+    ("(S (NP", "unbalanced '(' at end of input", 6),
+    ("(S (NN a)) (S", "unbalanced '(' at end of input", 13),
+    ("(S (NP))", "node (NP has neither token nor children", 6),
+    ("(NP (NN dog) the)", "mixed token and children under one node", 13),
+    ("(NP the (NN dog))", "mixed token and children under one node", 15),
+    ("(NN the dog)", "multiple tokens under one node", 8),
+    ("dog (S (NN a))", "unexpected token 'dog' outside brackets", 0),
+    ("(S (NN a)) dog", "unexpected token 'dog' outside brackets", 11),
+    ("", "empty input", 0),
+    ("   \n\t", "empty input", 0),
+    ("(S (NN caf\u00e9) (NP", "unbalanced '(' at end of input", 17),
+    ("(NN caf\u00e9 extra)", "multiple tokens under one node", 10),
+    ("(S (NN \u00e9)))", "unbalanced ')'", 11),
+    ("(\u65e5\u672c (NN a)) x", "unexpected token 'x' outside brackets", 16),
+    ("(\u00e9 ())", "empty node label", 4),
+    ("(S\x1c(NN a)\x1cb)", "mixed token and children under one node", 10),
+    ("(\x1c)", "empty node label", 0),
+    ("(NN\u00a0a\u00a0b)", "multiple tokens under one node", 8),
+    ("(\u00a0", "empty node label", 0),
+]
+
+
+@pytest.mark.parametrize("text, message, offset", PARSE_ERRORS)
+def test_read_error_message_and_offset(text, message, offset):
+    with pytest.raises(PtbParseError) as info:
+        read_ptb(text)
+    assert str(info.value) == f"{message} (byte offset {offset})"
+    assert info.value.offset == offset
+
+
+def test_read_unicode_whitespace_separates_tokens():
+    (tree,) = read_ptb("(S\x1c(NN\u00a0a)\u3000(NN b))")
+    assert to_ptb(tree) == "(S (NN a) (NN b))"
+    assert [leaf.span for leaf in tree.leaves()] == [(0, 1), (1, 2)]
+
+
+def _assert_spans_in_leaf_order(tree):
+    leaves = list(tree.leaves())
+    assert [leaf.span for leaf in leaves] == [(i, i + 1) for i in range(len(leaves))]
+    for node in tree.walk():
+        if not node.is_leaf():
+            assert node.span == (node.children[0].span[0], node.children[-1].span[1])
+
+
+def test_read_mutated_trees_parse_or_fail_with_an_offset():
+    rng = random.Random(20261019)
+    alphabet = "() \x1c\u00a0a\u00e9"
+    for _ in range(2000):
+        text = " ".join(to_ptb(_random_tree(rng)) for _ in range(rng.randint(1, 3)))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            op = rng.randrange(4)
+            if op == 0:
+                text = text[:i] + text[i + 1:]
+            elif op == 1:
+                text = text[:i] + rng.choice(alphabet) + text[i:]
+            elif op == 2:
+                text = text[:i] + rng.choice(alphabet) + text[i + 1:]
+            else:
+                text = text[:i]
+        try:
+            trees = read_ptb(text)
+        except PtbParseError as err:
+            assert 0 <= err.offset <= len(text.encode("utf-8"))
+            continue
+        canonical = [to_ptb(tree) for tree in trees]
+        assert [to_ptb(tree) for tree in read_ptb(" ".join(canonical))] == canonical
+        for tree in trees:
+            _assert_spans_in_leaf_order(tree)
+
+
 def test_read_error_offsets_are_bytes():
     text = "(S (NN café) (NP"
     try:
@@ -217,6 +300,9 @@ def test_dominates_across_documents_is_an_error():
     doc2 = parse_doc("(S (NN b))")
     with pytest.raises(ValueError, match="different documents"):
         dominates(doc1.root, doc2.root)
+    (unlinked,) = read_ptb("(S (NP (NN a)))")
+    with pytest.raises(ValueError, match="different documents"):
+        dominates(unlinked, unlinked.children[0])
 
 
 def test_dominance_and_depth_follow_parent_chain_on_random_documents():
@@ -280,7 +366,13 @@ def test_link_node_count_and_leaf_order():
     assert len(doc.link_nodes) == len(sentences) - 1
     assert [leaf.token for leaf in doc.root.leaves()] == list("abcdef")
     for node in doc.root.walk():
-        assert node.sentence_index >= 0 or node.label == DOCLINK
+        sentence_root = node
+        while sentence_root.parent is not None and sentence_root.parent.label != DOCLINK:
+            sentence_root = sentence_root.parent
+        if node.label == DOCLINK:
+            assert node.sentence_index == -1
+        else:
+            assert node.sentence_index == trees.index(sentence_root)
 
 
 # ---------------------------------------------------------------------------

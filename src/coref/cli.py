@@ -400,30 +400,48 @@ def build_config(args: argparse.Namespace) -> ResolveConfig:
     return ResolveConfig.from_dict(values)
 
 
-def _load_file(path: Path) -> list[DocumentInput]:
+def _entry(data: object) -> DocumentInput | DocumentError:
+    try:
+        return DocumentInput.from_dict(data)
+    except DocumentError as err:
+        return err
+
+
+def _load_file(path: Path) -> list[DocumentInput | Exception]:
     text = path.read_text(encoding="utf-8")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError:
-        docs = []
+    except json.JSONDecodeError as whole:
+        entries: list[DocumentInput | Exception] = []
+        decoded = False
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                docs.append(DocumentInput.from_dict(json.loads(line)))
+                value = json.loads(line)
             except json.JSONDecodeError as err:
-                raise ValueError(f"{path}: line {lineno}: not valid JSON: {err}") from None
-        if not docs:
+                entries.append(ValueError(f"{path}: line {lineno}: not valid JSON: {err}"))
+                continue
+            decoded = True
+            entries.append(_entry(value))
+        if not entries:
             raise ValueError(f"{path}: no documents found")
-        return docs
-    if isinstance(data, list):
-        return [DocumentInput.from_dict(entry) for entry in data]
-    return [DocumentInput.from_dict(data)]
+        if not decoded:  # not JSON lines either: one error for the file
+            return [ValueError(f"{path}: not valid JSON: {whole}")]
+        return entries
+    return [_entry(entry) for entry in (data if isinstance(data, list) else [data])]
 
 
-def load_documents(inputs: Sequence[str]) -> list[DocumentInput]:
-    docs: list[DocumentInput] = []
+def load_documents(inputs: Sequence[str]) -> list[DocumentInput | Exception]:
+    """Every document in ``inputs``, in order.
+
+    An entry that is not a valid document (a schema error, or a JSON-lines
+    line that is not JSON) is returned in its place as the error that
+    describes it, so the caller can report it and go on. A missing path, a
+    directory without ``.json`` files and a blank file raise ValueError.
+    """
+    docs: list[DocumentInput | Exception] = []
     for item in inputs:
         path = Path(item)
         if path.is_dir():
@@ -446,8 +464,8 @@ def load_documents(inputs: Sequence[str]) -> list[DocumentInput]:
 def _run_command(args: argparse.Namespace) -> int:
     """Run ``args.command`` over every input document, then print its report.
 
-    A document that fails is reported on stderr and skipped; the exit status
-    is then 1.
+    A document that fails, or an input entry that is not a valid document,
+    is reported on stderr and skipped; the exit status is then 1.
     """
     if args.command == "score" and not args.gold:
         print("error: score requires --gold (gold clusters read from the inputs)",
@@ -462,6 +480,8 @@ def _run_command(args: argparse.Namespace) -> int:
     trace_total = TraceReport(has_gold=use_gold)
     for document in load_documents(args.inputs):
         try:
+            if not isinstance(document, DocumentInput):
+                raise document
             result = run_pipeline(document, cfg, lex)
             gold = gold_clustering(document, result.mentions) if use_gold else None
             if use_gold and gold is None:

@@ -2,17 +2,19 @@
 and shortest-path choice.
 
 Each mention, in document order, either matches an immediate pattern
-(appositive, role appositive, predicate nominative), or its candidate pool is
-filtered by kind-specific constraints and the surviving candidate closest by
-tree path distance wins. Pre-filters only ever reject; they never force a
-match.
+(appositive, role appositive, predicate nominative), or the candidate closest
+by tree path distance among those its kind-specific constraints accept wins.
+Pre-filters only ever reject; they never force a match.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, fields, replace
-from typing import Optional, Sequence
+from itertools import groupby
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .lexicon import Gender, GrammaticalPerson, Lexicon, Number, Personhood
 from .mention import Mention, MentionKind, TypeProfile, document_order_key
@@ -66,7 +68,11 @@ class ResolveConfig:
 
 
 class MentionIndex:
-    """Document-order positions and node/head lookup tables for one document."""
+    """Document-order positions and node/head lookup tables for one document.
+
+    ``mentions`` must be in document order, as ``extract_mentions`` and
+    ``map_gold_mentions`` return them.
+    """
 
     def __init__(self, doc: DocumentTree, mentions: Sequence[Mention]):
         self.doc = doc
@@ -74,12 +80,33 @@ class MentionIndex:
         self.position = {m.mention_id: i for i, m in enumerate(self.mentions)}
         self.by_node: dict[int, Mention] = {}
         self.by_head: dict[int, Mention] = {}
-        for m in self.mentions:
+        # nominal key -> ascending positions of the mentions that have it
+        self.by_nominal_key: dict[tuple[str, str], list[int]] = {}
+        for i, m in enumerate(self.mentions):
             self.by_node.setdefault(m.node.node_id, m)
             self.by_head.setdefault(m.head.node_id, m)
+            for key in nominal_keys(m):
+                self.by_nominal_key.setdefault(key, []).append(i)
 
     def precedes(self, a: Mention, b: Mention) -> bool:
         return self.position[a.mention_id] < self.position[b.mention_id]
+
+    def before(self, m: Mention) -> Iterator[Mention]:
+        """The mentions of ``candidate_pool(m, self)``, most recent first."""
+        return map(self.mentions.__getitem__,
+                   range(self.position[m.mention_id] - 1, -1, -1))
+
+    def nominal_matches_before(self, m: Mention) -> Iterator[Mention]:
+        """The mentions before ``m`` that share a nominal key with it, most
+        recent first; ``filter_nominal`` over ``candidate_pool``, reversed."""
+        stop = self.position[m.mention_id]
+        runs = [map(positions.__getitem__, range(bisect_left(positions, stop) - 1, -1, -1))
+                for positions in map(self.by_nominal_key.__getitem__, nominal_keys(m))]
+        if len(runs) == 1:
+            order = runs[0]
+        else:  # a mention with both keys is in both runs
+            order = (i for i, _ in groupby(heapq.merge(*runs, reverse=True)))
+        return map(self.mentions.__getitem__, order)
 
     def mention_of(self, node: SyntaxNode) -> Optional[Mention]:
         m = self.by_node.get(node.node_id)
@@ -269,47 +296,56 @@ def is_second_person(m: Mention) -> bool:
             and m.pronoun.grammatical_person is GrammaticalPerson.SECOND)
 
 
-def filter_pronoun(m: Mention, pool: Sequence[Mention],
-                   cfg: ResolveConfig) -> list[Mention]:
-    """Reject candidates that violate a syntactic constraint, clash on type,
-    or fall under the pro-pro policy. Never accepts anything outright."""
+def pronoun_acceptor(m: Mention, cfg: ResolveConfig) -> Callable[[Mention], bool]:
+    """The test a candidate antecedent of pronoun ``m`` must pass: it is
+    rejected when it violates a syntactic constraint, clashes on type, or
+    falls under the pro-pro policy. Never accepts anything outright."""
     subject_head = reflexive_subject(m)
     adjuncts = initial_adjuncts(m)
-    kept = []
-    for cand in pool:
+
+    def accepts(cand: Mention) -> bool:
         if not cfg.allow_pro_pro_match and cand.kind is MentionKind.PRONOUN:
-            continue
+            return False
         if (cfg.check_grammatical_person
                 and cand.kind is MentionKind.PRONOUN
                 and m.pronoun is not None and cand.pronoun is not None
                 and m.pronoun.grammatical_person is not cand.pronoun.grammatical_person):
-            continue
+            return False
         if dominates(cand.node, m.node):  # i-within-i
-            continue
+            return False
         if cand.head is subject_head or \
                 any(dominates(adjunct, cand.node) for adjunct in adjuncts):
-            continue
-        if m.profile and cand.profile and \
-                not type_compatible(m.profile, cand.profile, cfg):
-            continue
-        kept.append(cand)
-    return kept
+            return False
+        return not (m.profile and cand.profile
+                    and not type_compatible(m.profile, cand.profile, cfg))
+
+    return accepts
 
 
-def _substring_match(a: Mention, b: Mention) -> bool:
-    # Both heads NNP, both at least 4 chars, same first 4 chars.
-    if a.head_tag != "NNP" or b.head_tag != "NNP":
-        return False
-    x, y = a.head_word.casefold(), b.head_word.casefold()
-    return len(x) >= 4 and len(y) >= 4 and x[:4] == y[:4]
+def filter_pronoun(m: Mention, pool: Sequence[Mention],
+                   cfg: ResolveConfig) -> list[Mention]:
+    """The candidates in ``pool`` that ``pronoun_acceptor(m, cfg)`` accepts."""
+    accepts = pronoun_acceptor(m, cfg)
+    return [cand for cand in pool if accepts(cand)]
+
+
+def nominal_keys(m: Mention) -> tuple[tuple[str, str], ...]:
+    """A nominal or proper mention matches a candidate that shares one of
+    these keys with it: the casefolded head word, or for NNP heads of at
+    least 4 characters its casefolded 4-character prefix ("Japan" / "the
+    Japanese")."""
+    head = m.head_word.casefold()
+    if m.head_tag == "NNP" and len(head) >= 4:
+        return ("head", head), ("prefix", head[:4])
+    return (("head", head),)
 
 
 def filter_nominal(m: Mention, pool: Sequence[Mention]) -> list[Mention]:
-    """Exact head match (case-insensitive) or the 4-character proper-noun
-    prefix rule, e.g. "Japan" / "the Japanese". No syntactic constraints."""
-    head = m.head_word.casefold()
-    return [cand for cand in pool
-            if cand.head_word.casefold() == head or _substring_match(m, cand)]
+    """The candidates in ``pool`` that share a nominal key with ``m``: exact
+    head match (case-insensitive) or the proper-noun prefix rule. No
+    syntactic constraints."""
+    keys = set(nominal_keys(m))
+    return [cand for cand in pool if not keys.isdisjoint(nominal_keys(cand))]
 
 
 def select_antecedent(m: Mention, candidates: Sequence[Mention],
@@ -327,6 +363,43 @@ def select_antecedent(m: Mention, candidates: Sequence[Mention],
     return best
 
 
+def _nearest_acceptable(m: Mention, candidates: Iterable[Mention],
+                        accepts: Optional[Callable[[Mention], bool]],
+                        doc: DocumentTree,
+                        kept: Optional[list[Mention]]) -> Optional[Mention]:
+    """``select_antecedent`` over the ``candidates`` that ``accepts`` admits
+    (all of them when it is None), given most recent first.
+
+    A candidate in a sentence s before ``m``'s has depth at least s + 1, so
+    its distance is at least ``m.node.depth - s + 1``, and that bound grows
+    as s falls. The scan therefore stops at the first candidate
+    in a sentence before the best one's whose bound reaches the best
+    distance: it and all earlier candidates are no closer, and on a tie they
+    lose to the best, whose document-order key is larger. When ``kept`` is
+    given the scan runs to the end and appends every accepted candidate.
+    """
+    best = None
+    best_distance = 0
+    depth = m.node.depth
+    for cand in candidates:
+        s = cand.node.sentence_index
+        if (kept is None and best is not None and s < best.node.sentence_index
+                and depth - s + 1 >= best_distance):
+            break
+        if accepts is not None and not accepts(cand):
+            continue
+        if kept is not None:
+            kept.append(cand)
+        distance = path_distance(m.node, cand.node, doc)
+        # Scanning backwards, ``>=`` on the key keeps select_antecedent's
+        # order: larger key first, then the earlier position.
+        if (best is None or distance < best_distance
+                or (distance == best_distance
+                    and document_order_key(cand) >= document_order_key(best))):
+            best, best_distance = cand, distance
+    return best
+
+
 def _resolve_one(m: Mention, index: MentionIndex, lex: Lexicon,
                  cfg: ResolveConfig,
                  candidate_log: Optional[dict[int, frozenset[int]]]) -> Decision:
@@ -340,20 +413,20 @@ def _resolve_one(m: Mention, index: MentionIndex, lex: Lexicon,
     if antecedent is not None:
         return Decision(m.mention_id, antecedent.mention_id, Rule.PRED_NOM)
 
-    pool = candidate_pool(m, index)
     if m.kind is MentionKind.PRONOUN:
         if not cfg.resolve_pronouns:
             return Decision(m.mention_id, None, Rule.NULL)
         if is_second_person(m) and not cfg.resolve_second_person:
             return Decision(m.mention_id, None, Rule.NULL)
-        candidates = filter_pronoun(m, pool, cfg)
+        candidates, accepts = index.before(m), pronoun_acceptor(m, cfg)
         rule = Rule.PRONOUN
     else:
-        candidates = filter_nominal(m, pool)
+        candidates, accepts = index.nominal_matches_before(m), None
         rule = Rule.NOMINAL
+    kept = None if candidate_log is None else []
+    chosen = _nearest_acceptable(m, candidates, accepts, index.doc, kept)
     if candidate_log is not None:
-        candidate_log[m.mention_id] = frozenset(c.mention_id for c in candidates)
-    chosen = select_antecedent(m, candidates, index.doc)
+        candidate_log[m.mention_id] = frozenset(c.mention_id for c in kept)
     if chosen is None:
         return Decision(m.mention_id, None, Rule.NULL)
     return Decision(m.mention_id, chosen.mention_id, rule)
@@ -366,9 +439,12 @@ def resolve_document(doc: DocumentTree, mentions: Sequence[Mention],
     """One decision per mention, in document order.
 
     Immediate patterns fire first (appositive, role appositive, predicate
-    nominative, in that order); otherwise the kind-specific filter plus
-    shortest-path selection applies. ``candidate_log``, when given, records
-    the filtered candidate id set per mention that reached filtering.
+    nominative, in that order); otherwise the closest candidate the
+    kind-specific filter accepts wins, as ``select_antecedent`` over
+    ``filter_pronoun`` or ``filter_nominal`` of ``candidate_pool`` would pick
+    it. ``mentions`` must be in document order. ``candidate_log``, when
+    given, records the filtered candidate id set per mention that reached
+    filtering; that makes the search visit every earlier candidate.
     """
     cfg = cfg or ResolveConfig()
     index = MentionIndex(doc, mentions)

@@ -8,6 +8,7 @@ boundaries.
 from __future__ import annotations
 
 import re
+import weakref
 from typing import Iterator, Optional, Sequence
 
 #: Label of the synthetic nodes that join sentence trees.
@@ -34,23 +35,36 @@ class SyntaxNode:
     Leaves carry a ``token`` and have no children; interior nodes have one or
     more children and no token. ``span`` is a half-open token interval within
     the node's sentence.
+
+    A node keeps its subtree alive, not its ancestors: ``parent`` is a weak
+    reference, so the tree holds no reference cycle and a document is freed
+    as soon as its ``DocumentTree`` and root are dropped. Once they are,
+    ``parent`` of a node kept on its own reads None.
     """
 
-    __slots__ = ("label", "token", "children", "parent", "sentence_index",
-                 "span", "node_id", "depth", "doc", "_post")
+    __slots__ = ("label", "token", "children", "_up", "sentence_index",
+                 "span", "node_id", "depth", "doc", "_post", "__weakref__")
 
     def __init__(self, label: str, token: Optional[str] = None,
                  children: Sequence["SyntaxNode"] = ()):
         self.label = label
         self.token = token
         self.children: list[SyntaxNode] = list(children)
-        self.parent: Optional[SyntaxNode] = None
+        self._up: Optional[weakref.ref] = None
         self.sentence_index = -1
         self.span = (0, 0)
         self.node_id = -1
         self.depth = 0
-        self.doc: Optional[DocumentTree] = None
+        self.doc: Optional[object] = None  # the owning DocumentTree's key
         self._post = -1
+
+    @property
+    def parent(self) -> Optional["SyntaxNode"]:
+        return None if self._up is None else self._up()
+
+    @parent.setter
+    def parent(self, node: Optional["SyntaxNode"]) -> None:
+        self._up = None if node is None else weakref.ref(node)
 
     def is_leaf(self) -> bool:
         return not self.children
@@ -83,8 +97,10 @@ class DocumentTree:
 
     Immutable after construction; with k sentences there are max(k-1, 0)
     link nodes. An empty document has ``root is None``. Construction sets
-    every node's ``node_id``, ``doc``, ``depth`` and ``sentence_index``
-    (-1 on link nodes).
+    every node's ``node_id``, ``depth`` and ``sentence_index`` (-1 on link
+    nodes), and sets its ``doc`` to this tree's ``key``. Nodes refer to the
+    key, not to the tree, so that no reference cycle keeps a dropped
+    document alive.
     """
 
     def __init__(self, sentence_roots: Sequence[SyntaxNode],
@@ -93,27 +109,31 @@ class DocumentTree:
         self.sentence_roots = tuple(sentence_roots)
         self.link_nodes = tuple(link_nodes)
         self.root = root
+        self.key = object()
         self.nodes: list[SyntaxNode] = []
         for i, sentence in enumerate(self.sentence_roots):
             sentence.sentence_index = i
         # One preorder pass: node_id is the preorder number and _post the
         # first number past the subtree, so dominance is an interval test.
         # A node below a sentence root takes its parent's sentence index.
-        stack: list[tuple[SyntaxNode, bool]] = [] if root is None else [(root, False)]
+        stack: list[tuple[SyntaxNode, bool]] = []
+        if root is not None:
+            root.depth = 0
+            stack.append((root, False))
         while stack:
             node, done = stack.pop()
             if done:
                 node._post = len(self.nodes)
                 continue
             node.node_id = len(self.nodes)
-            node.doc = self
-            parent = node.parent
-            node.depth = 0 if parent is None else parent.depth + 1
-            if parent is not None and parent.sentence_index >= 0:
-                node.sentence_index = parent.sentence_index
+            node.doc = self.key
             self.nodes.append(node)
             stack.append((node, True))
+            depth, sentence_index = node.depth + 1, node.sentence_index
             for child in reversed(node.children):
+                child.depth = depth
+                if sentence_index >= 0:
+                    child.sentence_index = sentence_index
                 stack.append((child, False))
 
     def __len__(self) -> int:
@@ -137,6 +157,7 @@ def read_ptb(text: str) -> list[SyntaxNode]:
     unbalanced parentheses, an empty label, a node with no content, or
     empty input, naming the byte offset of the problem.
     """
+    ref = weakref.ref
     trees: list[SyntaxNode] = []
     stack: list[SyntaxNode] = []
     leaf_count = 0  # leaves closed so far in the current sentence
@@ -165,7 +186,7 @@ def read_ptb(text: str) -> list[SyntaxNode]:
                 if parent.token is not None:
                     raise PtbParseError("mixed token and children under one node",
                                         _byte_offset(text, i))
-                node.parent = parent
+                node._up = ref(parent)
                 parent.children.append(node)
             else:
                 trees.append(node)
@@ -338,10 +359,17 @@ def path_distance(a: SyntaxNode, b: SyntaxNode, doc: DocumentTree) -> int:
 
     DOCLINK edges count like ordinary edges. Raises ValueError when a node
     is not part of ``doc``.
+
+    For nodes of sentences i != j the lowest common ancestor is link node
+    min(i, j), at depth min(i, j), so that case takes O(1); same-sentence
+    pairs and link nodes climb to their common ancestor.
     """
     for name, node in (("first", a), ("second", b)):
-        if node.doc is not doc:
+        if node.doc is not doc.key:
             raise ValueError(f"{name} node {node!r} is not in this document")
+    i, j = a.sentence_index, b.sentence_index
+    if i != j and i >= 0 and j >= 0:
+        return a.depth + b.depth - 2 * min(i, j)
     x, y = a, b
     while x.depth > y.depth:
         x = x.parent

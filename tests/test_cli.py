@@ -1,7 +1,9 @@
+import gc
 import json
 import re
 import shutil
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,27 @@ def test_pipeline_empty_document(fixture_lex):
     assert result.mentions == []
     assert result.decisions == []
     assert len(result.clustering) == 0
+
+
+def test_dropped_result_frees_its_document_at_once(fixture_lex):
+    """With the cycle collector off, dropping a result frees its document
+    tree by reference counting alone; a mention kept from it keeps its own
+    node alive, not the node's ancestors."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = pipeline(EXAMPLE1_SENTENCES, lex=fixture_lex)
+        tree, root = weakref.ref(result.tree), weakref.ref(result.tree.root)
+        kept = result.mentions[0]
+        assert kept.node.parent is not None
+        del result
+        assert tree() is None
+        assert root() is None
+        assert kept.node.parent is None
+        assert kept.tokens() == ["John"]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_pipeline_parse_error_carries_doc_id(fixture_lex):
@@ -352,10 +375,53 @@ def test_cli_schema_error_is_reported_without_traceback(tmp_path, document, doc_
     path.write_text(json.dumps(document))
     run = run_cli(["resolve", str(path)], tmp_path)
     err = run.stderr.decode()
-    assert run.returncode == 2
+    assert run.returncode == 1
     assert err.startswith(f"error: document {doc_id!r}: ")
     assert "Traceback" not in err
     assert run.stdout == b""
+
+
+_GOOD = {"id": "good", "sentences": [_SENTENCE]}
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("x.json", json.dumps([{"id": "b"}, _GOOD]),
+     "error: document 'b': missing 'sentences' field\n"),
+    ("x.json", json.dumps([_GOOD, ["notadict"]]),
+     "error: document '?': expected a JSON object, found list\n"),
+    ("x.jsonl", '{"id": "b", "sentences": 5}\n' + json.dumps(_GOOD) + "\n",
+     "error: document 'b': 'sentences' is not a list of strings\n"),
+    ("x.jsonl", json.dumps(_GOOD) + '\n\n{"id": "b", "sentences": [\n',
+     "error: {path}: line 3: not valid JSON: Expecting value: line 1 column 27 "
+     "(char 26)\n"),
+], ids=["schema-first", "schema-last", "jsonl-schema", "jsonl-invalid-line"])
+def test_cli_bad_entry_is_skipped_and_the_rest_runs(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    run = run_cli(["resolve", str(path)], tmp_path)
+    assert run.returncode == 1
+    assert run.stderr.decode() == message.format(path=path)
+    assert run.stdout.decode() == "good\t0\t0\t1\t1\n"
+
+
+def test_cli_bad_file_is_skipped_and_other_inputs_run(tmp_path):
+    """A file that is neither JSON nor JSON lines is one error; a missing
+    input, an empty directory or a file without documents still stop the
+    run with status 2 before any document runs."""
+    (tmp_path / "good.json").write_text(json.dumps(_GOOD))
+    (tmp_path / "bad.json").write_text('{"id": "b",\n "sentences": [}\n')
+    run = run_cli(["resolve", "bad.json", "good.json"], tmp_path)
+    assert run.returncode == 1
+    assert run.stderr.decode().startswith("error: bad.json: not valid JSON: ")
+    assert run.stderr.decode().count("\n") == 1
+    assert run.stdout.decode() == "good\t0\t0\t1\t1\n"
+    (tmp_path / "blank.json").write_text("\n \n")
+    (tmp_path / "empty").mkdir()
+    for stopper in ["blank.json", "empty", "missing.json"]:
+        run = run_cli(["resolve", "good.json", stopper], tmp_path)
+        assert run.returncode == 2
+        assert run.stderr.decode().startswith(f"error: {stopper}: ")
+        assert run.stdout == b""
 
 
 @pytest.mark.parametrize("config", [

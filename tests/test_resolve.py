@@ -1,9 +1,17 @@
-from coref import (Gender, MentionIndex, MentionKind, Number, Personhood,
-                   ResolveConfig, Rule, TokenAnnotation, TypeProfile,
-                   annotation_index, attach_profiles, candidate_pool,
-                   detect_appositive, detect_pred_nom, detect_role_appositive,
-                   dominates, filter_nominal, filter_pronoun, initial_adjuncts,
-                   reflexive_subject, select_antecedent, type_compatible)
+import json
+import random
+from dataclasses import fields
+from pathlib import Path
+
+import coref.resolve
+from coref import (Decision, Gender, MentionIndex, MentionKind, Number,
+                   Personhood, ResolveConfig, Rule, TokenAnnotation,
+                   TypeProfile, annotation_index, attach_profiles,
+                   candidate_pool, detect_appositive, detect_pred_nom,
+                   detect_role_appositive, dominates, filter_nominal,
+                   filter_pronoun, initial_adjuncts, reflexive_subject,
+                   resolve_document, select_antecedent, type_compatible)
+from coref.resolve import is_second_person
 from helpers import (EXAMPLE1_SENTENCES, decision_for, doc_with_mentions,
                      mention_with_head, pipeline)
 
@@ -476,3 +484,166 @@ def test_immediate_rule_fires_before_filtering(fixture_lex):
     assert d.rule is Rule.APPOSITIVE
     tribe = mention_with_head(result.mentions, "Tribe")
     assert d.antecedent == tribe.mention_id
+
+
+# ---------------------------------------------------------------------------
+# Nearest-candidate search against the exhaustive reference
+# ---------------------------------------------------------------------------
+
+LONG = Path(__file__).resolve().parent / "golden" / "long.jsonl"
+
+
+def _long_sentences():
+    """(sentence, its annotations) pairs from ``golden/long.jsonl``."""
+    pairs = []
+    for line in LONG.read_text(encoding="utf-8").splitlines():
+        data = json.loads(line)
+        notes = {}
+        for ann in data.get("annotations", []):
+            notes.setdefault(ann["s"], []).append(ann)
+        pairs += [(text, notes.get(i, [])) for i, text in enumerate(data["sentences"])]
+    return pairs
+
+
+# Same-head siblings (equal-distance ties), both nominal keys at once, and
+# the constraint examples above.
+_EXTRA_SENTENCES = [
+    "(S (NP (NP (NN dog)) (CC and) (NP (NN dog))) (VP (VBD saw) (NP (PRP it))) (. .))",
+    "(S (NP (NNP Japan)) (VP (VBD met) (NP (DT the) (NNP Japanese))) (. .))",
+    "(S (NP (NNP Japanese)) (VP (VBD left) (NP (NNP Japan) (POS 's)"
+    " (NN dog))) (. .))",
+    "(S (NP (PRP He)) (VP (VBD told) (NP (PRP him)) (NP (PRP$ his)"
+    " (NN story))) (. .))",
+    "(S (NP (NP (NN cat)) (NP (NN dog)) (NP (NN fox))) (VP (VBD ran)) (. .))",
+    TRIBE, BOIES, GRIDIRON, LAMEU, KOETTER, BANK_IT, BANK_ITSELF, WALMART,
+    TO_CALL, BECAUSE, ROLE_APPOS, *EXAMPLE1_SENTENCES,
+]
+
+
+def _random_documents(seed, count):
+    """Seeded documents of 1-30 sentences drawn from ``long.jsonl`` and the
+    sentences above; every third one carries random gold mention spans,
+    some of them duplicated."""
+    rng = random.Random(seed)
+    pool = _long_sentences() + [(text, []) for text in _EXTRA_SENTENCES]
+    docs = []
+    for k in range(count):
+        chosen = [rng.choice(pool) for _ in range(rng.randint(1, 30))]
+        annotations = [TokenAnnotation(s, ann["t"], ann.get("supersense"), ann.get("ner"))
+                       for s, (_, notes) in enumerate(chosen) for ann in notes]
+        gold = None
+        if k % 3 == 2:
+            doc, _ = doc_with_mentions(*(text for text, _ in chosen))
+            lengths = [root.span[1] for root in doc.sentence_roots]
+            gold = []
+            for _ in range(rng.randint(1, 8 * len(chosen))):
+                s = rng.randrange(len(chosen))
+                start = rng.randrange(lengths[s])
+                gold.append((s, start, rng.randint(start + 1, min(start + 4, lengths[s]))))
+            gold += rng.sample(gold, len(gold) // 4)
+        docs.append(([text for text, _ in chosen], annotations, gold))
+    return docs
+
+
+def _configs():
+    """The default config and every single-flag ablation."""
+    return [ResolveConfig()] + [ResolveConfig(**{f.name: not f.default})
+                                for f in fields(ResolveConfig)]
+
+
+def _nominal_match(m, cand):
+    """The nominal rule stated directly: equal casefolded heads, or two NNP
+    heads of at least 4 characters with the same first 4."""
+    x, y = m.head_word.casefold(), cand.head_word.casefold()
+    return x == y or (m.head_tag == cand.head_tag == "NNP"
+                      and len(x) >= 4 and len(y) >= 4 and x[:4] == y[:4])
+
+
+def _exhaustive(doc, mentions, lex, cfg):
+    """Decisions and candidate log by filtering the whole candidate pool of
+    every mention, then selecting over all survivors."""
+    index = MentionIndex(doc, mentions)
+    decisions, log = [], {}
+    for m in index.mentions:
+        immediate = [(Rule.APPOSITIVE, detect_appositive(m, index)),
+                     (Rule.ROLE_APPOSITIVE, detect_role_appositive(m, index, cfg)),
+                     (Rule.PRED_NOM, detect_pred_nom(m, index, lex, cfg))]
+        rule, antecedent = next(((r, a) for r, a in immediate if a is not None),
+                                (None, None))
+        if antecedent is not None:
+            decisions.append(Decision(m.mention_id, antecedent.mention_id, rule))
+            continue
+        pool = candidate_pool(m, index)
+        if m.kind is MentionKind.PRONOUN:
+            if not cfg.resolve_pronouns or (is_second_person(m)
+                                            and not cfg.resolve_second_person):
+                decisions.append(Decision(m.mention_id, None, Rule.NULL))
+                continue
+            kept, rule = filter_pronoun(m, pool, cfg), Rule.PRONOUN
+        else:
+            kept, rule = filter_nominal(m, pool), Rule.NOMINAL
+            assert kept == [cand for cand in pool if _nominal_match(m, cand)]
+        log[m.mention_id] = frozenset(c.mention_id for c in kept)
+        chosen = select_antecedent(m, kept, doc)
+        decisions.append(Decision(m.mention_id, None, Rule.NULL) if chosen is None
+                         else Decision(m.mention_id, chosen.mention_id, rule))
+    return decisions, log
+
+
+def test_search_matches_exhaustive_reference_on_random_documents(lex):
+    docs = _random_documents(20261018, 24)
+    assert sum(gold is not None for _, _, gold in docs) == 8
+    for cfg in _configs():
+        for sentences, annotations, gold in docs:
+            result = pipeline(sentences, annotations=annotations,
+                              gold_mentions=gold, cfg=cfg, lex=lex)
+            expected, expected_log = _exhaustive(result.tree, result.mentions, lex, cfg)
+            assert result.decisions == expected
+            log = {}
+            assert resolve_document(result.tree, result.mentions, lex, cfg, log) == expected
+            assert log == expected_log
+
+
+def test_index_scans_visit_each_pool_candidate_once_most_recent_first(lex):
+    for sentences, annotations, gold in _random_documents(1310, 12):
+        result = pipeline(sentences, annotations=annotations, gold_mentions=gold, lex=lex)
+        index = MentionIndex(result.tree, result.mentions)
+        for m in index.mentions:
+            pool = candidate_pool(m, index)
+            assert list(index.before(m)) == pool[::-1]
+            assert list(index.nominal_matches_before(m)) == filter_nominal(m, pool)[::-1]
+
+
+def test_search_tie_on_duplicated_gold_span_goes_to_the_earlier_mention(lex):
+    """Gold mentions 0 and 2 share a span, so they have equal distance and
+    equal document-order keys for any later mention: the one earlier in the
+    input (and in document order) wins."""
+    sentences = ["(S (NP (NNP John)) (VP (VBD left)) (. .))",
+                 "(S (NP (NNP John)) (VP (VBD returned)) (. .))"]
+    gold = [(0, 0, 1), (1, 0, 1), (0, 0, 1)]
+    result = pipeline(sentences, gold_mentions=gold, lex=lex)
+    assert [m.mention_id for m in result.mentions] == [0, 2, 1]
+    expected, _ = _exhaustive(result.tree, result.mentions, lex, ResolveConfig())
+    assert result.decisions == expected
+    assert result.decisions[1:] == [Decision(2, 0, Rule.NOMINAL),
+                                    Decision(1, 0, Rule.NOMINAL)]
+
+
+def test_path_distance_calls_per_mention_stay_flat_on_a_long_document(lex, monkeypatch):
+    """400 sentences from ``long.jsonl``, repeated: the search computes few
+    distances per mention where filtering every earlier mention computed
+    one per surviving candidate (68 per mention on this document)."""
+    pairs = _long_sentences()
+    sentences = [pairs[i % len(pairs)][0] for i in range(400)]
+    calls = 0
+    distance = coref.resolve.path_distance
+
+    def counted(a, b, doc):
+        nonlocal calls
+        calls += 1
+        return distance(a, b, doc)
+
+    monkeypatch.setattr(coref.resolve, "path_distance", counted)
+    result = pipeline(sentences, lex=lex)
+    assert len(result.mentions) == 900
+    assert calls <= 4 * len(result.mentions)

@@ -430,6 +430,31 @@ def test_path_distance_symmetry_and_triangle():
                         <= path_distance(a, b, doc) + path_distance(b, c, doc))
 
 
+def _climbing_distance(a, b):
+    """Edges from ``a`` and ``b`` up to their lowest common ancestor, found
+    by following ``parent`` links only."""
+    up = {}
+    node, steps = a, 0
+    while node is not None:
+        up[id(node)] = steps
+        node, steps = node.parent, steps + 1
+    node, steps = b, 0
+    while id(node) not in up:
+        node, steps = node.parent, steps + 1
+    return steps + up[id(node)]
+
+
+def test_path_distance_matches_climbing_on_random_documents():
+    """Every node pair, link nodes included, of documents of 1-6 sentences."""
+    rng = random.Random(1310)
+    for _ in range(30):
+        texts = [to_ptb(_random_tree(rng)) for _ in range(rng.randint(1, 6))]
+        doc = link_document(read_ptb(" ".join(texts)))
+        for a in doc.nodes:
+            for b in doc.nodes:
+                assert path_distance(a, b, doc) == _climbing_distance(a, b)
+
+
 def test_path_distance_monotone_in_sentence_separation():
     # Uniform-depth sentences: distance from sentence 0 grows strictly with
     # the sentence gap (up to the final sentence, which shares the deepest

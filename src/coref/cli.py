@@ -44,6 +44,19 @@ class DocumentError(Exception):
         self.doc_id = doc_id
 
 
+def _integer(value: object) -> int:
+    """``value`` as an int, for the integer fields of a document.
+
+    Accepts an integer, an integral float or a string ``int()`` reads.
+    Raises ValueError for ``true``/``false``, a fractional number,
+    ``Infinity`` and ``NaN``, which ``int()`` would truncate or fail on
+    with another error.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 @dataclass
 class DocumentInput:
     doc_id: str
@@ -69,7 +82,7 @@ class DocumentInput:
         annotations = []
         for entry in data.get("annotations") or []:
             try:
-                ann = TokenAnnotation(int(entry["s"]), int(entry["t"]),
+                ann = TokenAnnotation(_integer(entry["s"]), _integer(entry["t"]),
                                       entry.get("supersense"), entry.get("ner"))
                 if not all(isinstance(label, (str, type(None)))
                            for label in (ann.supersense, ann.ner)):
@@ -82,8 +95,8 @@ class DocumentInput:
             gold_mentions = []
             for entry in data["gold_mentions"]:
                 try:
-                    gold_mentions.append((int(entry["s"]), int(entry["start"]),
-                                          int(entry["end"])))
+                    gold_mentions.append((_integer(entry["s"]), _integer(entry["start"]),
+                                          _integer(entry["end"])))
                 except (KeyError, TypeError, ValueError) as err:
                     raise DocumentError(doc_id, f"bad gold mention {entry!r}: {err}") from None
         gold_clusters = None
@@ -91,7 +104,7 @@ class DocumentInput:
             try:
                 if not all(isinstance(cluster, list) for cluster in data["gold_clusters"]):
                     raise TypeError("each cluster must be a list of mention ids")
-                gold_clusters = [[int(mid) for mid in cluster]
+                gold_clusters = [[_integer(mid) for mid in cluster]
                                  for cluster in data["gold_clusters"]]
             except (TypeError, ValueError) as err:
                 raise DocumentError(doc_id, f"bad gold clusters: {err}") from None
@@ -408,10 +421,15 @@ def _entry(data: object) -> DocumentInput | DocumentError:
 
 
 def _load_file(path: Path) -> list[DocumentInput | Exception]:
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        return [ValueError(f"{path}: not UTF-8: {err}")]
+    # json raises RecursionError on nesting deeper than the interpreter's
+    # recursion limit; such a file or line is as unreadable as invalid JSON.
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as whole:
+    except (json.JSONDecodeError, RecursionError) as whole:
         entries: list[DocumentInput | Exception] = []
         decoded = False
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -420,7 +438,7 @@ def _load_file(path: Path) -> list[DocumentInput | Exception]:
                 continue
             try:
                 value = json.loads(line)
-            except json.JSONDecodeError as err:
+            except (json.JSONDecodeError, RecursionError) as err:
                 entries.append(ValueError(f"{path}: line {lineno}: not valid JSON: {err}"))
                 continue
             decoded = True

@@ -73,6 +73,9 @@ class Lexicon:
     titles: dict[str, Gender]  # normalized title -> gender
     pronouns: dict[str, PronounEntry]  # lowercase surface -> entry
     copulas: frozenset[str]
+    #: Case-folded first name -> its gender, for the names on which
+    #: ``gender_of_first_name`` decides; built from ``names`` by load_lexicon.
+    first_names: dict[str, Gender]
 
     def is_title(self, word: str) -> bool:
         return _normalize_title(word) in self.titles
@@ -205,12 +208,19 @@ def load_lexicon(directory: str | Path | Traversable) -> Lexicon:
         if not path.is_file():
             raise LexiconError(f"{label} file not found: {path}")
         parsed[label] = parser(filename, path.read_text(encoding="utf-8"))
+    names = NameLists(male_names=parsed["male names"],
+                      female_names=parsed["female names"])
+    first_names = {}
+    for name in names.male_names | names.female_names:
+        gender = gender_of_first_name(name, names)
+        if gender is not Gender.UNKNOWN:
+            first_names[name] = gender
     lexicon = Lexicon(
-        names=NameLists(male_names=parsed["male names"],
-                        female_names=parsed["female names"]),
+        names=names,
         titles=parsed["titles"],
         pronouns=parsed["pronouns"],
         copulas=parsed["copulas"],
+        first_names=first_names,
     )
     log.info("loaded lexicon from %s: %s", directory, lexicon.counts())
     return lexicon

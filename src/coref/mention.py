@@ -8,11 +8,12 @@ headed by them, so determiners like "its" are resolved like other pronouns.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .lexicon import (Gender, Lexicon, Number, Personhood, PronounEntry,
-                      gender_of_first_name, pronoun_lookup)
+                      pronoun_lookup)
 from .treebank import DOCLINK, DocumentTree, SyntaxNode, head_leaf
 
 PRONOUN_TAGS = frozenset({"PRP", "PRP$"})
@@ -194,6 +195,52 @@ def infer_number(m: Mention, lex: Lexicon) -> Number:
     return Number.UNKNOWN
 
 
+class _WordCues:
+    """Where the gendered titles, unambiguous first names and titles fall in
+    one token list, so that the first of each inside a span is one bisect.
+
+    Each token costs a casefold and two dict lookups: the title lookup of
+    ``Lexicon.title_gender`` (casefold, then strip trailing dots) and
+    ``Lexicon.first_names``.
+    """
+
+    __slots__ = ("titled_at", "gendered_at", "title_genders", "named_at", "name_genders")
+
+    def __init__(self, tokens: Sequence[str], lex: Lexicon):
+        titles, first_names = lex.titles.get, lex.first_names.get
+        self.titled_at: list[int] = []
+        self.gendered_at: list[int] = []
+        self.title_genders: list[Gender] = []
+        self.named_at: list[int] = []
+        self.name_genders: list[Gender] = []
+        for i, token in enumerate(tokens):
+            folded = token.casefold()
+            title = titles(folded.rstrip("."))
+            if title is not None:
+                self.titled_at.append(i)
+                if title is not Gender.UNKNOWN:
+                    self.gendered_at.append(i)
+                    self.title_genders.append(title)
+            gender = first_names(folded)
+            if gender is not None:
+                self.named_at.append(i)
+                self.name_genders.append(gender)
+
+    def gender(self, start: int, end: int) -> Gender:
+        """The first gendered title in tokens [start, end), else the first
+        unambiguous first name, else unknown."""
+        for at, genders in ((self.gendered_at, self.title_genders),
+                            (self.named_at, self.name_genders)):
+            k = bisect_left(at, start)
+            if k < len(at) and at[k] < end:
+                return genders[k]
+        return Gender.UNKNOWN
+
+    def has_title(self, start: int, end: int) -> bool:
+        k = bisect_left(self.titled_at, start)
+        return k < len(self.titled_at) and self.titled_at[k] < end
+
+
 def infer_gender(m: Mention, lex: Lexicon, *, use_word_lists: bool = True) -> Gender:
     """Gendered title first, then unambiguous census first name, else unknown.
 
@@ -205,15 +252,7 @@ def infer_gender(m: Mention, lex: Lexicon, *, use_word_lists: bool = True) -> Ge
     if not use_word_lists:
         return Gender.UNKNOWN
     tokens = m.tokens()
-    for token in tokens:
-        title = lex.title_gender(token)
-        if title is not None and title is not Gender.UNKNOWN:
-            return title
-    for token in tokens:
-        gender = gender_of_first_name(token, lex.names)
-        if gender is not Gender.UNKNOWN:
-            return gender
-    return Gender.UNKNOWN
+    return _WordCues(tokens, lex).gender(0, len(tokens))
 
 
 def _head_annotation(m: Mention, annotations: AnnotationIndex) -> Optional[TokenAnnotation]:
@@ -236,6 +275,16 @@ def _annotation_personhood(ann: Optional[TokenAnnotation]) -> Personhood:
     return Personhood.UNKNOWN
 
 
+def _personhood(m: Mention, annotations: AnnotationIndex, gender: Gender,
+                cues: Optional[_WordCues], start: int, end: int) -> Personhood:
+    annotated = _annotation_personhood(_head_annotation(m, annotations))
+    if annotated is Personhood.PERSON or gender is not Gender.UNKNOWN:
+        return Personhood.PERSON
+    if cues is not None and cues.has_title(start, end):
+        return Personhood.PERSON
+    return annotated  # NOT_PERSON from the annotation, or UNKNOWN
+
+
 def infer_personhood(m: Mention, annotations: AnnotationIndex, lex: Lexicon, *,
                      gender: Optional[Gender] = None,
                      use_word_lists: bool = True) -> Personhood:
@@ -245,34 +294,65 @@ def infer_personhood(m: Mention, annotations: AnnotationIndex, lex: Lexicon, *,
     if m.kind is MentionKind.PRONOUN:
         entry = pronoun_lookup(m.head_word, lex)
         return entry.personhood if entry else Personhood.UNKNOWN
-    annotated = _annotation_personhood(_head_annotation(m, annotations))
-    if annotated is Personhood.PERSON:
-        return Personhood.PERSON
+    if not use_word_lists:
+        return _personhood(m, annotations, gender or Gender.UNKNOWN, None, 0, 0)
+    tokens = m.tokens()
+    cues = _WordCues(tokens, lex)
     if gender is None:
-        gender = infer_gender(m, lex, use_word_lists=use_word_lists)
-    if gender is not Gender.UNKNOWN:
-        return Personhood.PERSON
-    if use_word_lists and any(lex.is_title(tok) for tok in m.tokens()):
-        return Personhood.PERSON
-    return annotated  # NOT_PERSON from the annotation, or UNKNOWN
+        gender = cues.gender(0, len(tokens))
+    return _personhood(m, annotations, gender, cues, 0, len(tokens))
+
+
+def _pronoun_profile(entry: Optional[PronounEntry]) -> TypeProfile:
+    if entry is None:
+        return TypeProfile(Gender.UNKNOWN, Personhood.UNKNOWN, Number.UNKNOWN)
+    return TypeProfile(entry.gender, entry.personhood, entry.number)
+
+
+def _nominal_profile(m: Mention, annotations: AnnotationIndex, lex: Lexicon,
+                     cues: Optional[_WordCues], start: int, end: int) -> TypeProfile:
+    """The profile of a non-pronoun mention whose tokens are [start, end) of
+    the tokens ``cues`` was built from (None: word lists are off)."""
+    gender = Gender.UNKNOWN if cues is None else cues.gender(start, end)
+    return TypeProfile(gender, _personhood(m, annotations, gender, cues, start, end),
+                       infer_number(m, lex))
 
 
 def build_profile(m: Mention, annotations: AnnotationIndex, lex: Lexicon, *,
                   use_word_lists: bool = True) -> TypeProfile:
-    gender = infer_gender(m, lex, use_word_lists=use_word_lists)
-    return TypeProfile(
-        gender=gender,
-        personhood=infer_personhood(m, annotations, lex, gender=gender,
-                                    use_word_lists=use_word_lists),
-        number=infer_number(m, lex),
-    )
+    """``infer_gender``, ``infer_personhood`` and ``infer_number`` together."""
+    if m.kind is MentionKind.PRONOUN:
+        return _pronoun_profile(pronoun_lookup(m.head_word, lex))
+    if not use_word_lists:
+        return _nominal_profile(m, annotations, lex, None, 0, 0)
+    tokens = m.tokens()
+    return _nominal_profile(m, annotations, lex, _WordCues(tokens, lex), 0, len(tokens))
 
 
 def attach_profiles(mentions: Iterable[Mention], annotations: AnnotationIndex,
                     lex: Lexicon, *, use_word_lists: bool = True) -> None:
-    """Fill ``profile`` and ``pronoun`` on every mention in place."""
+    """Fill ``profile`` and ``pronoun`` on every mention in place, with the
+    profile ``build_profile`` gives.
+
+    The word-list cues of a sentence are found once, in one pass over its
+    tokens, so a mention of a ``DocumentTree`` costs O(log n) in the length
+    of its sentence rather than O(its own length).
+    """
+    doc = None
+    cues: dict[int, _WordCues] = {}
     for m in mentions:
-        m.profile = build_profile(m, annotations, lex,
-                                  use_word_lists=use_word_lists)
+        node = m.node
         if m.kind is MentionKind.PRONOUN:
             m.pronoun = pronoun_lookup(m.head_word, lex)
+            m.profile = _pronoun_profile(m.pronoun)
+        elif not use_word_lists or node.doc is None or node.sentence_index < 0:
+            # no cues wanted, or no sentence token list to find them in
+            m.profile = build_profile(m, annotations, lex, use_word_lists=use_word_lists)
+        else:
+            if node.doc is not doc:
+                doc, cues = node.doc, {}
+            s = node.sentence_index
+            sentence = cues.get(s)
+            if sentence is None:
+                sentence = cues[s] = _WordCues(doc[s], lex)
+            m.profile = _nominal_profile(m, annotations, lex, sentence, *node.span)

@@ -80,12 +80,14 @@ class MentionIndex:
         self.position = {m.mention_id: i for i, m in enumerate(self.mentions)}
         self.by_node: dict[int, Mention] = {}
         self.by_head: dict[int, Mention] = {}
-        # nominal key -> ascending positions of the mentions that have it
+        # each position's nominal keys, and nominal key -> ascending
+        # positions of the mentions that have it
+        self.keys_at = [nominal_keys(m) for m in self.mentions]
         self.by_nominal_key: dict[tuple[str, str], list[int]] = {}
         for i, m in enumerate(self.mentions):
             self.by_node.setdefault(m.node.node_id, m)
             self.by_head.setdefault(m.head.node_id, m)
-            for key in nominal_keys(m):
+            for key in self.keys_at[i]:
                 self.by_nominal_key.setdefault(key, []).append(i)
 
     def precedes(self, a: Mention, b: Mention) -> bool:
@@ -101,7 +103,7 @@ class MentionIndex:
         recent first; ``filter_nominal`` over ``candidate_pool``, reversed."""
         stop = self.position[m.mention_id]
         runs = [map(positions.__getitem__, range(bisect_left(positions, stop) - 1, -1, -1))
-                for positions in map(self.by_nominal_key.__getitem__, nominal_keys(m))]
+                for positions in map(self.by_nominal_key.__getitem__, self.keys_at[stop])]
         if len(runs) == 1:
             order = runs[0]
         else:  # a mention with both keys is in both runs
@@ -116,20 +118,13 @@ class MentionIndex:
         return m
 
 
-def _child_position(node: SyntaxNode) -> int:
-    for i, child in enumerate(node.parent.children):
-        if child is node:
-            return i
-    raise AssertionError("node missing from its parent")
-
-
 def detect_appositive(m: Mention, index: MentionIndex) -> Optional[Mention]:
     """Right NP of (NP [NP] [,] [NP] ...) links to the mention headed by the
     left NP."""
     node, parent = m.node, m.node.parent
     if parent is None or parent.label != "NP" or node.label != "NP":
         return None
-    i = _child_position(node)
+    i = parent.children.index(node)
     if i < 2:
         return None
     comma, left = parent.children[i - 1], parent.children[i - 2]
@@ -156,7 +151,7 @@ def detect_role_appositive(m: Mention, index: MentionIndex,
     node, parent = m.node, m.node.parent
     if parent is None or node.label != "NP":
         return None
-    i = _child_position(node)
+    i = parent.children.index(node)
     if i < 1:
         return None
     left = parent.children[i - 1]

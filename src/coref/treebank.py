@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import re
 import weakref
+from itertools import islice
+from operator import length_hint
 from typing import Iterator, Optional, Sequence
 
 #: Label of the synthetic nodes that join sentence trees.
@@ -43,7 +45,8 @@ class SyntaxNode:
     """
 
     __slots__ = ("label", "token", "children", "_up", "sentence_index",
-                 "span", "node_id", "depth", "doc", "_post", "__weakref__")
+                 "span", "node_id", "depth", "doc", "_post", "_head",
+                 "__weakref__")
 
     def __init__(self, label: str, token: Optional[str] = None,
                  children: Sequence["SyntaxNode"] = ()):
@@ -55,8 +58,9 @@ class SyntaxNode:
         self.span = (0, 0)
         self.node_id = -1
         self.depth = 0
-        self.doc: Optional[object] = None  # the owning DocumentTree's key
+        self.doc: Optional[list[list[str]]] = None  # the owning DocumentTree's key
         self._post = -1
+        self._head: Optional[SyntaxNode] = None  # memoised by head_leaf
 
     @property
     def parent(self) -> Optional["SyntaxNode"]:
@@ -83,6 +87,16 @@ class SyntaxNode:
                 yield node
 
     def tokens(self) -> list[str]:
+        """The leaf tokens of this subtree, left to right.
+
+        A node owned by a ``DocumentTree``, link nodes aside, slices its
+        sentence's token list by ``span``: such nodes are immutable, so the
+        slice stays valid. Other nodes walk their leaves.
+        """
+        doc = self.doc
+        if doc is not None and self.sentence_index >= 0:
+            start, end = self.span
+            return doc[self.sentence_index][start:end]
         return [leaf.token for leaf in self.leaves()]
 
     def __repr__(self) -> str:
@@ -95,12 +109,19 @@ class SyntaxNode:
 class DocumentTree:
     """Sentence trees joined under right-branching DOCLINK nodes.
 
-    Immutable after construction; with k sentences there are max(k-1, 0)
-    link nodes. An empty document has ``root is None``. Construction sets
-    every node's ``node_id``, ``depth`` and ``sentence_index`` (-1 on link
-    nodes), and sets its ``doc`` to this tree's ``key``. Nodes refer to the
-    key, not to the tree, so that no reference cycle keeps a dropped
-    document alive.
+    With k sentences there are max(k-1, 0) link nodes. An empty document
+    has ``root is None``. The sentence trees must come from ``read_ptb``,
+    whose spans number the leaves of each sentence left to right.
+
+    Construction sets every node's ``node_id``, ``depth`` and
+    ``sentence_index`` (-1 on link nodes), and sets its ``doc`` to this
+    tree's ``key``: the list of each sentence's tokens, filled by the same
+    pass. Nodes refer to the key, not to the tree, so that no reference
+    cycle keeps a dropped document alive.
+
+    The nodes a ``DocumentTree`` owns are immutable from then on: no label,
+    token, child or span changes. ``head_leaf`` memoises heads and
+    ``SyntaxNode.tokens`` slices ``key`` on that condition.
     """
 
     def __init__(self, sentence_roots: Sequence[SyntaxNode],
@@ -109,44 +130,55 @@ class DocumentTree:
         self.sentence_roots = tuple(sentence_roots)
         self.link_nodes = tuple(link_nodes)
         self.root = root
-        self.key = object()
+        self.key: list[list[str]] = [[] for _ in self.sentence_roots]
         self.nodes: list[SyntaxNode] = []
         for i, sentence in enumerate(self.sentence_roots):
             sentence.sentence_index = i
-        # One preorder pass: node_id is the preorder number and _post the
-        # first number past the subtree, so dominance is an interval test.
-        # A node below a sentence root takes its parent's sentence index.
-        stack: list[tuple[SyntaxNode, bool]] = []
+        # One preorder pass numbers the nodes and copies depth and sentence
+        # index down; leaves arrive in sentence order, each sentence's left
+        # to right. A node below a sentence root takes its parent's index.
+        key, nodes = self.key, self.nodes
+        stack = []
         if root is not None:
             root.depth = 0
-            stack.append((root, False))
+            stack.append(root)
         while stack:
-            node, done = stack.pop()
-            if done:
-                node._post = len(self.nodes)
+            node = stack.pop()
+            node.node_id = len(nodes)
+            node.doc = key
+            nodes.append(node)
+            children = node.children
+            if not children:
+                key[node.sentence_index].append(node.token)
                 continue
-            node.node_id = len(self.nodes)
-            node.doc = self.key
-            self.nodes.append(node)
-            stack.append((node, True))
             depth, sentence_index = node.depth + 1, node.sentence_index
-            for child in reversed(node.children):
+            for child in children:
                 child.depth = depth
                 if sentence_index >= 0:
                     child.sentence_index = sentence_index
-                stack.append((child, False))
+            stack.extend(reversed(children))
+        # _post is the first number past the subtree, so dominance is an
+        # interval test; a subtree ends where its last child's does.
+        for node in reversed(nodes):
+            children = node.children
+            node._post = children[-1]._post if children else node.node_id + 1
 
     def __len__(self) -> int:
         return len(self.nodes)
 
 
-def _byte_offset(text: str, pos: int) -> int:
-    return len(text[:pos].encode("utf-8"))
-
-
 #: One PTB token: a bracket, or a run of characters that are neither
 #: brackets nor whitespace (``\s`` matches exactly what ``str.isspace`` does).
 _PTB_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
+def _error_at(message: str, text: str, tokens: list[str], rest: Iterator[str],
+              back: int = 1) -> PtbParseError:
+    """The error for the token ``back`` places before the next one ``rest``
+    yields; only this raising path scans ``text`` again for its offset."""
+    index = len(tokens) - length_hint(rest) - back
+    match = next(islice(_PTB_TOKEN.finditer(text), index, None))
+    return PtbParseError(message, len(text[:match.start()].encode("utf-8")))
 
 
 def read_ptb(text: str) -> list[SyntaxNode]:
@@ -161,17 +193,19 @@ def read_ptb(text: str) -> list[SyntaxNode]:
     trees: list[SyntaxNode] = []
     stack: list[SyntaxNode] = []
     leaf_count = 0  # leaves closed so far in the current sentence
-    tokens = _PTB_TOKEN.finditer(text)
-    for match in tokens:
-        token, i = match.group(), match.start()
+    tokens = _PTB_TOKEN.findall(text)
+    rest = iter(tokens)
+    for token in rest:
         if token == "(":
-            label = next(tokens, None)
-            if label is None or label.group() in ("(", ")"):
-                raise PtbParseError("empty node label", _byte_offset(text, i))
-            stack.append(SyntaxNode(label.group()))
+            label = next(rest, None)
+            if label is None:
+                raise _error_at("empty node label", text, tokens, rest)
+            if label == "(" or label == ")":
+                raise _error_at("empty node label", text, tokens, rest, back=2)
+            stack.append(SyntaxNode(label))
         elif token == ")":
             if not stack:
-                raise PtbParseError("unbalanced ')'", _byte_offset(text, i))
+                raise _error_at("unbalanced ')'", text, tokens, rest)
             node = stack.pop()
             if node.token is not None:
                 node.span = (leaf_count, leaf_count + 1)
@@ -179,13 +213,13 @@ def read_ptb(text: str) -> list[SyntaxNode]:
             elif node.children:
                 node.span = (node.children[0].span[0], node.children[-1].span[1])
             else:
-                raise PtbParseError(f"node ({node.label} has neither token nor children",
-                                    _byte_offset(text, i))
+                raise _error_at(f"node ({node.label} has neither token nor children",
+                                text, tokens, rest)
             if stack:
                 parent = stack[-1]
                 if parent.token is not None:
-                    raise PtbParseError("mixed token and children under one node",
-                                        _byte_offset(text, i))
+                    raise _error_at("mixed token and children under one node",
+                                    text, tokens, rest)
                 node._up = ref(parent)
                 parent.children.append(node)
             else:
@@ -193,18 +227,17 @@ def read_ptb(text: str) -> list[SyntaxNode]:
                 leaf_count = 0
         else:
             if not stack:
-                raise PtbParseError(f"unexpected token {token!r} outside brackets",
-                                    _byte_offset(text, i))
+                raise _error_at(f"unexpected token {token!r} outside brackets",
+                                text, tokens, rest)
             node = stack[-1]
             if node.children:
-                raise PtbParseError("mixed token and children under one node",
-                                    _byte_offset(text, i))
+                raise _error_at("mixed token and children under one node",
+                                text, tokens, rest)
             if node.token is not None:
-                raise PtbParseError("multiple tokens under one node",
-                                    _byte_offset(text, i))
+                raise _error_at("multiple tokens under one node", text, tokens, rest)
             node.token = token
     if stack:
-        raise PtbParseError("unbalanced '(' at end of input", _byte_offset(text, len(text)))
+        raise PtbParseError("unbalanced '(' at end of input", len(text.encode("utf-8")))
     if not trees:
         raise PtbParseError("empty input", 0)
     return trees
@@ -314,10 +347,25 @@ def collins_head_child(node: SyntaxNode) -> int:
 
 
 def head_leaf(node: SyntaxNode) -> SyntaxNode:
-    """Follow head children down to a leaf; a leaf is its own head."""
-    while not node.is_leaf():
+    """Follow head children down to a leaf; a leaf is its own head.
+
+    Nodes owned by a ``DocumentTree`` are immutable, so the head found for
+    one stays valid: it is memoised on every interior node of the path
+    walked, and each head child is computed once per document. Nodes of an
+    unlinked ``read_ptb`` tree are walked every time.
+    """
+    if node.doc is None:
+        while node.children:
+            node = node.children[collins_head_child(node)]
+        return node
+    path = []
+    while node.children and node._head is None:
+        path.append(node)
         node = node.children[collins_head_child(node)]
-    return node
+    head = node._head or node
+    for above in path:
+        above._head = head
+    return head
 
 
 def dominates(a: SyntaxNode, b: SyntaxNode) -> bool:

@@ -424,6 +424,65 @@ def test_cli_bad_file_is_skipped_and_other_inputs_run(tmp_path):
         assert run.stdout == b""
 
 
+# Every integer field of a document, as (field, document with the value V).
+_INTEGER_FIELDS = {
+    "annotation-s": ("bad annotation", {"annotations": [{"s": "V", "t": 0}]}),
+    "annotation-t": ("bad annotation", {"annotations": [{"s": 0, "t": "V"}]}),
+    "gold-mention-s": ("bad gold mention",
+                       {"gold_mentions": [{"s": "V", "start": 0, "end": 1}]}),
+    "gold-mention-start": ("bad gold mention",
+                           {"gold_mentions": [{"s": 0, "start": "V", "end": 1}]}),
+    "gold-mention-end": ("bad gold mention",
+                         {"gold_mentions": [{"s": 0, "start": 0, "end": "V"}]}),
+    "gold-clusters": ("bad gold clusters", {"gold_clusters": [["V"]]}),
+}
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "true", "1.7"])
+@pytest.mark.parametrize("field", list(_INTEGER_FIELDS))
+def test_cli_non_integer_field_is_reported_and_skipped(tmp_path, capsys, field, value):
+    """Plain ``int()`` raises OverflowError on an infinity and reads
+    ``true`` as 1 and 1.7 as 1; each is a schema error of its document
+    alone."""
+    prefix, extra = _INTEGER_FIELDS[field]
+    bad = json.dumps({"id": "b", "sentences": [_SENTENCE], **extra}).replace('"V"', value)
+    path = tmp_path / "x.jsonl"
+    path.write_text(bad + "\n" + json.dumps(_GOOD) + "\n")
+    assert main(["resolve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: document 'b': {prefix}")
+    assert captured.err.endswith(f": not an integer: {json.loads(value)!r}\n")
+    assert captured.out == "good\t0\t0\t1\t1\n"
+
+
+def test_cli_integral_numbers_are_still_accepted(tmp_path, capsys):
+    document = {"id": "good", "sentences": [_SENTENCE],
+                "annotations": [{"s": 0.0, "t": "0", "ner": "PERSON"}],
+                "gold_mentions": [{"s": 0, "start": 0.0, "end": 1}],
+                "gold_clusters": [["0"]]}
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(document))
+    assert main(["resolve", str(path)]) == 0
+    assert capsys.readouterr().out == "good\t0\t0\t1\t1\n"
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("deep.json", b"[" * 200_000, "not valid JSON: maximum recursion depth exceeded"),
+    ("latin1.json", b'{"id": "caf\xe9", "sentences": []}',
+     "not UTF-8: 'utf-8' codec can't decode byte 0xe9 in position 11"),
+], ids=["deeply-nested", "not-utf8"])
+def test_cli_unreadable_file_is_skipped_and_other_inputs_run(tmp_path, name, content,
+                                                              message):
+    (tmp_path / "good.json").write_text(json.dumps(_GOOD))
+    (tmp_path / name).write_bytes(content)
+    for order in ([name, "good.json"], ["good.json", name]):
+        run = run_cli(["resolve", *order], tmp_path)
+        assert run.returncode == 1
+        assert run.stderr.decode().startswith(f"error: {name}: {message}")
+        assert run.stderr.decode().count("\n") == 1
+        assert run.stdout.decode() == "good\t0\t0\t1\t1\n"
+
+
 @pytest.mark.parametrize("config", [
     "5", "[1]", '[["check_gender", false]]', '{"check_gender": "no"}',
     '{"check_gender": 0}',

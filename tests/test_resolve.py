@@ -1,16 +1,21 @@
 import json
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
+import pytest
+
 import coref.resolve
-from coref import (Decision, Gender, MentionIndex, MentionKind, Number,
+import coref.treebank
+from coref import (Decision, Gender, Mention, MentionIndex, MentionKind, Number,
                    Personhood, ResolveConfig, Rule, TokenAnnotation,
                    TypeProfile, annotation_index, attach_profiles,
-                   candidate_pool, detect_appositive, detect_pred_nom,
+                   build_profile, candidate_pool, collins_head_child,
+                   detect_appositive, detect_pred_nom,
                    detect_role_appositive, dominates, filter_nominal,
-                   filter_pronoun, initial_adjuncts, reflexive_subject,
-                   resolve_document, select_antecedent, type_compatible)
+                   filter_pronoun, head_leaf, initial_adjuncts, read_ptb,
+                   reflexive_subject, resolve_document, select_antecedent,
+                   type_compatible)
 from coref.resolve import is_second_person
 from helpers import (EXAMPLE1_SENTENCES, decision_for, doc_with_mentions,
                      mention_with_head, pipeline)
@@ -515,6 +520,14 @@ _EXTRA_SENTENCES = [
     "(S (NP (PRP He)) (VP (VBD told) (NP (PRP him)) (NP (PRP$ his)"
     " (NN story))) (. .))",
     "(S (NP (NP (NN cat)) (NP (NN dog)) (NP (NN fox))) (VP (VBD ran)) (. .))",
+    # A gendered title with a trailing dot after an ungendered one, and
+    # "Leslie", which is on both census name lists.
+    "(S (NP (NP (NNP Leslie) (NNP Mary) (NNP Kim)) (, ,) (NP (NP (NNP Dr.)"
+    " (NNP Leslie)) (PP (IN of) (NP (NNP Mr.) (NNP John) (NNP Kim)))))"
+    " (VP (VBD left)) (. .))",
+    # A title just past the end of a mention ("the boss") is not in it.
+    "(S (PP (IN For) (NP (DT the) (NN boss))) (NP (NNP Dr.) (NNP Kim))"
+    " (VP (VBD left)) (. .))",
     TRIBE, BOIES, GRIDIRON, LAMEU, KOETTER, BANK_IT, BANK_ITSELF, WALMART,
     TO_CALL, BECAUSE, ROLE_APPOS, *EXAMPLE1_SENTENCES,
 ]
@@ -647,3 +660,115 @@ def test_path_distance_calls_per_mention_stay_flat_on_a_long_document(lex, monke
     result = pipeline(sentences, lex=lex)
     assert len(result.mentions) == 900
     assert calls <= 4 * len(result.mentions)
+
+
+def test_linked_node_facts_match_their_walks_on_random_documents(lex, fixture_lex):
+    """Memoised heads, sliced tokens and per-sentence profile cues give what
+    walking each node, and profiling each mention on its own over an
+    unlinked copy of its sentence, give."""
+    documents = _random_documents(20261018, 24) + [(_EXTRA_SENTENCES, [], None)]
+    pairs = []  # (mention, its unlinked copy) of every document
+    for sentences, annotations, gold in documents:
+        result = pipeline(sentences, annotations=annotations, gold_mentions=gold, lex=lex)
+        doc = result.tree
+        for node in reversed(doc.nodes):  # deepest first; extraction went top down
+            leaf = node
+            while leaf.children:
+                leaf = leaf.children[collins_head_child(leaf)]
+            assert head_leaf(node) is leaf
+            assert node.tokens() == [x.token for x in node.leaves()]
+        copies = []
+        for s, text in enumerate(sentences):
+            (root,) = read_ptb(text)
+            copies.append(list(root.walk()))
+            for node in copies[-1]:
+                node.sentence_index = s
+
+        def unlinked(node):
+            offset = node.node_id - doc.sentence_roots[node.sentence_index].node_id
+            return copies[node.sentence_index][offset]
+
+        here = [(m, Mention(m.mention_id, unlinked(m.node), unlinked(m.head), m.kind))
+                for m in result.mentions]
+        index = annotation_index(annotations)
+        for lexicon in (lex, fixture_lex):
+            for use_word_lists in (True, False):
+                attach_profiles(result.mentions, index, lexicon,
+                                use_word_lists=use_word_lists)
+                for m, copy in here:
+                    assert copy.node.doc is None and copy.tokens() == m.tokens()
+                    assert m.profile == build_profile(copy, index, lexicon,
+                                                      use_word_lists=use_word_lists)
+        pairs += here
+    # One call over the mentions of many documents.
+    attach_profiles([m for m, _ in pairs], {}, lex)
+    assert all(m.profile == build_profile(copy, {}, lex) for m, copy in pairs)
+
+
+def _np_nest(depth):
+    """One sentence whose subject is ``depth`` NPs, each (NP (DT the) NP),
+    around (NN dog): every NP has the same head leaf."""
+    return ("(S " + "(NP (DT the) " * depth + "(NN dog)" + ")" * depth
+            + " (VP (VBD barked)) (. .))")
+
+
+def _of_chain(levels):
+    """One sentence whose subject is "the w0 of the w1 of ...", ``levels``
+    NPs deep, with "Mr. Smith" and "Mary" a third and two thirds down."""
+    words = [f"(NP (DT the) (NN w{i}))" for i in range(levels)]
+    words[levels // 3] = "(NP (NNP Mr.) (NNP Smith))"
+    words[2 * levels // 3] = "(NP (NNP Mary))"
+    np = words[-1]
+    for word in reversed(words[:-1]):
+        np = f"(NP (NP {word[4:-1]}) (PP (IN of) {np}))"
+    return f"(S {np} (VP (VBD left)) (. .))"
+
+
+class _Counted(dict):
+    """A lexicon table that counts the lookups made through it."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+
+@pytest.mark.parametrize("sentence", [_np_nest(1500), _of_chain(1000)],
+                         ids=["np-nest-1500", "of-chain-1000"])
+def test_deep_shapes_find_each_head_once_and_look_each_token_up_once(lex, monkeypatch,
+                                                                     sentence):
+    """Every head child is computed once per document and every token is
+    looked up once per table, however deeply the mentions nest. Computed
+    per mention instead, they cost about 1.1M head-child calls on the nest
+    and 1.3M word-list lookups on the chain."""
+    heads = 0
+    head_child = coref.treebank.collins_head_child
+
+    def counted(node):
+        nonlocal heads
+        heads += 1
+        return head_child(node)
+
+    monkeypatch.setattr(coref.treebank, "collins_head_child", counted)
+    counting = replace(lex, titles=_Counted(lex.titles),
+                       first_names=_Counted(lex.first_names))
+    sentences = [sentence, "(S (NP (PRP He)) (VP (VBD left)) (. .))"]
+    result = pipeline(sentences, lex=counting)
+    interior = sum(1 for node in result.tree.nodes if node.children)
+    tokens = sum(root.span[1] for root in result.tree.sentence_roots)
+    assert heads <= 2 * interior
+    assert counting.titles.lookups <= 2 * tokens
+    assert counting.first_names.lookups <= 2 * tokens
+    expected, _ = _exhaustive(result.tree, result.mentions, lex, ResolveConfig())
+    assert result.decisions == expected

@@ -271,26 +271,31 @@ def trace_report(decisions: Sequence[Decision], mentions: Sequence[Mention],
     gold-coreferent with the mention.
     """
     report = TraceReport(has_gold=gold is not None)
+    report.rule_counts.update(decision.rule for decision in decisions)
+    if gold is None:
+        return report
     by_id = {m.mention_id: m for m in mentions}
     position = {m.mention_id: i for i, m in enumerate(mentions)}
+    opener: dict[int, int] = {}  # gold label -> the entity's first mention
+    right, wrong, right_forms, wrong_forms = [], [], [], []
     for decision in decisions:
-        report.rule_counts[decision.rule] += 1
-        if gold is None:
-            continue
         mid = decision.mention_id
         if decision.antecedent is not None:
             correct = gold.same_entity(mid, decision.antecedent)
         else:  # correct iff the mention opens its gold entity
-            correct = min(gold.entity_of(mid), key=position.__getitem__) == mid
-        report.rule_correct[decision.rule] += int(correct)
-        report.rule_incorrect[decision.rule] += int(not correct)
+            label = gold.label_of(mid)
+            first = opener.get(label)
+            if first is None:
+                first = opener[label] = min(gold.entity_of(mid), key=position.__getitem__)
+            correct = first == mid
+        (right if correct else wrong).append(decision.rule)
         mention = by_id[mid]
         if mention.kind is MentionKind.PRONOUN:
-            form = mention.head_word.casefold()
-            if correct:
-                report.pronoun_correct[form] += 1
-            else:
-                report.pronoun_incorrect[form] += 1
+            (right_forms if correct else wrong_forms).append(mention.head_word.casefold())
+    report.rule_correct.update(right)
+    report.rule_incorrect.update(wrong)
+    report.pronoun_correct.update(right_forms)
+    report.pronoun_incorrect.update(wrong_forms)
     return report
 
 
@@ -425,6 +430,8 @@ def _load_file(path: Path) -> list[DocumentInput | Exception]:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         return [ValueError(f"{path}: not UTF-8: {err}")]
+    except OSError as err:  # a directory named *.json, no read permission, ...
+        return [ValueError(f"{path}: cannot read: {err.strerror or err}")]
     # json raises RecursionError on nesting deeper than the interpreter's
     # recursion limit; such a file or line is as unreadable as invalid JSON.
     try:
@@ -455,9 +462,10 @@ def load_documents(inputs: Sequence[str]) -> list[DocumentInput | Exception]:
     """Every document in ``inputs``, in order.
 
     An entry that is not a valid document (a schema error, or a JSON-lines
-    line that is not JSON) is returned in its place as the error that
-    describes it, so the caller can report it and go on. A missing path, a
-    directory without ``.json`` files and a blank file raise ValueError.
+    line that is not JSON), and a file that cannot be read or decoded, is
+    returned in its place as the error that describes it, so the caller can
+    report it and go on. A missing path, a directory without ``.json`` files
+    and a blank file raise ValueError.
     """
     docs: list[DocumentInput | Exception] = []
     for item in inputs:

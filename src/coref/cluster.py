@@ -21,25 +21,24 @@ class Clustering:
         if len(position) != len(self.universe):
             raise ValueError("duplicate mention ids in universe")
         groups = [frozenset(e) for e in entities]
-        seen: set[int] = set()
+        entity_of: dict[int, frozenset[int]] = {}
         for group in groups:
             if not group:
                 raise ValueError("empty entity")
             for mid in group:
                 if mid not in position:
                     raise ValueError(f"entity member {mid} not in universe")
-                if mid in seen:
+                if mid in entity_of:
                     raise ValueError(f"mention {mid} appears in two entities")
-                seen.add(mid)
-        if seen != set(self.universe):
-            missing = sorted(set(self.universe) - seen)
+                entity_of[mid] = group
+        if len(entity_of) != len(position):
+            missing = sorted(set(self.universe) - entity_of.keys())
             raise ValueError(f"mentions not covered by any entity: {missing}")
         groups.sort(key=lambda g: min(position[mid] for mid in g))
         self.entities: tuple[frozenset[int], ...] = tuple(groups)
         self._label = {mid: i + 1 for i, group in enumerate(self.entities)
                        for mid in group}
-        self._entity_of = {mid: group for group in self.entities
-                           for mid in group}
+        self._entity_of = entity_of
 
     def label_of(self, mention_id: int) -> int:
         return self._label[mention_id]

@@ -8,13 +8,13 @@ headed by them, so determiners like "its" are resolved like other pronouns.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .lexicon import (Gender, Lexicon, Number, Personhood, PronounEntry,
                       pronoun_lookup)
-from .treebank import DOCLINK, DocumentTree, SyntaxNode, head_leaf
+from .treebank import DocumentTree, SyntaxNode, head_leaf
 
 PRONOUN_TAGS = frozenset({"PRP", "PRP$"})
 PROPER_TAGS = frozenset({"NNP", "NNPS"})
@@ -111,7 +111,9 @@ def classify_kind(m: Mention) -> MentionKind:
 
 def document_order_key(m: Mention) -> tuple[int, int, int]:
     """Sort key for document order: outer mentions precede the NPs they contain."""
-    return (m.sentence_index, m.span[0], -m.span[1])
+    node = m.node
+    start, end = node.span
+    return node.sentence_index, start, -end
 
 
 def extract_mentions(doc: DocumentTree) -> list[Mention]:
@@ -142,6 +144,10 @@ def extract_mentions(doc: DocumentTree) -> list[Mention]:
     return mentions
 
 
+def _span_end(node: SyntaxNode) -> int:
+    return node.span[1]
+
+
 def map_gold_mentions(doc: DocumentTree,
                       spans: Sequence[tuple[int, int, int]]) -> list[Mention]:
     """Map externally given (sentence, start, end) spans onto the parse.
@@ -150,32 +156,43 @@ def map_gold_mentions(doc: DocumentTree,
     pronoun leaf); when no nominal node covers the span, the smallest covering
     node of any label is used. Mention ids keep the input span order; the
     returned list is in document order.
+
+    Every node covering [start, end) is an ancestor-or-self of token
+    ``start``, so each span descends from its sentence root, choosing the
+    child that holds ``start`` by bisecting the children's span ends:
+    O(depth x log fan-out) per span.
     """
     if doc.root is None:
         if spans:
             raise ValueError("gold mentions supplied for an empty document")
         return []
-    by_sentence: dict[int, list[SyntaxNode]] = {}
-    for node in doc.nodes:
-        if node.label == DOCLINK:
-            continue
-        by_sentence.setdefault(node.sentence_index, []).append(node)
+    roots = doc.sentence_roots
     mentions = []
     for gold_id, (s, start, end) in enumerate(spans):
-        candidates = by_sentence.get(s)
-        if candidates is None:
+        if not 0 <= s < len(roots):
             raise ValueError(f"gold mention {gold_id}: no sentence {s}")
-        if not (0 <= start < end <= doc.sentence_roots[s].span[1]):
+        node = roots[s]
+        if not (0 <= start < end <= node.span[1]):
             raise ValueError(f"gold mention {gold_id}: span [{start},{end}) out of range")
-        covering = [n for n in candidates
-                    if n.span[0] <= start and end <= n.span[1]]
-        nominal = [n for n in covering
-                   if n.label == "NP" or n.label in PRONOUN_TAGS]
-        pool = nominal or covering
-        # Prefer an NP over a bare pronoun leaf of the same extent so the
-        # mention keeps its syntactic context (subject/object detection).
-        node = min(pool, key=lambda n: (n.span[1] - n.span[0],
-                                        n.label in PRONOUN_TAGS, -n.depth))
+        # The covering nodes are the top of the path down to token ``start``,
+        # each no wider than the one above; the last is the smallest.
+        # Deeper wins among nominal nodes, except that a pronoun node does
+        # not replace an NP of the same span.
+        nominal = None
+        while True:
+            label = node.label
+            if label == "NP" or (label in PRONOUN_TAGS and (
+                    nominal is None or nominal.label != "NP" or nominal.span != node.span)):
+                nominal = node
+            children = node.children
+            if not children:
+                break
+            child = children[bisect_right(children, start, key=_span_end)]
+            if child.span[1] < end:
+                break
+            node = child
+        if nominal is not None:
+            node = nominal
         leaf = head_leaf(node)
         mentions.append(Mention(mention_id=gold_id, node=node, head=leaf,
                                 kind=_kind_of_tag(leaf.label)))

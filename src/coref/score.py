@@ -60,20 +60,30 @@ def _check_universes(sys: Clustering, gold: Clustering) -> None:
             f"only in system: {only_sys}; only in gold: {only_gold}")
 
 
+def _overlaps(sys: Clustering,
+              gold: Clustering) -> list[tuple[frozenset[int], frozenset[int], int]]:
+    """The contingency table: (S, G, |S∩G|) for each system entity S and
+    gold entity G that share a mention, from one visit to each mention."""
+    _check_universes(sys, gold)
+    gold_entity = gold.entity_of
+    cells = []
+    for s in sys.entities:
+        row: dict[frozenset[int], int] = {}
+        for mid in s:
+            g = gold_entity(mid)
+            row[g] = row.get(g, 0) + 1
+        for g, overlap in row.items():
+            cells.append((s, g, overlap))
+    return cells
+
+
 def pairwise_counts(sys: Clustering, gold: Clustering) -> PairCounts:
     """TP/FP/FN over unordered mention pairs.
 
     tp sums C(|S∩G|, 2) over system/gold entity intersections; fp and fn are
     the leftover system and gold pairs.
     """
-    _check_universes(sys, gold)
-    tp = 0
-    for entity in sys.entities:
-        by_gold: dict[frozenset[int], int] = {}
-        for mid in entity:
-            g = gold.entity_of(mid)
-            by_gold[g] = by_gold.get(g, 0) + 1
-        tp += sum(_pairs(k) for k in by_gold.values())
+    tp = sum(_pairs(overlap) for _, _, overlap in _overlaps(sys, gold))
     sys_pairs = sum(_pairs(len(e)) for e in sys.entities)
     gold_pairs = sum(_pairs(len(e)) for e in gold.entities)
     return PairCounts(tp=tp, fp=sys_pairs - tp, fn=gold_pairs - tp)
@@ -95,19 +105,16 @@ def pairwise_micro(counts: Iterable[PairCounts]) -> Score:
 
 def b_cubed_doc(sys: Clustering, gold: Clustering) -> tuple[float, float]:
     """Per-mention overlap ratios averaged over the document's n mentions."""
-    _check_universes(sys, gold)
+    cells = _overlaps(sys, gold)
     n = len(sys.universe)
     if n == 0:
         raise ValueError("B-cubed is undefined for an empty mention universe")
-    p_terms = []
-    r_terms = []
-    for mid in sys.universe:
-        s = sys.entity_of(mid)
-        g = gold.entity_of(mid)
-        overlap = len(s & g)
-        p_terms.append(overlap / len(s))
-        r_terms.append(overlap / len(g))
-    # fsum makes the result independent of mention iteration order
+    p_terms: list[float] = []
+    r_terms: list[float] = []
+    for s, g, overlap in cells:  # the same ratio for each mention of S∩G
+        p_terms += [overlap / len(s)] * overlap
+        r_terms += [overlap / len(g)] * overlap
+    # fsum is exact, so the result depends only on the terms, not their order
     return math.fsum(p_terms) / n, math.fsum(r_terms) / n
 
 

@@ -8,8 +8,9 @@ import sys
 from pathlib import Path
 
 import coref
-from coref import (DocumentInput, Mention, PipelineResult, ResolveConfig,
+from coref import (Clustering, DocumentInput, Mention, PipelineResult, ResolveConfig,
                    extract_mentions, link_document, read_ptb, run_pipeline)
+from coref.cluster import from_entities
 
 # Three-sentence worked document: "John bought himself a book. Fred found out
 # that John had also bought himself a computer. Next, he found out that John
@@ -58,6 +59,17 @@ def run_cli_twice(args, cwd) -> list[subprocess.CompletedProcess]:
     up even when the caller exports a fixed ``PYTHONHASHSEED``.
     """
     return [run_cli(args, cwd, hash_seed=seed) for seed in ("1", "2")]
+
+
+def random_partition(rng, universe) -> Clustering:
+    """Each id joins a random earlier entity with probability 0.6."""
+    entities = []
+    for mid in universe:
+        if entities and rng.random() < 0.6:
+            rng.choice(entities).append(mid)
+        else:
+            entities.append([mid])
+    return from_entities(universe, entities)
 
 
 def parse_doc(*sentences):

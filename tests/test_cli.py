@@ -1,5 +1,6 @@
 import gc
 import json
+import random
 import re
 import shutil
 import sys
@@ -8,12 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from coref import (DocumentError, DocumentInput, PairCounts, ResolveConfig,
-                   Rule, gold_clustering, render_brackets, run_pipeline,
+from coref import (Decision, DocumentError, DocumentInput, Mention, MentionKind,
+                   PairCounts, ResolveConfig, Rule, SyntaxNode, TraceReport,
+                   gold_clustering, render_brackets, run_pipeline,
                    score_corpus, trace_report)
+from coref.cluster import from_entities
 from coref.cli import build_config, build_parser, load_documents, main
 from helpers import (EXAMPLE1_GOLD, EXAMPLE1_SENTENCES, ablation_corpus,
-                     pipeline, run_cli, run_cli_twice)
+                     pipeline, random_partition, run_cli, run_cli_twice)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +209,90 @@ def test_trace_report_merge(fixture_lex):
     merged = single + single
     assert merged.total == 2 * single.total
     assert merged.rule_counts[Rule.PRONOUN] == 2 * single.rule_counts[Rule.PRONOUN]
+
+
+def trace_oracle(decisions, mentions, gold):
+    """Tally each decision by the definition, one at a time: a NULL
+    decision is correct iff its mention comes first, in ``mentions`` order,
+    of all the mentions of its gold entity."""
+    position = {m.mention_id: i for i, m in enumerate(mentions)}
+    by_id = {m.mention_id: m for m in mentions}
+    report = TraceReport(has_gold=gold is not None)
+    for decision in decisions:
+        report.rule_counts[decision.rule] += 1
+        if gold is None:
+            continue
+        mid = decision.mention_id
+        entity = gold.entity_of(mid)
+        if decision.antecedent is not None:
+            correct = decision.antecedent in entity
+        else:
+            correct = min(entity, key=position.__getitem__) == mid
+        (report.rule_correct if correct else report.rule_incorrect)[decision.rule] += 1
+        mention = by_id[mid]
+        if mention.kind is MentionKind.PRONOUN:
+            form = mention.head_word.casefold()
+            (report.pronoun_correct if correct else report.pronoun_incorrect)[form] += 1
+    return report
+
+
+def _random_trace_case(rng, n, clustering):
+    """n mentions with ids unrelated to their order, the gold ``clustering``
+    of their ids taken in another order, and one decision per mention."""
+    ids = rng.sample(range(10 * n), n)
+    mentions = []
+    for mid in ids:
+        if rng.random() < 0.5:
+            leaf = SyntaxNode("PRP", token=rng.choice(["he", "He", "she", "it", "they"]))
+            mentions.append(Mention(mid, leaf, leaf, MentionKind.PRONOUN))
+        else:
+            leaf = SyntaxNode("NN", token="dog")
+            mentions.append(Mention(mid, leaf, leaf, MentionKind.NOMINAL))
+    universe = rng.sample(ids, n)
+    gold = clustering(universe)
+    decisions = []
+    for i, m in enumerate(mentions):
+        if i == 0 or rng.random() < 0.3:
+            decisions.append(Decision(m.mention_id, None, Rule.NULL))
+        else:
+            decisions.append(Decision(m.mention_id, mentions[rng.randrange(i)].mention_id,
+                                      rng.choice([r for r in Rule if r is not Rule.NULL])))
+    rng.shuffle(decisions)
+    return decisions, mentions, gold
+
+
+def _assert_same_report(report, expected):
+    # Counter equality ignores zero counts (Python 3.10+), so compare the
+    # text and every value rather than the counters themselves.
+    for min_count in (1, 2, 5):
+        assert report.to_text(min_count) == expected.to_text(min_count)
+    for rule in Rule:
+        assert report.rule_counts[rule] == expected.rule_counts[rule]
+        assert report.rule_correct[rule] == expected.rule_correct[rule]
+        assert report.rule_incorrect[rule] == expected.rule_incorrect[rule]
+    assert report.pronoun_rows() == expected.pronoun_rows()
+    assert report.total == expected.total
+
+
+def test_trace_report_matches_oracle_on_random_documents():
+    rng = random.Random(3101)
+    total, expected_total = TraceReport(has_gold=True), TraceReport(has_gold=True)
+    for _ in range(300):
+        case = _random_trace_case(rng, rng.randint(1, 12),
+                                  lambda universe: random_partition(rng, universe))
+        report = trace_report(*case)
+        expected = trace_oracle(*case)
+        _assert_same_report(report, expected)
+        _assert_same_report(trace_report(*case[:2]), trace_oracle(*case[:2], None))
+        total, expected_total = total + report, expected_total + expected
+    _assert_same_report(total, expected_total)
+
+
+def test_trace_report_matches_oracle_with_an_entity_of_2000_mentions():
+    rng = random.Random(2000)
+    case = _random_trace_case(rng, 2500,
+                              lambda universe: from_entities(universe, [universe[:2000]]))
+    _assert_same_report(trace_report(*case), trace_oracle(*case))
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +568,39 @@ def test_cli_unreadable_file_is_skipped_and_other_inputs_run(tmp_path, name, con
         assert run.stderr.decode().startswith(f"error: {name}: {message}")
         assert run.stderr.decode().count("\n") == 1
         assert run.stdout.decode() == "good\t0\t0\t1\t1\n"
+
+
+def test_cli_directory_named_json_is_skipped_and_the_rest_runs(tmp_path):
+    """``*.json`` in an input directory also matches a subdirectory, which
+    cannot be read as a file."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.json").write_text(json.dumps(_GOOD))
+    (corpus / "sub.json").mkdir()
+    run = run_cli(["resolve", "corpus"], tmp_path)
+    assert run.returncode == 1
+    assert run.stderr.decode().startswith(
+        f"error: {Path('corpus', 'sub.json')}: cannot read: ")
+    assert run.stderr.decode().count("\n") == 1
+    assert run.stdout.decode() == "good\t0\t0\t1\t1\n"
+
+
+def test_cli_file_without_read_permission_is_skipped(tmp_path, capsys, monkeypatch):
+    (tmp_path / "good.json").write_text(json.dumps(_GOOD))
+    locked = tmp_path / "locked.json"
+    locked.write_text(json.dumps(_GOOD))
+    read_text = Path.read_text
+
+    def refuse_locked(path, *args, **kwargs):
+        if path.name == locked.name:
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", refuse_locked)
+    assert main(["resolve", str(locked), str(tmp_path / "good.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {locked}: cannot read: Permission denied\n"
+    assert captured.out == "good\t0\t0\t1\t1\n"
 
 
 @pytest.mark.parametrize("config", [

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
+import coref.mention as mention_module
 from coref import (Gender, MentionKind, Number, Personhood, TokenAnnotation,
                    annotation_index, attach_profiles, build_profile,
                    classify_kind, dominates, extract_mentions, head_leaf,
                    infer_gender, infer_number, infer_personhood,
                    map_gold_mentions)
+from coref.mention import PRONOUN_TAGS
 from helpers import doc_with_mentions, mention_with_head, parse_doc
 
 ACCOUNTING = ("(NP (NP (DT the) (JJ revised) (NN accounting))"
@@ -242,3 +246,87 @@ def test_gold_span_out_of_range():
         map_gold_mentions(doc, [(0, 0, 9)])
     with pytest.raises(ValueError, match="no sentence"):
         map_gold_mentions(doc, [(3, 0, 1)])
+
+
+def covering_node_oracle(nodes, start, end):
+    """The exhaustive scan over ``nodes``, one sentence's: of the nodes that
+    cover [start, end), the smallest nominal one (NP or pronoun tag) if any,
+    else the smallest of any label; an NP beats a pronoun node of the same
+    extent, then the deeper node wins."""
+    covering = [n for n in nodes if n.span[0] <= start and end <= n.span[1]]
+    nominal = [n for n in covering if n.label == "NP" or n.label in PRONOUN_TAGS]
+    return min(nominal or covering,
+               key=lambda n: (n.span[1] - n.span[0], n.label in PRONOUN_TAGS, -n.depth))
+
+
+# Subtrees the random trees draw from: equal-span unary chains, an NP over a
+# PRP of the same extent, a PRP$ leaf inside an NP, and pronoun tags on
+# interior nodes.
+_GOLD_SHAPES = [
+    "(NP (NP (NP (NN dog))))",
+    "(NP (PRP he))",
+    "(NP (NP (PRP it)))",
+    "(PRP (NP (PRP they)))",
+    "(NP (PRP$ its) (NN brand))",
+    "(NP (NP (PRP$ his) (NNS sons)) (PP (IN of) (NP (NNP Rome))))",
+    "(VP (VBD saw) (NP (PRP her)))",
+    "(PRP$ (PRP$ our))",
+]
+
+
+def _random_subtree(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.4:
+            return rng.choice(_GOLD_SHAPES)
+        tag = rng.choice(["NN", "NNP", "DT", "PRP", "PRP$", "VBD", "IN"])
+        return f"({tag} w{rng.randrange(9)})"
+    label = rng.choice(["NP", "NP", "VP", "PP", "S", "PRP", "SBAR"])
+    fan_out = rng.choice([1, 1, 2, 3, 4, 7])
+    children = " ".join(_random_subtree(rng, depth - 1) for _ in range(fan_out))
+    return f"({label} {children})"
+
+
+def test_gold_mapping_matches_exhaustive_scan_on_random_trees():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        doc = parse_doc(*(_random_subtree(rng, rng.randint(1, 4))
+                          for _ in range(rng.randint(1, 3))))
+        spans = [(s, start, end)
+                 for s, root in enumerate(doc.sentence_roots)
+                 for start in range(root.span[1])
+                 for end in range(start + 1, root.span[1] + 1)]
+        spans = rng.sample(spans, min(len(spans), 400))
+        mentions = map_gold_mentions(doc, spans)
+        assert sorted(m.mention_id for m in mentions) == list(range(len(spans)))
+        sentence_nodes = [list(root.walk()) for root in doc.sentence_roots]
+        for m in mentions:
+            s, start, end = spans[m.mention_id]
+            expected = covering_node_oracle(sentence_nodes[s], start, end)
+            assert m.node is expected, (spans[m.mention_id], m.node, expected)
+            assert m.head is head_leaf(expected)
+            assert m.kind is classify_kind(m)
+
+
+def test_gold_mapping_bisects_children_on_a_flat_sentence(monkeypatch):
+    """One sentence of n one-word NPs under one NP, a gold mention on each
+    word. The descent bisects each node's children: at most floor(log2 k) + 1
+    span-end lookups at a node with k children, so 2 at S, 11 at the NP of
+    2,000 and 1 at each one-word NP. A scan of the sentence's nodes per span
+    would make about n * n / 2."""
+    n = 2000
+    doc = parse_doc("(S (NP " + " ".join(f"(NP (NN w{i}))" for i in range(n))
+                    + ") (VP (VBD ran)) (. .))")
+    calls = 0
+    span_end = mention_module._span_end
+
+    def counted(node):
+        nonlocal calls
+        calls += 1
+        return span_end(node)
+
+    monkeypatch.setattr(mention_module, "_span_end", counted)
+    mentions = map_gold_mentions(doc, [(0, i, i + 1) for i in range(n)])
+    assert calls <= n * (2 + (n.bit_length() - 1) + 1 + 1)
+    outer = doc.sentence_roots[0].children[0]
+    assert [m.node for m in mentions] == outer.children
+    assert [m.head_word for m in mentions] == [f"w{i}" for i in range(n)]

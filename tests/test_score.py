@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from coref import (PairCounts, b_cubed_doc, b_cubed_macro,
                    pairwise_counts, pairwise_micro)
 from coref.cluster import from_entities
 from coref.score import score_from_counts
+from helpers import random_partition
 
 
 def _clustering(universe, entities):
@@ -45,14 +47,23 @@ def brute_force_b_cubed(sys, gold):
     return p, r
 
 
-def random_partition(rng, universe):
-    entities = []
-    for mid in universe:
-        if entities and rng.random() < 0.6:
-            rng.choice(entities).append(mid)
-        else:
-            entities.append([mid])
-    return _clustering(universe, entities)
+def per_mention_b_cubed(sys, gold):
+    """B-cubed as a scan of each mention's |S∩G|, summed with fsum: the same
+    floats as ``b_cubed_doc``, not only close ones."""
+    n = len(sys.universe)
+    p_terms = [len(sys.entity_of(i) & gold.entity_of(i)) / len(sys.entity_of(i))
+               for i in sys.universe]
+    r_terms = [len(sys.entity_of(i) & gold.entity_of(i)) / len(gold.entity_of(i))
+               for i in sys.universe]
+    return math.fsum(p_terms) / n, math.fsum(r_terms) / n
+
+
+def intersection_pairs(sys, gold):
+    """Pair counts from |S∩G| over every pair of entities."""
+    tp = sum(math.comb(len(s & g), 2) for s in sys.entities for g in gold.entities)
+    sys_pairs = sum(math.comb(len(s), 2) for s in sys.entities)
+    gold_pairs = sum(math.comb(len(g), 2) for g in gold.entities)
+    return PairCounts(tp=tp, fp=sys_pairs - tp, fn=gold_pairs - tp)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +172,23 @@ def test_b_cubed_matches_exact_formula():
         exact_p, exact_r = brute_force_b_cubed(sys, gold)
         assert abs(p - float(exact_p)) < 1e-12
         assert abs(r - float(exact_r)) < 1e-12
+        assert (p, r) == per_mention_b_cubed(sys, gold)
+
+
+@pytest.mark.parametrize("big_side", ["gold", "system", "both"])
+def test_scorers_match_oracles_with_an_entity_of_2000_mentions(big_side):
+    rng = random.Random(2000)
+    universe = list(range(2600))
+    rng.shuffle(universe)
+    one_big = _clustering(universe, [rng.sample(universe, 2000)])
+    sys = one_big if big_side != "gold" else random_partition(rng, universe)
+    gold = one_big if big_side != "system" else random_partition(rng, universe)
+    assert pairwise_counts(sys, gold) == intersection_pairs(sys, gold)
+    p, r = b_cubed_doc(sys, gold)
+    assert (p, r) == per_mention_b_cubed(sys, gold)
+    exact_p, exact_r = brute_force_b_cubed(sys, gold)
+    assert abs(p - float(exact_p)) < 1e-12
+    assert abs(r - float(exact_r)) < 1e-12
 
 
 def test_b_cubed_macro_single_document():

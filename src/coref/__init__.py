@@ -12,13 +12,11 @@ from .cli import (DocumentError, DocumentInput, PipelineResult, TraceReport,
                   gold_clustering, render_brackets, run_pipeline, score_corpus,
                   trace_report)
 from .lexicon import (Gender, GrammaticalPerson, Lexicon, LexiconError,
-                      NameLists, Number, Personhood, PronounEntry,
-                      default_lexicon, gender_of_first_name, load_lexicon,
-                      pronoun_lookup)
+                      Number, Personhood, PronounEntry, default_lexicon,
+                      load_lexicon, pronoun_lookup)
 from .mention import (Mention, MentionKind, TokenAnnotation, TypeProfile,
                       annotation_index, attach_profiles, build_profile,
-                      classify_kind, extract_mentions, infer_gender,
-                      infer_number, infer_personhood, map_gold_mentions)
+                      extract_mentions, map_gold_mentions)
 from .resolve import (Decision, MentionIndex, ResolveConfig, Rule,
                       candidate_pool, detect_appositive, detect_pred_nom,
                       detect_role_appositive, filter_nominal, filter_pronoun,

@@ -205,10 +205,6 @@ def render_brackets(doc: DocumentTree, mentions: Sequence[Mention],
 # Trace report (decision breakdown)
 # ---------------------------------------------------------------------------
 
-_RULE_ORDER = (Rule.APPOSITIVE, Rule.ROLE_APPOSITIVE, Rule.PRED_NOM,
-               Rule.PRONOUN, Rule.NOMINAL, Rule.NULL)
-
-
 @dataclass
 class TraceReport:
     """Per-rule decision counts, plus correctness tallies when gold is known."""
@@ -247,7 +243,7 @@ class TraceReport:
 
     def to_text(self, min_pronoun_count: int = 1) -> str:
         lines = ["rule\tcount" + ("\tcorrect\tincorrect" if self.has_gold else "")]
-        for rule in _RULE_ORDER:
+        for rule in Rule:
             row = f"{rule.value}\t{self.rule_counts[rule]}"
             if self.has_gold:
                 row += f"\t{self.rule_correct[rule]}\t{self.rule_incorrect[rule]}"

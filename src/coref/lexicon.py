@@ -50,13 +50,6 @@ class LexiconError(Exception):
 
 
 @dataclass(frozen=True)
-class NameLists:
-    """Case-folded gendered first-name sets; a name may appear in both."""
-    male_names: frozenset[str]
-    female_names: frozenset[str]
-
-
-@dataclass(frozen=True)
 class PronounEntry:
     surface: str
     gender: Gender
@@ -69,16 +62,12 @@ class PronounEntry:
 
 @dataclass(frozen=True)
 class Lexicon:
-    names: NameLists
     titles: dict[str, Gender]  # normalized title -> gender
     pronouns: dict[str, PronounEntry]  # lowercase surface -> entry
     copulas: frozenset[str]
-    #: Case-folded first name -> its gender, for the names on which
-    #: ``gender_of_first_name`` decides; built from ``names`` by load_lexicon.
+    #: Case-folded census first name -> the gender of the one list it is on;
+    #: a name on both lists (or neither) is absent, so its gender is unknown.
     first_names: dict[str, Gender]
-
-    def is_title(self, word: str) -> bool:
-        return _normalize_title(word) in self.titles
 
     def title_gender(self, word: str) -> Optional[Gender]:
         return self.titles.get(_normalize_title(word))
@@ -88,8 +77,7 @@ class Lexicon:
 
     def counts(self) -> dict[str, int]:
         return {
-            "male_names": len(self.names.male_names),
-            "female_names": len(self.names.female_names),
+            "first_names": len(self.first_names),
             "titles": len(self.titles),
             "pronouns": len(self.pronouns),
             "copulas": len(self.copulas),
@@ -208,15 +196,10 @@ def load_lexicon(directory: str | Path | Traversable) -> Lexicon:
         if not path.is_file():
             raise LexiconError(f"{label} file not found: {path}")
         parsed[label] = parser(filename, path.read_text(encoding="utf-8"))
-    names = NameLists(male_names=parsed["male names"],
-                      female_names=parsed["female names"])
-    first_names = {}
-    for name in names.male_names | names.female_names:
-        gender = gender_of_first_name(name, names)
-        if gender is not Gender.UNKNOWN:
-            first_names[name] = gender
+    male, female = parsed["male names"], parsed["female names"]
+    first_names = dict.fromkeys(male - female, Gender.MALE)
+    first_names.update(dict.fromkeys(female - male, Gender.FEMALE))
     lexicon = Lexicon(
-        names=names,
         titles=parsed["titles"],
         pronouns=parsed["pronouns"],
         copulas=parsed["copulas"],
@@ -230,18 +213,6 @@ def load_lexicon(directory: str | Path | Traversable) -> Lexicon:
 def default_lexicon() -> Lexicon:
     """The lexicon shipped with the package (loaded once, then cached)."""
     return load_lexicon(importlib_resources.files("coref") / "resources")
-
-
-def gender_of_first_name(word: str, names: NameLists) -> Gender:
-    """Male/Female when the name is on exactly one census list, else Unknown."""
-    w = word.casefold()
-    male = w in names.male_names
-    female = w in names.female_names
-    if male and not female:
-        return Gender.MALE
-    if female and not male:
-        return Gender.FEMALE
-    return Gender.UNKNOWN
 
 
 def pronoun_lookup(word: str, lexicon: Lexicon) -> Optional[PronounEntry]:

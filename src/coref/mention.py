@@ -18,8 +18,9 @@ from .treebank import DocumentTree, SyntaxNode, head_leaf
 
 PRONOUN_TAGS = frozenset({"PRP", "PRP$"})
 PROPER_TAGS = frozenset({"NNP", "NNPS"})
-_SINGULAR_TAGS = frozenset({"NN", "NNP"})
-_PLURAL_TAGS = frozenset({"NNS", "NNPS"})
+#: Head tag -> number for non-pronoun mentions; other tags give unknown.
+_TAG_NUMBER = {"NN": Number.SINGULAR, "NNP": Number.SINGULAR,
+               "NNS": Number.PLURAL, "NNPS": Number.PLURAL}
 
 #: Head annotations that positively mark a person.
 _PERSON_SUPERSENSE = "noun.person"
@@ -102,11 +103,6 @@ def _kind_of_tag(tag: str) -> MentionKind:
     if tag in PROPER_TAGS:
         return MentionKind.PROPER
     return MentionKind.NOMINAL
-
-
-def classify_kind(m: Mention) -> MentionKind:
-    """Pronoun for PRP/PRP$ heads, Proper for NNP/NNPS, Nominal otherwise."""
-    return _kind_of_tag(m.head_tag)
 
 
 def document_order_key(m: Mention) -> tuple[int, int, int]:
@@ -200,18 +196,6 @@ def map_gold_mentions(doc: DocumentTree,
     return mentions
 
 
-def infer_number(m: Mention, lex: Lexicon) -> Number:
-    """NN/NNP singular, NNS/NNPS plural, pronouns from the table, else unknown."""
-    if m.kind is MentionKind.PRONOUN:
-        entry = pronoun_lookup(m.head_word, lex)
-        return entry.number if entry else Number.UNKNOWN
-    if m.head_tag in _SINGULAR_TAGS:
-        return Number.SINGULAR
-    if m.head_tag in _PLURAL_TAGS:
-        return Number.PLURAL
-    return Number.UNKNOWN
-
-
 class _WordCues:
     """Where the gendered titles, unambiguous first names and titles fall in
     one token list, so that the first of each inside a span is one bisect.
@@ -258,24 +242,6 @@ class _WordCues:
         return k < len(self.titled_at) and self.titled_at[k] < end
 
 
-def infer_gender(m: Mention, lex: Lexicon, *, use_word_lists: bool = True) -> Gender:
-    """Gendered title first, then unambiguous census first name, else unknown.
-
-    Pronouns take the table value regardless of word lists.
-    """
-    if m.kind is MentionKind.PRONOUN:
-        entry = pronoun_lookup(m.head_word, lex)
-        return entry.gender if entry else Gender.UNKNOWN
-    if not use_word_lists:
-        return Gender.UNKNOWN
-    tokens = m.tokens()
-    return _WordCues(tokens, lex).gender(0, len(tokens))
-
-
-def _head_annotation(m: Mention, annotations: AnnotationIndex) -> Optional[TokenAnnotation]:
-    return annotations.get((m.sentence_index, m.head.span[0]))
-
-
 def _annotation_personhood(ann: Optional[TokenAnnotation]) -> Personhood:
     if ann is None:
         return Personhood.UNKNOWN
@@ -292,58 +258,42 @@ def _annotation_personhood(ann: Optional[TokenAnnotation]) -> Personhood:
     return Personhood.UNKNOWN
 
 
-def _personhood(m: Mention, annotations: AnnotationIndex, gender: Gender,
-                cues: Optional[_WordCues], start: int, end: int) -> Personhood:
-    annotated = _annotation_personhood(_head_annotation(m, annotations))
-    if annotated is Personhood.PERSON or gender is not Gender.UNKNOWN:
-        return Personhood.PERSON
-    if cues is not None and cues.has_title(start, end):
-        return Personhood.PERSON
-    return annotated  # NOT_PERSON from the annotation, or UNKNOWN
-
-
-def infer_personhood(m: Mention, annotations: AnnotationIndex, lex: Lexicon, *,
-                     gender: Optional[Gender] = None,
-                     use_word_lists: bool = True) -> Personhood:
-    """Person when the head is tagged as one, the gender is known, or a title
-    occurs in the mention; NotPerson only from an explicit non-person label.
-    """
-    if m.kind is MentionKind.PRONOUN:
-        entry = pronoun_lookup(m.head_word, lex)
-        return entry.personhood if entry else Personhood.UNKNOWN
-    if not use_word_lists:
-        return _personhood(m, annotations, gender or Gender.UNKNOWN, None, 0, 0)
-    tokens = m.tokens()
-    cues = _WordCues(tokens, lex)
-    if gender is None:
-        gender = cues.gender(0, len(tokens))
-    return _personhood(m, annotations, gender, cues, 0, len(tokens))
-
-
 def _pronoun_profile(entry: Optional[PronounEntry]) -> TypeProfile:
     if entry is None:
         return TypeProfile(Gender.UNKNOWN, Personhood.UNKNOWN, Number.UNKNOWN)
     return TypeProfile(entry.gender, entry.personhood, entry.number)
 
 
-def _nominal_profile(m: Mention, annotations: AnnotationIndex, lex: Lexicon,
+def _nominal_profile(m: Mention, annotations: AnnotationIndex,
                      cues: Optional[_WordCues], start: int, end: int) -> TypeProfile:
     """The profile of a non-pronoun mention whose tokens are [start, end) of
     the tokens ``cues`` was built from (None: word lists are off)."""
     gender = Gender.UNKNOWN if cues is None else cues.gender(start, end)
-    return TypeProfile(gender, _personhood(m, annotations, gender, cues, start, end),
-                       infer_number(m, lex))
+    personhood = _annotation_personhood(annotations.get((m.sentence_index, m.head.span[0])))
+    if personhood is not Personhood.PERSON and (
+            gender is not Gender.UNKNOWN or cues is not None and cues.has_title(start, end)):
+        personhood = Personhood.PERSON
+    return TypeProfile(gender, personhood, _TAG_NUMBER.get(m.head_tag, Number.UNKNOWN))
 
 
 def build_profile(m: Mention, annotations: AnnotationIndex, lex: Lexicon, *,
                   use_word_lists: bool = True) -> TypeProfile:
-    """``infer_gender``, ``infer_personhood`` and ``infer_number`` together."""
+    """The gender, personhood and number of ``m``.
+
+    A pronoun takes all three from the pronoun table, or unknown when its
+    word is not there. Any other mention takes the gender of its first
+    gendered title, else of its first word in ``Lexicon.first_names``, else
+    unknown (always unknown without word lists). It is a person when its
+    head is annotated as one, its gender is known or a title occurs in it,
+    and not a person only from an explicit non-person label. NN/NNP heads
+    are singular, NNS/NNPS plural, other heads unknown.
+    """
     if m.kind is MentionKind.PRONOUN:
         return _pronoun_profile(pronoun_lookup(m.head_word, lex))
     if not use_word_lists:
-        return _nominal_profile(m, annotations, lex, None, 0, 0)
+        return _nominal_profile(m, annotations, None, 0, 0)
     tokens = m.tokens()
-    return _nominal_profile(m, annotations, lex, _WordCues(tokens, lex), 0, len(tokens))
+    return _nominal_profile(m, annotations, _WordCues(tokens, lex), 0, len(tokens))
 
 
 def attach_profiles(mentions: Iterable[Mention], annotations: AnnotationIndex,
@@ -372,4 +322,4 @@ def attach_profiles(mentions: Iterable[Mention], annotations: AnnotationIndex,
             sentence = cues.get(s)
             if sentence is None:
                 sentence = cues[s] = _WordCues(doc[s], lex)
-            m.profile = _nominal_profile(m, annotations, lex, sentence, *node.span)
+            m.profile = _nominal_profile(m, annotations, sentence, *node.span)

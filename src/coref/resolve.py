@@ -23,13 +23,18 @@ from .treebank import (CLAUSE_LABELS, DocumentTree, SyntaxNode, dominates,
 
 
 class Rule(enum.Enum):
-    """How a decision was made; values are the serialized tag strings."""
+    """How a decision was made; values are the serialized tag strings, and
+    the declaration order is the order reports list the rules in."""
     APPOSITIVE = "Appositive"
     ROLE_APPOSITIVE = "RoleAppositive"
     PRED_NOM = "PredNom"
     PRONOUN = "PronounResolve"
     NOMINAL = "NominalResolve"
     NULL = "NullResolve"
+
+    # Members are singletons, so identity hashing is exact, and it runs in C
+    # where Enum's own __hash__ is a Python call per rule-keyed tally.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -205,7 +210,7 @@ def detect_pred_nom(m: Mention, index: MentionIndex, lex: Lexicon,
     if vp is None or vp.label != "VP" or node.label != "NP":
         return None
     verb = head_leaf(vp)
-    if verb.token is None or verb.token.casefold() not in lex.copulas:
+    if verb.token is None or not lex.is_copula(verb.token):
         return None
     if node.span[0] < verb.span[1]:
         return None  # complement must follow the copula
@@ -360,8 +365,7 @@ def select_antecedent(m: Mention, candidates: Sequence[Mention],
 
 def _nearest_acceptable(m: Mention, candidates: Iterable[Mention],
                         accepts: Optional[Callable[[Mention], bool]],
-                        doc: DocumentTree,
-                        kept: Optional[list[Mention]]) -> Optional[Mention]:
+                        doc: DocumentTree) -> Optional[Mention]:
     """``select_antecedent`` over the ``candidates`` that ``accepts`` admits
     (all of them when it is None), given most recent first.
 
@@ -370,21 +374,18 @@ def _nearest_acceptable(m: Mention, candidates: Iterable[Mention],
     as s falls. The scan therefore stops at the first candidate
     in a sentence before the best one's whose bound reaches the best
     distance: it and all earlier candidates are no closer, and on a tie they
-    lose to the best, whose document-order key is larger. When ``kept`` is
-    given the scan runs to the end and appends every accepted candidate.
+    lose to the best, whose document-order key is larger.
     """
     best = None
     best_distance = 0
     depth = m.node.depth
     for cand in candidates:
         s = cand.node.sentence_index
-        if (kept is None and best is not None and s < best.node.sentence_index
+        if (best is not None and s < best.node.sentence_index
                 and depth - s + 1 >= best_distance):
             break
         if accepts is not None and not accepts(cand):
             continue
-        if kept is not None:
-            kept.append(cand)
         distance = path_distance(m.node, cand.node, doc)
         # Scanning backwards, ``>=`` on the key keeps select_antecedent's
         # order: larger key first, then the earlier position.
@@ -418,10 +419,13 @@ def _resolve_one(m: Mention, index: MentionIndex, lex: Lexicon,
     else:
         candidates, accepts = index.nominal_matches_before(m), None
         rule = Rule.NOMINAL
-    kept = None if candidate_log is None else []
-    chosen = _nearest_acceptable(m, candidates, accepts, index.doc, kept)
     if candidate_log is not None:
-        candidate_log[m.mention_id] = frozenset(c.mention_id for c in kept)
+        # The log needs every accepted candidate; the search over them stops
+        # where it would have stopped over all of them.
+        candidates = list(candidates if accepts is None else filter(accepts, candidates))
+        candidate_log[m.mention_id] = frozenset(c.mention_id for c in candidates)
+        accepts = None
+    chosen = _nearest_acceptable(m, candidates, accepts, index.doc)
     if chosen is None:
         return Decision(m.mention_id, None, Rule.NULL)
     return Decision(m.mention_id, chosen.mention_id, rule)
@@ -439,7 +443,8 @@ def resolve_document(doc: DocumentTree, mentions: Sequence[Mention],
     ``filter_pronoun`` or ``filter_nominal`` of ``candidate_pool`` would pick
     it. ``mentions`` must be in document order. ``candidate_log``, when
     given, records the filtered candidate id set per mention that reached
-    filtering; that makes the search visit every earlier candidate.
+    filtering; that filters every earlier candidate, but the distance search
+    still stops early.
     """
     cfg = cfg or ResolveConfig()
     index = MentionIndex(doc, mentions)

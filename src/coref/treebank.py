@@ -163,9 +163,6 @@ class DocumentTree:
             children = node.children
             node._post = children[-1]._post if children else node.node_id + 1
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
 
 #: One PTB token: a bracket, or a run of characters that are neither
 #: brackets nor whitespace (``\s`` matches exactly what ``str.isspace`` does).

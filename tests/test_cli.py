@@ -652,6 +652,79 @@ def test_cli_output_matches_golden_bytes(tmp_path, capsys, name, argv, broken):
     assert captured.err == expected_err
 
 
+_FUZZ_VALUES = [None, True, -1, 1.5, 10**30, float("inf"), float("nan"), "",
+                "(S (NP", ")", [], {}, [[0, 1]], [0, 0, 0]]
+
+
+def _fuzz(rng, value):
+    """A copy of the JSON value ``value`` with one random fault at a random
+    depth: a value replaced (retyped, or an overflowing or non-finite
+    number), a list or string cut short, a key dropped, the value buried in
+    nested lists, or a bracket added or removed in a string."""
+    if isinstance(value, (dict, list)) and value and rng.random() < 0.75:
+        value = value.copy()
+        key = rng.choice(list(value) if isinstance(value, dict) else range(len(value)))
+        value[key] = _fuzz(rng, value[key])
+        return value
+    fault = rng.randrange(5)
+    if fault == 1 and isinstance(value, (list, str)):
+        return value[:rng.randrange(len(value) + 1)]
+    if fault == 2 and isinstance(value, dict) and value:
+        value = value.copy()
+        del value[rng.choice(list(value))]
+        return value
+    if fault == 3:
+        for _ in range(rng.choice([2, 40])):
+            value = [value]
+        return value
+    if fault == 4 and isinstance(value, str) and value:
+        i = rng.randrange(len(value))
+        return value[:i] + rng.choice(["(", ")", ""]) + value[i + 1:]
+    return rng.choice(_FUZZ_VALUES)
+
+
+def _fuzz_file(rng, documents):
+    """The bytes of a JSON or JSON-lines file of faulty copies of some of
+    ``documents``, sometimes with the text itself damaged too."""
+    docs = [_fuzz(rng, rng.choice(documents)) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        text = "\n".join(json.dumps(doc) for doc in docs)
+    else:
+        text = json.dumps(docs)
+    data = text.encode("utf-8")
+    damage = rng.randrange(6)
+    brackets = [i for i, byte in enumerate(data) if byte in b"[]{}"]
+    if damage == 0 and brackets:  # a bracket of the JSON dropped
+        i = rng.choice(brackets)
+        data = data[:i] + data[i + 1:]
+    elif damage == 1:  # bytes that are not UTF-8
+        i = rng.randrange(len(data))
+        data = data[:i] + b"\xff\xfe" + data[i:]
+    elif damage == 2:  # nesting deeper than the interpreter's recursion limit
+        data = b"[" * 100_000 + data + b"]" * 100_000
+    return data
+
+
+def test_cli_survives_seeded_fuzzed_inputs(tmp_path, capsys):
+    """Faulty copies of the ``long.jsonl`` documents end, under every
+    command, in exit status 0, 1 or 2 with only ``error: `` lines on
+    stderr, and never in an exception."""
+    documents = [json.loads(line) for line in
+                 (GOLDEN / "long.jsonl").read_text(encoding="utf-8").splitlines()]
+    rng = random.Random(20261018)
+    path = tmp_path / "fuzz.json"
+    statuses = set()
+    for _ in range(200):
+        path.write_bytes(_fuzz_file(rng, documents))
+        for argv in (["resolve"], ["score", "--gold"], ["trace", "--gold"]):
+            code = main([*argv, str(path)])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (argv, code)
+            assert all(line.startswith("error: ") for line in err.splitlines()), err
+            statuses.add(code)
+    assert {0, 1} <= statuses  # some copies still run, some are reported
+
+
 def test_resources_env_var_override(tmp_path, capsys, monkeypatch,
                                     fixture_resources):
     corpus = _write_corpus(tmp_path, ablation_corpus()[:1])

@@ -3,22 +3,21 @@ from importlib import resources as importlib_resources
 import pytest
 
 from coref import (Gender, GrammaticalPerson, LexiconError, Number, Personhood,
-                   default_lexicon, gender_of_first_name, load_lexicon,
-                   pronoun_lookup)
+                   default_lexicon, load_lexicon, pronoun_lookup)
 
 
 def test_load_fixture_directory(fixture_lex):
     counts = fixture_lex.counts()
-    assert counts["male_names"] > 0
-    assert counts["female_names"] > 0
+    assert counts["first_names"] == len(fixture_lex.first_names)
+    assert set(fixture_lex.first_names.values()) == {Gender.MALE, Gender.FEMALE}
     assert counts["pronouns"] >= 30
     assert counts["copulas"] > 0
 
 
 def test_census_format_line_loads(fixture_lex):
-    assert "mary" in fixture_lex.names.female_names
-    assert "john" in fixture_lex.names.male_names
-    assert "fred" in fixture_lex.names.male_names
+    assert fixture_lex.first_names["mary"] is Gender.FEMALE
+    assert fixture_lex.first_names["john"] is Gender.MALE
+    assert fixture_lex.first_names["fred"] is Gender.MALE
 
 
 def test_package_resources_load_as_default_lexicon():
@@ -54,23 +53,51 @@ def test_malformed_pronoun_row_rejected(tmp_path, fixture_resources):
 
 
 def test_comment_lines_are_skipped(fixture_lex):
-    assert "#" not in "".join(fixture_lex.names.male_names)
+    assert "#" not in "".join(fixture_lex.first_names)
 
 
 def test_gender_absent_from_both_lists(fixture_lex):
-    assert gender_of_first_name("zzyzx", fixture_lex.names) is Gender.UNKNOWN
+    assert "zzyzx" not in fixture_lex.first_names
 
 
-def test_gender_present_in_both_lists_is_unknown(fixture_lex):
+def test_gender_present_in_both_lists_is_unknown(fixture_resources, fixture_lex):
     # "leslie" is deliberately on both fixture lists.
-    assert "leslie" in fixture_lex.names.male_names
-    assert "leslie" in fixture_lex.names.female_names
-    assert gender_of_first_name("Leslie", fixture_lex.names) is Gender.UNKNOWN
+    assert "leslie" in _name_file(fixture_resources / "male_names.txt")
+    assert "leslie" in _name_file(fixture_resources / "female_names.txt")
+    assert "Leslie".casefold() not in fixture_lex.first_names
 
 
 def test_gender_single_list_lookup(fixture_lex):
-    assert gender_of_first_name("Mary", fixture_lex.names) is Gender.FEMALE
-    assert gender_of_first_name("JOHN", fixture_lex.names) is Gender.MALE
+    assert fixture_lex.first_names["Mary".casefold()] is Gender.FEMALE
+    assert fixture_lex.first_names["JOHN".casefold()] is Gender.MALE
+
+
+def _name_file(path):
+    """The case-folded names of a name file, read independently of
+    ``load_lexicon``: the first field of each line that is neither blank nor
+    a comment, where a line is one name or census columns."""
+    names = set()
+    for line in path.read_text(encoding="utf-8").splitlines():
+        fields = line.split()
+        if fields and not fields[0].startswith("#"):
+            assert len(fields) in (1, 4), line
+            names.add(fields[0].casefold())
+    return names
+
+
+@pytest.mark.parametrize("source", ["packaged", "fixture"])
+def test_first_names_are_exactly_the_names_on_one_list(source, fixture_resources):
+    directory = (importlib_resources.files("coref") / "resources"
+                 if source == "packaged" else fixture_resources)
+    male = _name_file(directory / "male_names.txt")
+    female = _name_file(directory / "female_names.txt")
+    expected = {name: Gender.MALE for name in male - female}
+    expected.update({name: Gender.FEMALE for name in female - male})
+    first_names = load_lexicon(directory).first_names
+    assert first_names == expected
+    assert male - female and female - male
+    assert "leslie" in male & female
+    assert "leslie" not in first_names
 
 
 def test_pronoun_he(lex):
@@ -111,8 +138,8 @@ def test_titles(lex):
     assert lex.title_gender("Mr.") is Gender.MALE
     assert lex.title_gender("mrs") is Gender.FEMALE
     assert lex.title_gender("Dr.") is Gender.UNKNOWN
-    assert lex.is_title("Prof.")
-    assert not lex.is_title("banana")
+    assert lex.title_gender("Prof.") is not None
+    assert lex.title_gender("banana") is None
 
 
 def test_copulas(lex):

@@ -5,10 +5,8 @@ import pytest
 import coref.mention as mention_module
 from coref import (Gender, MentionKind, Number, Personhood, TokenAnnotation,
                    annotation_index, attach_profiles, build_profile,
-                   classify_kind, dominates, extract_mentions, head_leaf,
-                   infer_gender, infer_number, infer_personhood,
-                   map_gold_mentions)
-from coref.mention import PRONOUN_TAGS
+                   dominates, extract_mentions, head_leaf, map_gold_mentions)
+from coref.mention import PRONOUN_TAGS, PROPER_TAGS
 from helpers import doc_with_mentions, mention_with_head, parse_doc
 
 ACCOUNTING = ("(NP (NP (DT the) (JJ revised) (NN accounting))"
@@ -107,7 +105,7 @@ def test_classify_kind(lex):
     _, mentions = doc_with_mentions(
         "(S (NP (NNP Japan)) (VP (VBD shipped) (NP (NNS cars))"
         " (PP (TO to) (NP (PRP them)))) (. .))")
-    kinds = {m.head_word: classify_kind(m) for m in mentions}
+    kinds = {m.head_word: m.kind for m in mentions}
     assert kinds["Japan"] is MentionKind.PROPER
     assert kinds["cars"] is MentionKind.NOMINAL
     assert kinds["them"] is MentionKind.PRONOUN
@@ -117,7 +115,7 @@ def test_infer_number(lex):
     _, mentions = doc_with_mentions(
         "(S (NP (NNS dogs)) (VP (VBD chased) (NP (NN cat)) (NP (CD 12))"
         " (NP (PRP they))) (. .))")
-    numbers = {m.head_word: infer_number(m, lex) for m in mentions}
+    numbers = {m.head_word: build_profile(m, {}, lex).number for m in mentions}
     assert numbers["dogs"] is Number.PLURAL
     assert numbers["cat"] is Number.SINGULAR
     assert numbers["12"] is Number.UNKNOWN
@@ -128,7 +126,7 @@ def test_infer_gender_titles_and_names(fixture_lex):
     _, mentions = doc_with_mentions(
         "(S (NP (NNP Mrs.) (NNP Stone)) (VP (VBD met) (NP (NNP Mr.) (NNP Reed))"
         " (NP (NNP Mary)) (NP (DT the) (NN door))) (. .))")
-    genders = {m.head_word: infer_gender(m, fixture_lex) for m in mentions}
+    genders = {m.head_word: build_profile(m, {}, fixture_lex).gender for m in mentions}
     assert genders["Stone"] is Gender.FEMALE
     assert genders["Reed"] is Gender.MALE
     assert genders["Mary"] is Gender.FEMALE
@@ -138,44 +136,44 @@ def test_infer_gender_titles_and_names(fixture_lex):
 def test_gendered_title_beats_census_name(fixture_lex):
     _, mentions = doc_with_mentions("(S (NP (NNP Mr.) (NNP Mary) (NNP Smith)))")
     (m,) = mentions
-    assert infer_gender(m, fixture_lex) is Gender.MALE
+    assert build_profile(m, {}, fixture_lex).gender is Gender.MALE
 
 
 def test_infer_gender_without_word_lists(fixture_lex):
     _, mentions = doc_with_mentions("(S (NP (NNP Mary)))")
     (m,) = mentions
-    assert infer_gender(m, fixture_lex, use_word_lists=False) is Gender.UNKNOWN
+    assert build_profile(m, {}, fixture_lex, use_word_lists=False).gender is Gender.UNKNOWN
 
 
 def test_pronoun_gender_from_table(lex):
     _, mentions = doc_with_mentions("(S (NP (PRP she)))")
-    assert infer_gender(mentions[0], lex) is Gender.FEMALE
+    assert build_profile(mentions[0], {}, lex).gender is Gender.FEMALE
 
 
 def test_infer_personhood_supersense(lex):
     _, mentions = doc_with_mentions("(S (NP (DT the) (NN teacher)))")
     (m,) = mentions
     anns = annotation_index([TokenAnnotation(0, 1, supersense="noun.person")])
-    assert infer_personhood(m, anns, lex) is Personhood.PERSON
+    assert build_profile(m, anns, lex).personhood is Personhood.PERSON
 
 
 def test_infer_personhood_from_gender(fixture_lex):
     _, mentions = doc_with_mentions("(S (NP (NNP Mary)))")
     (m,) = mentions
-    assert infer_personhood(m, {}, fixture_lex) is Personhood.PERSON
+    assert build_profile(m, {}, fixture_lex).personhood is Personhood.PERSON
 
 
 def test_infer_personhood_from_title(lex):
     _, mentions = doc_with_mentions("(S (NP (NNP Dr.) (NNP Quartz)))")
     (m,) = mentions
-    assert infer_personhood(m, {}, lex) is Personhood.PERSON
+    assert build_profile(m, {}, lex).personhood is Personhood.PERSON
 
 
 def test_infer_personhood_location_annotation(lex):
     _, mentions = doc_with_mentions("(S (NP (NNP Gabon)))")
     (m,) = mentions
     anns = annotation_index([TokenAnnotation(0, 0, supersense="noun.location")])
-    assert infer_personhood(m, anns, lex) is Personhood.NOT_PERSON
+    assert build_profile(m, anns, lex).personhood is Personhood.NOT_PERSON
 
 
 def test_infer_personhood_ner_labels(lex):
@@ -183,14 +181,14 @@ def test_infer_personhood_ner_labels(lex):
     (m,) = mentions
     person = annotation_index([TokenAnnotation(0, 0, ner="PERSON")])
     org = annotation_index([TokenAnnotation(0, 0, ner="ORGANIZATION")])
-    assert infer_personhood(m, person, lex) is Personhood.PERSON
-    assert infer_personhood(m, org, lex) is Personhood.NOT_PERSON
+    assert build_profile(m, person, lex).personhood is Personhood.PERSON
+    assert build_profile(m, org, lex).personhood is Personhood.NOT_PERSON
 
 
 def test_personhood_defaults_to_unknown(lex):
     _, mentions = doc_with_mentions("(S (NP (DT the) (NN table)))")
     (m,) = mentions
-    assert infer_personhood(m, {}, lex) is Personhood.UNKNOWN
+    assert build_profile(m, {}, lex).personhood is Personhood.UNKNOWN
 
 
 def test_pronoun_profile_equals_table_entry(lex):
@@ -304,7 +302,9 @@ def test_gold_mapping_matches_exhaustive_scan_on_random_trees():
             expected = covering_node_oracle(sentence_nodes[s], start, end)
             assert m.node is expected, (spans[m.mention_id], m.node, expected)
             assert m.head is head_leaf(expected)
-            assert m.kind is classify_kind(m)
+            assert m.kind is (MentionKind.PRONOUN if m.head_tag in PRONOUN_TAGS
+                              else MentionKind.PROPER if m.head_tag in PROPER_TAGS
+                              else MentionKind.NOMINAL)
 
 
 def test_gold_mapping_bisects_children_on_a_flat_sentence(monkeypatch):

@@ -645,7 +645,8 @@ def test_search_tie_on_duplicated_gold_span_goes_to_the_earlier_mention(lex):
 def test_path_distance_calls_per_mention_stay_flat_on_a_long_document(lex, monkeypatch):
     """400 sentences from ``long.jsonl``, repeated: the search computes few
     distances per mention where filtering every earlier mention computed
-    one per surviving candidate (68 per mention on this document)."""
+    one per surviving candidate (68 per mention on this document), and
+    filling a ``candidate_log`` does not turn the early stop off."""
     pairs = _long_sentences()
     sentences = [pairs[i % len(pairs)][0] for i in range(400)]
     calls = 0
@@ -659,6 +660,11 @@ def test_path_distance_calls_per_mention_stay_flat_on_a_long_document(lex, monke
     monkeypatch.setattr(coref.resolve, "path_distance", counted)
     result = pipeline(sentences, lex=lex)
     assert len(result.mentions) == 900
+    assert calls <= 4 * len(result.mentions)
+    calls, log = 0, {}
+    assert resolve_document(result.tree, result.mentions, lex, candidate_log=log) \
+        == result.decisions
+    assert sum(map(len, log.values())) > 4 * len(result.mentions)
     assert calls <= 4 * len(result.mentions)
 
 

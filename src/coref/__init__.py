@@ -8,15 +8,15 @@ F1 and B-cubed.
 """
 
 from .cluster import Clustering, transitive_closure
-from .cli import (DocumentError, DocumentInput, PipelineResult, TraceReport,
-                  gold_clustering, render_brackets, run_pipeline, score_corpus,
-                  trace_report)
 from .lexicon import (Gender, GrammaticalPerson, Lexicon, LexiconError,
                       Number, Personhood, PronounEntry, default_lexicon,
                       load_lexicon, pronoun_lookup)
 from .mention import (Mention, MentionKind, TokenAnnotation, TypeProfile,
                       annotation_index, attach_profiles, build_profile,
                       extract_mentions, map_gold_mentions)
+from .pipeline import (DocumentError, DocumentInput, PipelineResult,
+                       gold_clustering, run_pipeline)
+from .report import TraceReport, render_brackets, score_corpus, trace_report
 from .resolve import (Decision, MentionIndex, ResolveConfig, Rule,
                       candidate_pool, detect_appositive, detect_pred_nom,
                       detect_role_appositive, filter_nominal, filter_pronoun,

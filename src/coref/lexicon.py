@@ -9,16 +9,12 @@ from __future__ import annotations
 
 import enum
 import functools
-import logging
-from dataclasses import dataclass
 from importlib import resources as importlib_resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from importlib.resources.abc import Traversable
-
-log = logging.getLogger(__name__)
 
 
 class Gender(enum.Enum):
@@ -46,11 +42,10 @@ class GrammaticalPerson(enum.Enum):
 
 
 class LexiconError(Exception):
-    """A resource file is missing or malformed."""
+    """A resource file is missing, unreadable or malformed."""
 
 
-@dataclass(frozen=True)
-class PronounEntry:
+class PronounEntry(NamedTuple):
     surface: str
     gender: Gender
     personhood: Personhood
@@ -60,8 +55,7 @@ class PronounEntry:
     possessive: bool
 
 
-@dataclass(frozen=True)
-class Lexicon:
+class Lexicon(NamedTuple):
     titles: dict[str, Gender]  # normalized title -> gender
     pronouns: dict[str, PronounEntry]  # lowercase surface -> entry
     copulas: frozenset[str]
@@ -186,8 +180,8 @@ _FILES = {
 def load_lexicon(directory: str | Path | Traversable) -> Lexicon:
     """Load all resource tables from ``directory``, a path or package resource.
 
-    Raises LexiconError naming the file when one is missing, or the file and
-    line number when an entry is malformed.
+    Raises LexiconError naming the file when one is missing, cannot be read
+    or is not UTF-8, or the file and line number when an entry is malformed.
     """
     directory = Path(directory) if isinstance(directory, str) else directory
     parsed = {}
@@ -195,18 +189,22 @@ def load_lexicon(directory: str | Path | Traversable) -> Lexicon:
         path = directory.joinpath(filename)
         if not path.is_file():
             raise LexiconError(f"{label} file not found: {path}")
-        parsed[label] = parser(filename, path.read_text(encoding="utf-8"))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as err:
+            raise LexiconError(f"{path}: not UTF-8: {err}") from None
+        except OSError as err:
+            raise LexiconError(f"{path}: cannot read: {err.strerror or err}") from None
+        parsed[label] = parser(filename, text)
     male, female = parsed["male names"], parsed["female names"]
     first_names = dict.fromkeys(male - female, Gender.MALE)
     first_names.update(dict.fromkeys(female - male, Gender.FEMALE))
-    lexicon = Lexicon(
+    return Lexicon(
         titles=parsed["titles"],
         pronouns=parsed["pronouns"],
         copulas=parsed["copulas"],
         first_names=first_names,
     )
-    log.info("loaded lexicon from %s: %s", directory, lexicon.counts())
-    return lexicon
 
 
 @functools.cache

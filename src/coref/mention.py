@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .lexicon import (Gender, Lexicon, Number, Personhood, PronounEntry,
                       pronoun_lookup)
+from .record import Record
 from .treebank import DocumentTree, SyntaxNode, head_leaf
 
 PRONOUN_TAGS = frozenset({"PRP", "PRP$"})
@@ -35,15 +35,13 @@ class MentionKind(enum.Enum):
     PROPER = "proper"
 
 
-@dataclass(frozen=True)
-class TypeProfile:
+class TypeProfile(NamedTuple):
     gender: Gender
     personhood: Personhood
     number: Number
 
 
-@dataclass(frozen=True)
-class TokenAnnotation:
+class TokenAnnotation(NamedTuple):
     """Optional per-token labels produced upstream (supersense tagger / NER)."""
     sentence_index: int
     token_index: int
@@ -58,20 +56,25 @@ def annotation_index(annotations: Iterable[TokenAnnotation]) -> dict[tuple[int, 
     return {(a.sentence_index, a.token_index): a for a in annotations}
 
 
-@dataclass
-class Mention:
+class Mention(Record):
     """A resolvable noun phrase occurrence.
 
     ``node`` is the highest NP for the head word (or the pronoun leaf itself
     for bare possessives); ``profile`` and ``pronoun`` are attached by
     ``attach_profiles`` once a lexicon is available.
     """
-    mention_id: int
-    node: SyntaxNode
-    head: SyntaxNode
-    kind: MentionKind
-    profile: Optional[TypeProfile] = None
-    pronoun: Optional[PronounEntry] = None
+
+    __slots__ = ("mention_id", "node", "head", "kind", "profile", "pronoun")
+
+    def __init__(self, mention_id: int, node: SyntaxNode, head: SyntaxNode,
+                 kind: MentionKind, profile: Optional[TypeProfile] = None,
+                 pronoun: Optional[PronounEntry] = None):
+        self.mention_id = mention_id
+        self.node = node
+        self.head = head
+        self.kind = kind
+        self.profile = profile
+        self.pronoun = pronoun
 
     @property
     def sentence_index(self) -> int:

@@ -12,9 +12,8 @@ from __future__ import annotations
 import enum
 import heapq
 from bisect import bisect_left
-from dataclasses import dataclass, fields, replace
 from itertools import groupby
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .lexicon import Gender, GrammaticalPerson, Lexicon, Number, Personhood
 from .mention import Mention, MentionKind, TypeProfile, document_order_key
@@ -37,16 +36,14 @@ class Rule(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """One antecedent choice; ``antecedent`` is a mention id or None."""
     mention_id: int
     antecedent: Optional[int]
     rule: Rule
 
 
-@dataclass(frozen=True)
-class ResolveConfig:
+class ResolveConfig(NamedTuple):
     """Ablation switches; the defaults are the full system."""
     use_word_lists: bool = True
     check_gender: bool = True
@@ -62,14 +59,13 @@ class ResolveConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "ResolveConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(values) - known
+        unknown = set(values).difference(cls._fields)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         not_bool = sorted(k for k, v in values.items() if not isinstance(v, bool))
         if not_bool:
             raise ValueError(f"config values must be true or false: {not_bool}")
-        return replace(cls(), **values)
+        return cls()._replace(**values)
 
 
 class MentionIndex:

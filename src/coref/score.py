@@ -8,14 +8,12 @@ Pairwise counts are pooled across documents before computing P/R/F
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cluster import Clustering
 
 
-@dataclass(frozen=True)
-class PairCounts:
+class PairCounts(NamedTuple):
     """Unordered coreferent-pair tallies: each pair counted once."""
     tp: int = 0
     fp: int = 0
@@ -26,8 +24,7 @@ class PairCounts:
                           self.fn + other.fn)
 
 
-@dataclass(frozen=True)
-class Score:
+class Score(NamedTuple):
     precision: float
     recall: float
     f1: float

@@ -605,15 +605,22 @@ def test_cli_file_without_read_permission_is_skipped(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize("config", [
     "5", "[1]", '[["check_gender", false]]', '{"check_gender": "no"}',
-    '{"check_gender": 0}',
-], ids=["number", "list", "pair-list", "string-value", "integer-value"])
+    '{"check_gender": 0}', '{"check_gender": false', "[" * 200_000 + "]" * 200_000,
+    b'{"check_gender": "\xff"}',
+], ids=["number", "list", "pair-list", "string-value", "integer-value", "not-json",
+        "deep-nesting", "not-utf8"])
 def test_cli_bad_config_is_reported_without_traceback(tmp_path, config):
-    (tmp_path / "cfg.json").write_text(config)
+    path = tmp_path / "cfg.json"
+    if isinstance(config, bytes):
+        path.write_bytes(config)
+    else:
+        path.write_text(config)
     corpus = _write_corpus(tmp_path, ablation_corpus()[:1])
     run = run_cli(["resolve", "--config", "cfg.json", str(corpus)], tmp_path)
     err = run.stderr.decode()
     assert run.returncode == 2
-    assert err.startswith("error: ")
+    assert err.startswith("error: cfg.json: ")
+    assert err.count("\n") == 1
     assert "Traceback" not in err
     assert run.stdout == b""
 

@@ -1,9 +1,14 @@
 from importlib import resources as importlib_resources
+from pathlib import Path
 
 import pytest
 
 from coref import (Gender, GrammaticalPerson, LexiconError, Number, Personhood,
                    default_lexicon, load_lexicon, pronoun_lookup)
+from coref.cli import main
+
+_RESOURCE_FILES = ("male_names.txt", "female_names.txt", "titles.tsv", "pronouns.tsv",
+                   "copulas.txt")
 
 
 def test_load_fixture_directory(fixture_lex):
@@ -50,6 +55,32 @@ def test_malformed_pronoun_row_rejected(tmp_path, fixture_resources):
     (tmp_path / "pronouns.tsv").write_text("he\tmale\tperson\tunknown\tthird\tfalse\tfalse\n")
     with pytest.raises(LexiconError, match="pronouns.tsv, line 1"):
         load_lexicon(tmp_path)
+
+
+@pytest.mark.parametrize("fault", ["not-utf8", "cannot-read"])
+def test_unreadable_file_is_named(tmp_path, fixture_resources, monkeypatch, capsys, fault):
+    for name in _RESOURCE_FILES:
+        (tmp_path / name).write_bytes((fixture_resources / name).read_bytes())
+    bad = tmp_path / "titles.tsv"
+    if fault == "not-utf8":
+        bad.write_bytes(b"Mr.\tmale\nM\xe9e.\tfemale\n")
+        expected = f"{bad}: not UTF-8: 'utf-8' codec can't decode byte 0xe9"
+    else:  # the tests may run as root, which reads any file: refuse it here
+        read_text = Path.read_text
+
+        def refuse(path, *args, **kwargs):
+            if path.name == bad.name:
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        expected = f"{bad}: cannot read: Permission denied"
+    with pytest.raises(LexiconError) as info:
+        load_lexicon(tmp_path)
+    assert str(info.value).startswith(expected)
+    assert main(["resolve", "--resources", str(tmp_path), str(tmp_path / "in.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {expected}") and err.count("\n") == 1
 
 
 def test_comment_lines_are_skipped(fixture_lex):

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -560,8 +559,9 @@ def _random_documents(seed, count):
 
 def _configs():
     """The default config and every single-flag ablation."""
-    return [ResolveConfig()] + [ResolveConfig(**{f.name: not f.default})
-                                for f in fields(ResolveConfig)]
+    default = ResolveConfig()
+    return [default] + [ResolveConfig(**{name: not getattr(default, name)})
+                        for name in ResolveConfig._fields]
 
 
 def _nominal_match(m, cand):
@@ -767,8 +767,8 @@ def test_deep_shapes_find_each_head_once_and_look_each_token_up_once(lex, monkey
         return head_child(node)
 
     monkeypatch.setattr(coref.treebank, "collins_head_child", counted)
-    counting = replace(lex, titles=_Counted(lex.titles),
-                       first_names=_Counted(lex.first_names))
+    counting = lex._replace(titles=_Counted(lex.titles),
+                            first_names=_Counted(lex.first_names))
     sentences = [sentence, "(S (NP (PRP He)) (VP (VBD left)) (. .))"]
     result = pipeline(sentences, lex=counting)
     interior = sum(1 for node in result.tree.nodes if node.children)

@@ -26,6 +26,6 @@ from .score import (PairCounts, Score, b_cubed_doc, b_cubed_macro,
                     pairwise_counts, pairwise_micro)
 from .treebank import (DOCLINK, DocumentTree, PtbParseError, SyntaxNode,
                        collins_head_child, dominates, head_leaf, link_document,
-                       path_distance, read_ptb, to_ptb)
+                       path_distance, read_document, read_ptb, to_ptb)
 
 __version__ = "0.1.0"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .resolve import Decision
 
@@ -20,22 +20,30 @@ class Clustering:
         position = {mid: i for i, mid in enumerate(self.universe)}
         if len(position) != len(self.universe):
             raise ValueError("duplicate mention ids in universe")
-        groups = [frozenset(e) for e in entities]
+        # Each group goes to the slot of its earliest position, which no
+        # other group shares, so reading the slots in order sorts them.
+        slots: list[Optional[frozenset[int]]] = [None] * len(position)
         entity_of: dict[int, frozenset[int]] = {}
-        for group in groups:
+        for entity in entities:
+            group = frozenset(entity)
             if not group:
                 raise ValueError("empty entity")
+            first = len(position)
             for mid in group:
-                if mid not in position:
+                at = position.get(mid)
+                if at is None:
                     raise ValueError(f"entity member {mid} not in universe")
                 if mid in entity_of:
                     raise ValueError(f"mention {mid} appears in two entities")
                 entity_of[mid] = group
+                if at < first:
+                    first = at
+            slots[first] = group
         if len(entity_of) != len(position):
             missing = sorted(set(self.universe) - entity_of.keys())
             raise ValueError(f"mentions not covered by any entity: {missing}")
-        groups.sort(key=lambda g: min(position[mid] for mid in g))
-        self.entities: tuple[frozenset[int], ...] = tuple(groups)
+        self.entities: tuple[frozenset[int], ...] = tuple(
+            group for group in slots if group is not None)
         self._label = {mid: i + 1 for i, group in enumerate(self.entities)
                        for mid in group}
         self._entity_of = entity_of

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from importlib import resources as importlib_resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
@@ -209,8 +208,12 @@ def load_lexicon(directory: str | Path | Traversable) -> Lexicon:
 
 @functools.cache
 def default_lexicon() -> Lexicon:
-    """The lexicon shipped with the package (loaded once, then cached)."""
-    return load_lexicon(importlib_resources.files("coref") / "resources")
+    """The lexicon shipped with the package (loaded once, then cached).
+
+    Its files are in the ``resources`` directory next to this module, where
+    the package data is installed.
+    """
+    return load_lexicon(Path(__file__).parent / "resources")
 
 
 def pronoun_lookup(word: str, lexicon: Lexicon) -> Optional[PronounEntry]:

@@ -1,9 +1,9 @@
 """One document through the whole pipeline.
 
 ``DocumentInput`` is a decoded document (see ``coref.cli`` for the JSON
-schema it is read from), ``run_pipeline`` parses, links, finds and types its
-mentions, resolves and clusters them, and ``gold_clustering`` builds its gold
-partition over the same mention ids.
+schema it is read from), ``run_pipeline`` reads its linked tree, finds and
+types its mentions, resolves and clusters them, and ``gold_clustering``
+builds its gold partition over the same mention ids.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .mention import (Mention, TokenAnnotation, annotation_index,
                       attach_profiles, extract_mentions, map_gold_mentions)
 from .record import Record
 from .resolve import Decision, ResolveConfig, resolve_document
-from .treebank import DocumentTree, PtbParseError, link_document, read_ptb
+from .treebank import DocumentTree, read_document
 
 
 class DocumentError(Exception):
@@ -125,23 +125,17 @@ def run_pipeline(document: DocumentInput, cfg: Optional[ResolveConfig] = None,
                  lex: Optional[Lexicon] = None,
                  candidate_log: Optional[dict[int, frozenset[int]]] = None
                  ) -> PipelineResult:
-    """Parse, link, find and type mentions, resolve, and cluster one document.
+    """Read the linked tree, find and type mentions, resolve, and cluster one
+    document.
 
     Parse and annotation problems raise DocumentError carrying the document id.
     """
     cfg = cfg or ResolveConfig()
     lex = lex or default_lexicon()
-    trees = []
-    for i, sentence in enumerate(document.sentences):
-        try:
-            parsed = read_ptb(sentence)
-        except PtbParseError as err:
-            raise DocumentError(document.doc_id, f"sentence {i}: {err}") from err
-        if len(parsed) != 1:
-            raise DocumentError(document.doc_id,
-                                f"sentence {i}: expected one tree, found {len(parsed)}")
-        trees.append(parsed[0])
-    doc = link_document(trees)
+    try:
+        doc = read_document(document.sentences)
+    except ValueError as err:
+        raise DocumentError(document.doc_id, str(err)) from err
     for ann in document.annotations:
         if not 0 <= ann.sentence_index < len(doc.sentence_roots):
             raise DocumentError(document.doc_id, f"annotation names missing sentence "

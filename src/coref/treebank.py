@@ -113,11 +113,12 @@ class DocumentTree:
     has ``root is None``. The sentence trees must come from ``read_ptb``,
     whose spans number the leaves of each sentence left to right.
 
-    Construction sets every node's ``node_id``, ``depth`` and
-    ``sentence_index`` (-1 on link nodes), and sets its ``doc`` to this
-    tree's ``key``: the list of each sentence's tokens, filled by the same
-    pass. Nodes refer to the key, not to the tree, so that no reference
-    cycle keeps a dropped document alive.
+    Construction sets every node's ``node_id`` (its preorder index in
+    ``nodes``), ``depth``, ``_post`` and ``sentence_index`` (-1 on link
+    nodes), and sets its ``doc`` to this tree's ``key``: the list of each
+    sentence's tokens, filled by the same pass. Nodes refer to the key, not
+    to the tree, so that no reference cycle keeps a dropped document alive.
+    ``read_document`` builds the same tree as it reads, without this pass.
 
     The nodes a ``DocumentTree`` owns are immutable from then on: no label,
     token, child or span changes. ``head_leaf`` memoises heads and
@@ -164,18 +165,127 @@ class DocumentTree:
             node._post = children[-1]._post if children else node.node_id + 1
 
 
-#: One PTB token: a bracket, or a run of characters that are neither
-#: brackets nor whitespace (``\s`` matches exactly what ``str.isspace`` does).
-_PTB_TOKEN = re.compile(r"[()]|[^\s()]+")
+#: One PTB token. A whole preterminal ``(TAG word)`` is one token, with the
+#: tag and the word as the first two groups; ``(LABEL`` is one token with the
+#: label alone; otherwise the third group holds a lone bracket or a run of
+#: characters that are neither brackets nor whitespace (``\s`` matches
+#: exactly what ``str.isspace`` does). The tokens cover the same characters
+#: as the bracket-and-word tokens the grammar is defined on, so a valid tree
+#: takes one step per node.
+_PTB_TOKEN = re.compile(r"\(\s*([^\s()]+)(?:\s+([^\s()]+)\s*\))?|([()]|[^\s()]+)")
 
 
-def _error_at(message: str, text: str, tokens: list[str], rest: Iterator[str],
-              back: int = 1) -> PtbParseError:
-    """The error for the token ``back`` places before the next one ``rest``
-    yields; only this raising path scans ``text`` again for its offset."""
-    index = len(tokens) - length_hint(rest) - back
+def _error_at(message: str, text: str, tokens: list[tuple[str, str, str]],
+              rest: Iterator[tuple[str, str, str]],
+              at_close: bool = False) -> PtbParseError:
+    """The error for the token ``rest`` yielded last: at its start, or at its
+    closing bracket when it is a preterminal; only this raising path scans
+    ``text`` again for the offset."""
+    index = len(tokens) - length_hint(rest) - 1
     match = next(islice(_PTB_TOKEN.finditer(text), index, None))
-    return PtbParseError(message, len(text[:match.start()].encode("utf-8")))
+    offset = match.end() - 1 if at_close else match.start()
+    return PtbParseError(message, len(text[:offset].encode("utf-8")))
+
+
+def _read_trees(text: str, nodes: list[SyntaxNode], doc: Optional[list[list[str]]] = None,
+                sentence_index: int = -1, depth: int = 0,
+                up: Optional[weakref.ref] = None
+                ) -> tuple[list[SyntaxNode], list[list[str]]]:
+    """Every tree in ``text`` and the tokens of each, in one pass.
+
+    Each node gets all of its facts as it opens or closes: it is appended to
+    ``nodes`` in preorder (``node_id`` is its index there, ``_post`` the
+    length when it closes), its ``depth`` counts from ``depth`` at a root,
+    and it takes ``doc`` and ``sentence_index``. A root's parent is ``up``.
+    Spans number the leaves of each tree from 0. Raises PtbParseError as
+    ``read_ptb`` documents.
+    """
+    ref = weakref.ref
+    new = object.__new__  # every slot is set below, so skip __init__'s defaults
+    trees: list[SyntaxNode] = []
+    rows: list[list[str]] = []
+    row: list[str] = []  # the tokens of the current tree
+    stack: list[SyntaxNode] = []
+    parent: Optional[SyntaxNode] = None  # stack[-1], if any
+    root_up = up
+    tokens = _PTB_TOKEN.findall(text)
+    rest = iter(tokens)
+    for label, word, other in rest:
+        if label:
+            node = new(SyntaxNode)
+            node.label = label
+            node.children = []
+            node._up = up
+            node.sentence_index = sentence_index
+            node.node_id = len(nodes)
+            node.depth = depth
+            node.doc = doc
+            node._head = None
+            nodes.append(node)
+            if word:
+                node.token = word
+                start = len(row)
+                node.span = (start, start + 1)
+                row.append(word)
+                node._post = len(nodes)
+                if parent is None:
+                    trees.append(node)
+                    rows.append(row)
+                    row = []
+                elif parent.token is not None:
+                    raise _error_at("mixed token and children under one node",
+                                    text, tokens, rest, at_close=True)
+                else:
+                    parent.children.append(node)
+            else:
+                node.token = None
+                stack.append(node)
+                parent = node
+                up = ref(node)
+                depth += 1
+        elif other == ")":
+            if parent is None:
+                raise _error_at("unbalanced ')'", text, tokens, rest)
+            node = stack.pop()
+            children = node.children
+            if not children:
+                raise _error_at(f"node ({node.label} has neither token nor children",
+                                text, tokens, rest)
+            node.span = (children[0].span[0], children[-1].span[1])
+            node._post = len(nodes)
+            depth -= 1
+            if stack:
+                parent = stack[-1]
+                if parent.token is not None:
+                    raise _error_at("mixed token and children under one node",
+                                    text, tokens, rest)
+                parent.children.append(node)
+                up = ref(parent)
+            else:
+                parent = None
+                up = root_up
+                trees.append(node)
+                rows.append(row)
+                row = []
+        elif other == "(":
+            raise _error_at("empty node label", text, tokens, rest)
+        else:
+            # A word on its own: valid trees have none, as every leaf reads
+            # as one preterminal token, so this only finds the error.
+            if parent is None:
+                raise _error_at(f"unexpected token {other!r} outside brackets",
+                                text, tokens, rest)
+            if parent.children:
+                raise _error_at("mixed token and children under one node",
+                                text, tokens, rest)
+            if parent.token is not None:
+                raise _error_at("multiple tokens under one node", text, tokens, rest)
+            parent.token = other
+    if stack:
+        raise PtbParseError("unbalanced '(' at end of input", len(text.encode("utf-8")))
+    if not trees:
+        raise PtbParseError("empty input", 0)
+    return trees, rows
 
 
 def read_ptb(text: str) -> list[SyntaxNode]:
@@ -185,59 +295,63 @@ def read_ptb(text: str) -> list[SyntaxNode]:
     left-to-right leaf order within each sentence. Raises PtbParseError on
     unbalanced parentheses, an empty label, a node with no content, or
     empty input, naming the byte offset of the problem.
+
+    The trees belong to no document (``doc`` is None) until
+    ``link_document`` joins them into one.
     """
-    ref = weakref.ref
-    trees: list[SyntaxNode] = []
-    stack: list[SyntaxNode] = []
-    leaf_count = 0  # leaves closed so far in the current sentence
-    tokens = _PTB_TOKEN.findall(text)
-    rest = iter(tokens)
-    for token in rest:
-        if token == "(":
-            label = next(rest, None)
-            if label is None:
-                raise _error_at("empty node label", text, tokens, rest)
-            if label == "(" or label == ")":
-                raise _error_at("empty node label", text, tokens, rest, back=2)
-            stack.append(SyntaxNode(label))
-        elif token == ")":
-            if not stack:
-                raise _error_at("unbalanced ')'", text, tokens, rest)
-            node = stack.pop()
-            if node.token is not None:
-                node.span = (leaf_count, leaf_count + 1)
-                leaf_count += 1
-            elif node.children:
-                node.span = (node.children[0].span[0], node.children[-1].span[1])
-            else:
-                raise _error_at(f"node ({node.label} has neither token nor children",
-                                text, tokens, rest)
-            if stack:
-                parent = stack[-1]
-                if parent.token is not None:
-                    raise _error_at("mixed token and children under one node",
-                                    text, tokens, rest)
-                node._up = ref(parent)
-                parent.children.append(node)
-            else:
-                trees.append(node)
-                leaf_count = 0
-        else:
-            if not stack:
-                raise _error_at(f"unexpected token {token!r} outside brackets",
-                                text, tokens, rest)
-            node = stack[-1]
-            if node.children:
-                raise _error_at("mixed token and children under one node",
-                                text, tokens, rest)
-            if node.token is not None:
-                raise _error_at("multiple tokens under one node", text, tokens, rest)
-            node.token = token
-    if stack:
-        raise PtbParseError("unbalanced '(' at end of input", len(text.encode("utf-8")))
-    if not trees:
-        raise PtbParseError("empty input", 0)
-    return trees
+    return _read_trees(text, [])[0]
+
+
+def read_document(sentences: Sequence[str]) -> DocumentTree:
+    """Read one bracketed tree per sentence into a linked document tree.
+
+    The result equals ``link_document([read_ptb(s)[0] for s in sentences])``
+    node for node, but each node is built once, with all of its document
+    facts: the DOCLINK node that joins sentence i to the rest is numbered
+    just before that sentence's root, at depth i, as in the linked preorder.
+
+    Raises ValueError on the first sentence that is not exactly one tree:
+    ``sentence i: <PtbParseError text>``, or, when the whole sentence
+    reads, ``sentence i: expected one tree, found N``.
+    """
+    key: list[list[str]] = []
+    nodes: list[SyntaxNode] = []
+    roots: list[SyntaxNode] = []
+    links: list[SyntaxNode] = []
+    last = len(sentences) - 1
+    up = None
+    for i, text in enumerate(sentences):
+        if i < last:
+            link = SyntaxNode(DOCLINK)
+            link._up = up
+            link.node_id = len(nodes)
+            link.depth = i
+            link.doc = key
+            nodes.append(link)
+            if links:
+                links[-1].children.append(link)
+            links.append(link)
+            up = weakref.ref(link)
+        try:
+            trees, rows = _read_trees(text, nodes, key, i, i + (i < last), up)
+        except PtbParseError as err:
+            raise ValueError(f"sentence {i}: {err}") from err
+        if len(trees) != 1:
+            raise ValueError(f"sentence {i}: expected one tree, found {len(trees)}")
+        root = trees[0]
+        roots.append(root)
+        key.append(rows[0])
+        if links:
+            links[-1].children.append(root)
+    for link in links:
+        link._post = len(nodes)
+    doc = DocumentTree.__new__(DocumentTree)
+    doc.sentence_roots = tuple(roots)
+    doc.link_nodes = tuple(links)
+    doc.root = links[0] if links else roots[0] if roots else None
+    doc.key = key
+    doc.nodes = nodes
+    return doc
 
 
 def to_ptb(node: SyntaxNode) -> str:

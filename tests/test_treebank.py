@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from coref import (DOCLINK, PtbParseError, SyntaxNode, collins_head_child,
-                   dominates, head_leaf, link_document, path_distance,
-                   read_ptb, to_ptb)
+from coref import (DOCLINK, DocumentError, DocumentInput, PtbParseError,
+                   SyntaxNode, collins_head_child, dominates, head_leaf,
+                   link_document, path_distance, read_document, read_ptb,
+                   run_pipeline, to_ptb)
 from helpers import parse_doc
 
 
@@ -373,6 +374,114 @@ def test_link_node_count_and_leaf_order():
             assert node.sentence_index == -1
         else:
             assert node.sentence_index == trees.index(sentence_root)
+
+
+# Separators the reader must treat as whitespace: ``\x1c`` (a control
+# character ``str.isspace`` accepts), no-break and ideographic spaces.
+_SEPARATORS = [" ", "  ", "\n", "\t", "\x1c", "\u00a0", "\u3000"]
+
+
+def _render(node, rng):
+    """``node`` in bracketed form, with random whitespace wherever the
+    grammar allows it (``( NP ( DT the ) )``) and none where it may be left
+    out (``(NP(DT the))``)."""
+    def gap(required=False):
+        if required or rng.random() < 0.3:
+            return "".join(rng.choice(_SEPARATORS) for _ in range(rng.randint(1, 2)))
+        return ""
+    if node.is_leaf():
+        return f"({gap()}{node.label}{gap(True)}{node.token}{gap()})"
+    inside = "".join(gap() + _render(child, rng) for child in node.children)
+    return f"({gap()}{node.label}{inside}{gap()})"
+
+
+def _random_sentence(rng):
+    if rng.random() < 0.15:  # a single-leaf sentence
+        return rng.choice(["(NN a)", "(PRP he)", "( PRP\x1cshe )", "(NNP café)"])
+    return _render(_random_tree(rng), rng)
+
+
+def _facts(doc):
+    """Every node's facts, with parent and children as node ids."""
+    def node_id(node):
+        return None if node is None else node.node_id
+    return [(node.label, node.token, node.span, node.node_id, node.depth,
+             node.sentence_index, node._post, node_id(node.parent),
+             [child.node_id for child in node.children], node.doc is doc.key)
+            for node in doc.nodes]
+
+
+def test_read_document_builds_the_linked_tree_on_random_documents():
+    rng = random.Random(20261020)
+    for case in range(300):
+        count = case if case < 3 else rng.choice([2, 3, rng.randint(4, 12)])
+        sentences = [_random_sentence(rng) for _ in range(count)]
+        fused = read_document(sentences)
+        linked = link_document([read_ptb(s)[0] for s in sentences])
+        assert _facts(fused) == _facts(linked)
+        assert fused.key == linked.key
+        for name in ("sentence_roots", "link_nodes"):
+            assert ([n.node_id for n in getattr(fused, name)]
+                    == [n.node_id for n in getattr(linked, name)])
+        if count:
+            assert fused.root.node_id == linked.root.node_id == 0
+            assert [n.node_id for n in fused.root.walk()] == list(range(len(fused.nodes)))
+        else:
+            assert fused.root is linked.root is None
+            assert fused.nodes == [] and fused.key == []
+
+
+def _oracle_error(document):
+    """The ``DocumentError`` text of the per-sentence loop ``run_pipeline``
+    ran before it read documents in one pass, or None."""
+    for i, sentence in enumerate(document.sentences):
+        try:
+            parsed = read_ptb(sentence)
+        except PtbParseError as err:
+            return str(DocumentError(document.doc_id, f"sentence {i}: {err}"))
+        if len(parsed) != 1:
+            return str(DocumentError(document.doc_id,
+                                     f"sentence {i}: expected one tree, found {len(parsed)}"))
+    return None
+
+
+def test_run_pipeline_reports_the_same_sentence_errors_on_mutated_documents():
+    rng = random.Random(20261021)
+    alphabet = "() \x1c\u00a0a\u00e9"
+    failures = 0
+    for case in range(2000):
+        sentences = [to_ptb(_random_tree(rng)) for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(1, 2)):
+            s = rng.randrange(len(sentences))
+            text = sentences[s]
+            i = rng.randrange(len(text) + 1)
+            op = rng.randrange(7)
+            if op == 0:
+                text = text[:i] + text[i + 1:]
+            elif op == 1:
+                text = text[:i] + rng.choice(alphabet) + text[i:]
+            elif op == 2:
+                text = text[:i] + rng.choice(alphabet) + text[i + 1:]
+            elif op == 3:
+                text = text[:i]
+            elif op == 4:  # a second tree after a valid one
+                text += " " + to_ptb(_random_tree(rng))
+            elif op == 5:  # a malformed second tree
+                second = to_ptb(_random_tree(rng))
+                text += " " + second[:rng.randrange(len(second))]
+            else:
+                text = rng.choice(["", "  \n", "(S)", "((NN b))", "(NN a) (NN b)"])
+            sentences[s] = text
+        document = DocumentInput(f"d{case}", sentences)
+        expected = _oracle_error(document)
+        if expected is None:
+            run_pipeline(document)
+            continue
+        failures += 1
+        with pytest.raises(DocumentError) as info:
+            run_pipeline(document)
+        assert str(info.value) == expected
+    assert failures > 1000
 
 
 # ---------------------------------------------------------------------------

@@ -21,17 +21,25 @@ class Gender(enum.Enum):
     FEMALE = "female"
     UNKNOWN = "unknown"
 
+    # Members are singletons, so identity hashing is exact, and it runs in C
+    # where Enum's own __hash__ is a Python call per profile lookup.
+    __hash__ = object.__hash__
+
 
 class Personhood(enum.Enum):
     PERSON = "person"
     NOT_PERSON = "notperson"
     UNKNOWN = "unknown"
 
+    __hash__ = object.__hash__
+
 
 class Number(enum.Enum):
     SINGULAR = "singular"
     PLURAL = "plural"
     UNKNOWN = "unknown"
+
+    __hash__ = object.__hash__
 
 
 class GrammaticalPerson(enum.Enum):

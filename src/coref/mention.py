@@ -126,7 +126,7 @@ def extract_mentions(doc: DocumentTree) -> list[Mention]:
     pronoun_leaves = []
     for node in doc.nodes:
         if node.label == "NP":
-            leaf = head_leaf(node)
+            leaf = node._head or node
             best = highest_for_head.get(leaf)
             if best is None or node.depth < best.depth:
                 highest_for_head[leaf] = node
@@ -261,10 +261,15 @@ def _annotation_personhood(ann: Optional[TokenAnnotation]) -> Personhood:
     return Personhood.UNKNOWN
 
 
+#: Every profile there is, keyed by its fields, so that mentions share them.
+_PROFILES = {(g, p, n): TypeProfile(g, p, n)
+             for g in Gender for p in Personhood for n in Number}
+
+
 def _pronoun_profile(entry: Optional[PronounEntry]) -> TypeProfile:
     if entry is None:
-        return TypeProfile(Gender.UNKNOWN, Personhood.UNKNOWN, Number.UNKNOWN)
-    return TypeProfile(entry.gender, entry.personhood, entry.number)
+        return _PROFILES[Gender.UNKNOWN, Personhood.UNKNOWN, Number.UNKNOWN]
+    return _PROFILES[entry.gender, entry.personhood, entry.number]
 
 
 def _nominal_profile(m: Mention, annotations: AnnotationIndex,
@@ -276,7 +281,7 @@ def _nominal_profile(m: Mention, annotations: AnnotationIndex,
     if personhood is not Personhood.PERSON and (
             gender is not Gender.UNKNOWN or cues is not None and cues.has_title(start, end)):
         personhood = Personhood.PERSON
-    return TypeProfile(gender, personhood, _TAG_NUMBER.get(m.head_tag, Number.UNKNOWN))
+    return _PROFILES[gender, personhood, _TAG_NUMBER.get(m.head_tag, Number.UNKNOWN)]
 
 
 def build_profile(m: Mention, annotations: AnnotationIndex, lex: Lexicon, *,

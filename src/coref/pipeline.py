@@ -35,6 +35,8 @@ def _integer(value: object) -> int:
     ``Infinity`` and ``NaN``, which ``int()`` would truncate or fail on
     with another error.
     """
+    if type(value) is int:  # what JSON integers decode to; not a bool
+        return value
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"not an integer: {value!r}")
     return int(value)

@@ -119,6 +119,10 @@ def b_cubed_macro(doc_scores: Sequence[tuple[float, float]]) -> Score:
     """Average per-document P and R, then derive F from the averages."""
     if not doc_scores:
         raise ValueError("cannot macro-average zero documents")
-    p = sum(s[0] for s in doc_scores) / len(doc_scores)
-    r = sum(s[1] for s in doc_scores) / len(doc_scores)
-    return Score.from_pr(p, r)
+    # Added left to right, as sum() did before Python 3.12, whose sum()
+    # compensates rounding: the report then reads the same on every version.
+    p = r = 0.0
+    for doc_p, doc_r in doc_scores:
+        p += doc_p
+        r += doc_r
+    return Score.from_pr(p / len(doc_scores), r / len(doc_scores))

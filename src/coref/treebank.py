@@ -36,7 +36,9 @@ class SyntaxNode:
 
     Leaves carry a ``token`` and have no children; interior nodes have one or
     more children and no token. ``span`` is a half-open token interval within
-    the node's sentence.
+    the node's sentence. The leaves that ``read_ptb`` and ``read_document``
+    build share one empty tuple as ``children``; every other node gets a
+    list.
 
     A node keeps its subtree alive, not its ancestors: ``parent`` is a weak
     reference, so the tree holds no reference cycle and a document is freed
@@ -60,7 +62,8 @@ class SyntaxNode:
         self.depth = 0
         self.doc: Optional[list[list[str]]] = None  # the owning DocumentTree's key
         self._post = -1
-        self._head: Optional[SyntaxNode] = None  # memoised by head_leaf
+        # The head leaf of an interior node a DocumentTree owns; None on leaves
+        self._head: Optional[SyntaxNode] = None
 
     @property
     def parent(self) -> Optional["SyntaxNode"]:
@@ -114,15 +117,17 @@ class DocumentTree:
     whose spans number the leaves of each sentence left to right.
 
     Construction sets every node's ``node_id`` (its preorder index in
-    ``nodes``), ``depth``, ``_post`` and ``sentence_index`` (-1 on link
-    nodes), and sets its ``doc`` to this tree's ``key``: the list of each
-    sentence's tokens, filled by the same pass. Nodes refer to the key, not
-    to the tree, so that no reference cycle keeps a dropped document alive.
-    ``read_document`` builds the same tree as it reads, without this pass.
+    ``nodes``), ``depth``, ``_post``, ``sentence_index`` (-1 on link nodes)
+    and, on interior nodes, the head leaf ``head_leaf`` returns, and sets
+    its ``doc`` to this tree's ``key``: the list of each sentence's tokens,
+    filled by the same pass. Nodes refer to the key, not to the tree, so
+    that no reference cycle keeps a dropped document alive.
+    ``read_document`` builds the same tree as it reads, without these
+    passes.
 
     The nodes a ``DocumentTree`` owns are immutable from then on: no label,
-    token, child or span changes. ``head_leaf`` memoises heads and
-    ``SyntaxNode.tokens`` slices ``key`` on that condition.
+    token, child or span changes. ``head_leaf`` reads the heads set here,
+    and ``SyntaxNode.tokens`` slices ``key``, on that condition.
     """
 
     def __init__(self, sentence_roots: Sequence[SyntaxNode],
@@ -159,10 +164,16 @@ class DocumentTree:
                     child.sentence_index = sentence_index
             stack.extend(reversed(children))
         # _post is the first number past the subtree, so dominance is an
-        # interval test; a subtree ends where its last child's does.
+        # interval test; a subtree ends where its last child's does. Heads
+        # too are set children first.
         for node in reversed(nodes):
             children = node.children
-            node._post = children[-1]._post if children else node.node_id + 1
+            if children:
+                node._post = children[-1]._post
+                child = children[_head_index(node)]
+                node._head = child._head or child
+            else:
+                node._post = node.node_id + 1
 
 
 #: One PTB token. A whole preterminal ``(TAG word)`` is one token, with the
@@ -173,6 +184,10 @@ class DocumentTree:
 #: as the bracket-and-word tokens the grammar is defined on, so a valid tree
 #: takes one step per node.
 _PTB_TOKEN = re.compile(r"\(\s*([^\s()]+)(?:\s+([^\s()]+)\s*\))?|([()]|[^\s()]+)")
+
+
+#: The ``children`` of every leaf the reader builds.
+_NO_CHILDREN: tuple[SyntaxNode, ...] = ()
 
 
 def _error_at(message: str, text: str, tokens: list[tuple[str, str, str]],
@@ -197,8 +212,9 @@ def _read_trees(text: str, nodes: list[SyntaxNode], doc: Optional[list[list[str]
     ``nodes`` in preorder (``node_id`` is its index there, ``_post`` the
     length when it closes), its ``depth`` counts from ``depth`` at a root,
     and it takes ``doc`` and ``sentence_index``. A root's parent is ``up``.
-    Spans number the leaves of each tree from 0. Raises PtbParseError as
-    ``read_ptb`` documents.
+    Spans number the leaves of each tree from 0. When ``doc`` is given the
+    nodes are final, so each interior node also gets its head leaf as it
+    closes. Raises PtbParseError as ``read_ptb`` documents.
     """
     ref = weakref.ref
     new = object.__new__  # every slot is set below, so skip __init__'s defaults
@@ -214,7 +230,6 @@ def _read_trees(text: str, nodes: list[SyntaxNode], doc: Optional[list[list[str]
         if label:
             node = new(SyntaxNode)
             node.label = label
-            node.children = []
             node._up = up
             node.sentence_index = sentence_index
             node.node_id = len(nodes)
@@ -223,6 +238,7 @@ def _read_trees(text: str, nodes: list[SyntaxNode], doc: Optional[list[list[str]
             node._head = None
             nodes.append(node)
             if word:
+                node.children = _NO_CHILDREN
                 node.token = word
                 start = len(row)
                 node.span = (start, start + 1)
@@ -238,6 +254,7 @@ def _read_trees(text: str, nodes: list[SyntaxNode], doc: Optional[list[list[str]
                 else:
                     parent.children.append(node)
             else:
+                node.children = []
                 node.token = None
                 stack.append(node)
                 parent = node
@@ -253,6 +270,9 @@ def _read_trees(text: str, nodes: list[SyntaxNode], doc: Optional[list[list[str]
                                 text, tokens, rest)
             node.span = (children[0].span[0], children[-1].span[1])
             node._post = len(nodes)
+            if doc is not None:
+                child = children[_head_index(node)]
+                node._head = child._head or child
             depth -= 1
             if stack:
                 parent = stack[-1]
@@ -343,8 +363,10 @@ def read_document(sentences: Sequence[str]) -> DocumentTree:
         key.append(rows[0])
         if links:
             links[-1].children.append(root)
-    for link in links:
+    for link in reversed(links):  # bottom up: a link's head is the one below's
         link._post = len(nodes)
+        child = link.children[_head_index(link)]
+        link._head = child._head or child
     doc = DocumentTree.__new__(DocumentTree)
     doc.sentence_roots = tuple(roots)
     doc.link_nodes = tuple(links)
@@ -457,26 +479,42 @@ def collins_head_child(node: SyntaxNode) -> int:
     return len(labels) - 1
 
 
+#: Production (label, *child labels) -> the index ``collins_head_child``
+#: gives for it. A grammar has few productions, so after the first
+#: documents nearly every interior node is one lookup. The keys hold at most
+#: ``_HEAD_TABLE_LABELS`` labels in all, so wide nodes (a long coordination
+#: is a production of its own) cannot grow it without limit; past that a
+#: production's head is computed each time.
+_HEAD_TABLE: dict[tuple[str, ...], int] = {}
+_HEAD_TABLE_LABELS = 65_536
+_head_table_labels = 0  # labels held by the keys of _HEAD_TABLE
+
+
+def _head_index(node: SyntaxNode) -> int:
+    """``collins_head_child(node)``, looked up by the node's production."""
+    global _head_table_labels
+    key = (node.label, *[child.label for child in node.children])
+    index = _HEAD_TABLE.get(key)
+    if index is None:
+        index = collins_head_child(node)
+        if _head_table_labels + len(key) <= _HEAD_TABLE_LABELS:
+            _HEAD_TABLE[key] = index
+            _head_table_labels += len(key)
+    return index
+
+
 def head_leaf(node: SyntaxNode) -> SyntaxNode:
     """Follow head children down to a leaf; a leaf is its own head.
 
-    Nodes owned by a ``DocumentTree`` are immutable, so the head found for
-    one stays valid: it is memoised on every interior node of the path
-    walked, and each head child is computed once per document. Nodes of an
-    unlinked ``read_ptb`` tree are walked every time.
+    A node owned by a ``DocumentTree`` got its head leaf when the tree was
+    built, so this reads it. Nodes of an unlinked ``read_ptb`` tree may
+    still change, so they are walked every time.
     """
     if node.doc is None:
         while node.children:
             node = node.children[collins_head_child(node)]
         return node
-    path = []
-    while node.children and node._head is None:
-        path.append(node)
-        node = node.children[collins_head_child(node)]
-    head = node._head or node
-    for above in path:
-        above._head = head
-    return head
+    return node._head or node
 
 
 def dominates(a: SyntaxNode, b: SyntaxNode) -> bool:

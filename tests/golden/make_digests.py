@@ -1,0 +1,23 @@
+"""Regenerate ``digests.json``: the sha256 of each CLI output that
+``test_cli_output_matches_digests_under_every_single_flag`` checks.
+
+Run from the repository root, only when a change means to alter output:
+
+    PYTHONPATH=src python tests/golden/make_digests.py
+"""
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from helpers import GOLDEN, cli_digests  # noqa: E402
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        table = cli_digests(Path(tmp))
+    (GOLDEN / "digests.json").write_text(json.dumps(table, indent=1, sort_keys=True) + "\n",
+                                         encoding="utf-8")
+    print(f"wrote {len(table)} digests to {GOLDEN / 'digests.json'}")

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +14,7 @@ from pathlib import Path
 import coref
 from coref import (Clustering, DocumentInput, Mention, PipelineResult, ResolveConfig,
                    extract_mentions, link_document, read_ptb, run_pipeline)
+from coref.cli import _ABLATION_FLAGS, main
 from coref.cluster import from_entities
 
 # Three-sentence worked document: "John bought himself a book. Fred found out
@@ -163,3 +168,52 @@ def ablation_corpus() -> list[DocumentInput]:
             "gold_clusters": gold,
         }))
     return docs
+
+
+def write_corpus(tmp_path, docs):
+    """Write each of ``docs`` as one JSON file under ``tmp_path / "corpus"``."""
+    directory = tmp_path / "corpus"
+    directory.mkdir()
+    for doc in docs:
+        payload = {"id": doc.doc_id, "sentences": doc.sentences}
+        if doc.annotations:
+            payload["annotations"] = [
+                {"s": a.sentence_index, "t": a.token_index,
+                 "supersense": a.supersense, "ner": a.ner}
+                for a in doc.annotations]
+        if doc.gold_clusters is not None:
+            payload["gold_clusters"] = doc.gold_clusters
+        (directory / f"{doc.doc_id}.json").write_text(json.dumps(payload))
+    return directory
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def cli_digests(tmp_path) -> dict[str, dict[str, object]]:
+    """The sha256 of stdout and stderr, and the exit status, of ``resolve
+    --render``, ``score --gold --json`` and ``trace --gold`` on the ablation
+    corpus and on ``golden/long.jsonl``, under the default config and each
+    single ablation flag, run in-process.
+
+    Keys read ``"<command> | <corpus> | <flag or default>"``.
+    """
+    corpora = {"ablation": write_corpus(tmp_path, ablation_corpus()),
+               "long": GOLDEN / "long.jsonl"}
+    configs = [[]] + [[flag] for flag, _, _ in _ABLATION_FLAGS]
+    table = {}
+    for command in (["resolve", "--render"], ["score", "--gold", "--json"],
+                    ["trace", "--gold"]):
+        for corpus, path in corpora.items():
+            for config in configs:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    status = main([*command, *config, str(path)])
+                key = f"{' '.join(command)} | {corpus} | {' '.join(config) or 'default'}"
+                table[key] = {"stdout": _sha256(out.getvalue()),
+                              "stderr": _sha256(err.getvalue()), "status": status}
+    return table

@@ -16,7 +16,8 @@ from coref import (Decision, DocumentError, DocumentInput, Mention, MentionKind,
 from coref.cluster import from_entities
 from coref.cli import build_config, build_parser, load_documents, main
 from helpers import (EXAMPLE1_GOLD, EXAMPLE1_SENTENCES, ablation_corpus,
-                     pipeline, random_partition, run_cli, run_cli_twice)
+                     GOLDEN, cli_digests, pipeline, random_partition, run_cli,
+                     run_cli_twice, write_corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -299,22 +300,6 @@ def test_trace_report_matches_oracle_with_an_entity_of_2000_mentions():
 # Command line
 # ---------------------------------------------------------------------------
 
-def _write_corpus(tmp_path, docs):
-    directory = tmp_path / "corpus"
-    directory.mkdir()
-    for doc in docs:
-        payload = {"id": doc.doc_id, "sentences": doc.sentences}
-        if doc.annotations:
-            payload["annotations"] = [
-                {"s": a.sentence_index, "t": a.token_index,
-                 "supersense": a.supersense, "ner": a.ner}
-                for a in doc.annotations]
-        if doc.gold_clusters is not None:
-            payload["gold_clusters"] = doc.gold_clusters
-        (directory / f"{doc.doc_id}.json").write_text(json.dumps(payload))
-    return directory
-
-
 def test_build_config_flags_and_file(tmp_path):
     parser = build_parser()
     config_file = tmp_path / "cfg.json"
@@ -376,7 +361,7 @@ def test_load_documents_formats(tmp_path):
 
 
 def test_cli_resolve_output(tmp_path, capsys):
-    corpus = _write_corpus(tmp_path, ablation_corpus()[:1])
+    corpus = write_corpus(tmp_path, ablation_corpus()[:1])
     code = main(["resolve", "--render", str(corpus)])
     captured = capsys.readouterr()
     assert code == 0
@@ -386,14 +371,14 @@ def test_cli_resolve_output(tmp_path, capsys):
 
 
 def test_cli_score_gold_required(tmp_path, capsys):
-    corpus = _write_corpus(tmp_path, ablation_corpus()[:1])
+    corpus = write_corpus(tmp_path, ablation_corpus()[:1])
     code = main(["score", str(corpus)])
     assert code == 2
     assert "requires --gold" in capsys.readouterr().err
 
 
 def test_cli_score_json_report(tmp_path, capsys):
-    corpus = _write_corpus(tmp_path, ablation_corpus())
+    corpus = write_corpus(tmp_path, ablation_corpus())
     code = main(["score", "--gold", "--json", str(corpus)])
     captured = capsys.readouterr()
     assert code == 0
@@ -405,7 +390,7 @@ def test_cli_score_json_report(tmp_path, capsys):
 
 
 def test_cli_trace_text(tmp_path, capsys):
-    corpus = _write_corpus(tmp_path, ablation_corpus())
+    corpus = write_corpus(tmp_path, ablation_corpus())
     code = main(["trace", "--gold", str(corpus)])
     captured = capsys.readouterr()
     assert code == 0
@@ -426,7 +411,7 @@ def _doc_ids(out):
     (["trace", "--gold"], lambda out: "total\t5" in out.splitlines()),
 ], ids=["resolve", "score", "trace"])
 def test_cli_continues_after_bad_document(tmp_path, capsys, argv, survivors):
-    corpus = _write_corpus(tmp_path, ablation_corpus()[:2])
+    corpus = write_corpus(tmp_path, ablation_corpus()[:2])
     (corpus / "aa-broken.json").write_text(json.dumps(
         {"id": "aa-broken", "sentences": ["(S (NP"]}))
     code = main([*argv, str(corpus)])
@@ -615,7 +600,7 @@ def test_cli_bad_config_is_reported_without_traceback(tmp_path, config):
         path.write_bytes(config)
     else:
         path.write_text(config)
-    corpus = _write_corpus(tmp_path, ablation_corpus()[:1])
+    corpus = write_corpus(tmp_path, ablation_corpus()[:1])
     run = run_cli(["resolve", "--config", "cfg.json", str(corpus)], tmp_path)
     err = run.stderr.decode()
     assert run.returncode == 2
@@ -623,9 +608,6 @@ def test_cli_bad_config_is_reported_without_traceback(tmp_path, config):
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert run.stdout == b""
-
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize("name, argv, broken", [
@@ -648,7 +630,7 @@ def test_cli_output_matches_golden_bytes(tmp_path, capsys, name, argv, broken):
     if name.endswith("_long"):
         path = GOLDEN / "long.jsonl"
     else:
-        path = _write_corpus(tmp_path, ablation_corpus())
+        path = write_corpus(tmp_path, ablation_corpus())
     if broken:
         (path / "synth-05-broken.json").write_text(json.dumps(
             {"id": "synth-05-broken", "sentences": ["(S (NP"]}))
@@ -657,6 +639,18 @@ def test_cli_output_matches_golden_bytes(tmp_path, capsys, name, argv, broken):
     assert captured.out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     expected_err = (GOLDEN / f"{name}.err").read_text(encoding="utf-8") if broken else ""
     assert captured.err == expected_err
+
+
+def test_cli_output_matches_digests_under_every_single_flag(tmp_path):
+    """stdout, stderr and exit status of ``resolve --render``, ``score --gold
+    --json`` and ``trace --gold`` on the ablation corpus and ``long.jsonl``,
+    under the default config and each ablation flag, match the sha256
+    digests in ``tests/golden/digests.json``. A change that means to alter
+    output regenerates them with ``tests/golden/make_digests.py``."""
+    expected = json.loads((GOLDEN / "digests.json").read_text(encoding="utf-8"))
+    actual = cli_digests(tmp_path)
+    assert sorted(actual) == sorted(expected)
+    assert [key for key in expected if actual[key] != expected[key]] == []
 
 
 _FUZZ_VALUES = [None, True, -1, 1.5, 10**30, float("inf"), float("nan"), "",
@@ -734,7 +728,7 @@ def test_cli_survives_seeded_fuzzed_inputs(tmp_path, capsys):
 
 def test_resources_env_var_override(tmp_path, capsys, monkeypatch,
                                     fixture_resources):
-    corpus = _write_corpus(tmp_path, ablation_corpus()[:1])
+    corpus = write_corpus(tmp_path, ablation_corpus()[:1])
     monkeypatch.setenv("COREF_RESOURCES", str(fixture_resources))
     assert main(["resolve", str(corpus)]) == 0
     capsys.readouterr()
@@ -744,7 +738,7 @@ def test_resources_env_var_override(tmp_path, capsys, monkeypatch,
 
 
 def test_cli_trace_min_pronoun_count(tmp_path, capsys):
-    corpus = _write_corpus(tmp_path, ablation_corpus())
+    corpus = write_corpus(tmp_path, ablation_corpus())
     code = main(["trace", "--gold", "--min-pronoun-count", "6", str(corpus)])
     captured = capsys.readouterr()
     assert code == 0
@@ -765,7 +759,7 @@ def test_console_script_declared_target_runs(tmp_path):
     assert scripts["coref"] == "coref.cli:main"
     module, function = scripts["coref"].split(":")
     wrapper = f"import sys; from {module} import {function}; sys.exit({function}())"
-    corpus = _write_corpus(tmp_path, ablation_corpus()[:1])
+    corpus = write_corpus(tmp_path, ablation_corpus()[:1])
     run = run_cli(["resolve", str(corpus)], tmp_path,
                   program=(sys.executable, "-c", wrapper))
     assert run.returncode == 0, run.stderr.decode()
@@ -775,14 +769,14 @@ def test_console_script_declared_target_runs(tmp_path):
 @pytest.mark.skipif(shutil.which("coref") is None,
                     reason="no installed coref executable on PATH")
 def test_console_script_entry_point(tmp_path):
-    corpus = _write_corpus(tmp_path, ablation_corpus()[:1])
+    corpus = write_corpus(tmp_path, ablation_corpus()[:1])
     run = run_cli(["resolve", str(corpus)], tmp_path, program=("coref",))
     assert run.returncode == 0, run.stderr.decode()
     assert run.stdout.startswith(b"synth-00\t")
 
 
 def test_cli_byte_identical_runs(tmp_path):
-    corpus = _write_corpus(tmp_path, ablation_corpus())
+    corpus = write_corpus(tmp_path, ablation_corpus())
     commands = [
         ["resolve", "--render", str(corpus)],
         ["score", "--gold", "--json", str(corpus)],

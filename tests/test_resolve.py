@@ -15,6 +15,7 @@ from coref import (Decision, Gender, Mention, MentionIndex, MentionKind, Number,
                    filter_pronoun, head_leaf, initial_adjuncts, read_ptb,
                    reflexive_subject, resolve_document, select_antecedent,
                    type_compatible)
+from coref.mention import _PROFILES
 from coref.resolve import is_second_person
 from helpers import (EXAMPLE1_SENTENCES, decision_for, doc_with_mentions,
                      mention_with_head, pipeline)
@@ -669,7 +670,7 @@ def test_path_distance_calls_per_mention_stay_flat_on_a_long_document(lex, monke
 
 
 def test_linked_node_facts_match_their_walks_on_random_documents(lex, fixture_lex):
-    """Memoised heads, sliced tokens and per-sentence profile cues give what
+    """Build-time heads, sliced tokens and per-sentence profile cues give what
     walking each node, and profiling each mention on its own over an
     unlinked copy of its sentence, give."""
     documents = _random_documents(20261018, 24) + [(_EXTRA_SENTENCES, [], None)]
@@ -705,6 +706,7 @@ def test_linked_node_facts_match_their_walks_on_random_documents(lex, fixture_le
                     assert copy.node.doc is None and copy.tokens() == m.tokens()
                     assert m.profile == build_profile(copy, index, lexicon,
                                                       use_word_lists=use_word_lists)
+                    assert m.profile is _PROFILES[m.profile]  # shared, not built
         pairs += here
     # One call over the mentions of many documents.
     attach_profiles([m for m, _ in pairs], {}, lex)

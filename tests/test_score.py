@@ -209,6 +209,15 @@ def test_b_cubed_macro_averages_p_and_r_before_f():
     assert score.f1 == pytest.approx(0.75)
 
 
+def test_b_cubed_macro_adds_left_to_right_on_every_python():
+    """Ten 0.1s add up to 0.9999999999999999 left to right; the compensated
+    sum() of Python 3.12 and later gives 1.0, which would change the
+    report's last digits by interpreter."""
+    score = b_cubed_macro([(0.1, 0.3)] * 10)
+    assert (score.precision, score.recall) == (0.9999999999999999 / 10,
+                                               2.9999999999999996 / 10)
+
+
 def test_b_cubed_macro_empty_is_an_error():
     with pytest.raises(ValueError):
         b_cubed_macro([])

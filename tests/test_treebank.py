@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import coref.treebank
 from coref import (DOCLINK, DocumentError, DocumentInput, PtbParseError,
                    SyntaxNode, collins_head_child, dominates, head_leaf,
                    link_document, path_distance, read_document, read_ptb,
@@ -273,6 +274,89 @@ def test_head_leaf_dominated_by_node_on_random_trees():
             assert dominates(node, head_leaf(node))
 
 
+def _walked_head(node):
+    while node.children:
+        node = node.children[collins_head_child(node)]
+    return node
+
+
+def _count_head_children(monkeypatch):
+    """Count the calls made to ``collins_head_child`` through its module."""
+    calls = [0]
+    head_child = coref.treebank.collins_head_child
+
+    def counted(node):
+        calls[0] += 1
+        return head_child(node)
+
+    monkeypatch.setattr(coref.treebank, "collins_head_child", counted)
+    return calls
+
+
+def _random_document(rng):
+    return [_random_sentence(rng) for _ in range(rng.choice([1, 2, rng.randint(3, 8)]))]
+
+
+def test_builders_set_the_heads_a_walk_finds_on_random_documents():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        sentences = _random_document(rng)
+        for doc in (read_document(sentences), parse_doc(*sentences)):
+            assert any(node.label == DOCLINK for node in doc.nodes) == (len(sentences) > 1)
+            for node in doc.nodes:
+                assert head_leaf(node) is _walked_head(node)
+                if not node.children:
+                    assert node._head is None  # a leaf naming itself would be a cycle
+        for root in read_ptb(" ".join(sentences)):
+            assert all(node._head is None for node in root.walk())
+
+
+def test_a_document_of_seen_productions_computes_no_head_child(monkeypatch):
+    sentences = ["(S (NP (DT The) (NN dog)) (VP (VBD saw) (NP (NNP John))) (. .))",
+                 "(S (NP (PRP He)) (VP (VBD ran)) (. .))"]
+    read_document(sentences)
+    calls = _count_head_children(monkeypatch)
+    again = ["(S (NP (DT A) (NN cat)) (VP (VBD met) (NP (NNP Mary))) (. .))",
+             "(S (NP (PRP She)) (VP (VBD left)) (. .))"]
+    for doc in (read_document(again), parse_doc(*again)):
+        assert calls[0] == 0
+        assert [head_leaf(root).token for root in doc.sentence_roots] == ["met", "left"]
+        assert head_leaf(doc.root).token == "left"
+
+
+def test_head_table_stops_growing_at_its_bound(monkeypatch):
+    monkeypatch.setattr(coref.treebank, "_HEAD_TABLE", {})
+    monkeypatch.setattr(coref.treebank, "_head_table_labels", 0)
+    monkeypatch.setattr(coref.treebank, "_HEAD_TABLE_LABELS", 12)
+    rng = random.Random(11)
+    for _ in range(30):
+        sentences = _random_document(rng)
+        doc = read_document(sentences)
+        table = coref.treebank._HEAD_TABLE
+        assert sum(map(len, table)) == coref.treebank._head_table_labels <= 12
+        assert all(head_leaf(node) is _walked_head(node) for node in doc.nodes)
+    assert table
+    # A production the table has no room for is computed every time.
+    wide = "(NP " + " ".join(f"(NN w{i})" for i in range(12)) + ")"
+    calls = _count_head_children(monkeypatch)
+    for _ in range(2):
+        assert head_leaf(read_document([wide]).root).token == "w11"
+    assert calls[0] == 2
+    assert ("NP",) + ("NN",) * 12 not in table
+
+
+def test_leaves_of_a_read_document_share_one_children_tuple():
+    rng = random.Random(5)
+    doc = read_document(_random_document(rng) + ["(S (NP (NN a)) (VP (VBD b)))"])
+    leaves = [node for node in doc.nodes if node.is_leaf()]
+    interior = [node for node in doc.nodes if not node.is_leaf()]
+    assert len({id(leaf.children) for leaf in leaves}) == 1
+    assert leaves[0].children == ()
+    assert len({id(node.children) for node in interior}) == len(interior)
+    assert all(type(node.children) is list for node in interior)
+    assert SyntaxNode("NN", token="a").children == []
+
+
 # ---------------------------------------------------------------------------
 # Dominance and linking
 # ---------------------------------------------------------------------------
@@ -407,7 +491,8 @@ def _facts(doc):
         return None if node is None else node.node_id
     return [(node.label, node.token, node.span, node.node_id, node.depth,
              node.sentence_index, node._post, node_id(node.parent),
-             [child.node_id for child in node.children], node.doc is doc.key)
+             [child.node_id for child in node.children], node.doc is doc.key,
+             node_id(node._head))
             for node in doc.nodes]
 
 

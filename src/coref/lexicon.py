@@ -76,14 +76,6 @@ class Lexicon(NamedTuple):
     def is_copula(self, word: str) -> bool:
         return word.casefold() in self.copulas
 
-    def counts(self) -> dict[str, int]:
-        return {
-            "first_names": len(self.first_names),
-            "titles": len(self.titles),
-            "pronouns": len(self.pronouns),
-            "copulas": len(self.copulas),
-        }
-
 
 def _normalize_title(word: str) -> str:
     return word.casefold().rstrip(".")

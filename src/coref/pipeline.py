@@ -124,9 +124,7 @@ class PipelineResult(Record):
 
 
 def run_pipeline(document: DocumentInput, cfg: Optional[ResolveConfig] = None,
-                 lex: Optional[Lexicon] = None,
-                 candidate_log: Optional[dict[int, frozenset[int]]] = None
-                 ) -> PipelineResult:
+                 lex: Optional[Lexicon] = None) -> PipelineResult:
     """Read the linked tree, find and type mentions, resolve, and cluster one
     document.
 
@@ -155,7 +153,7 @@ def run_pipeline(document: DocumentInput, cfg: Optional[ResolveConfig] = None,
         raise DocumentError(document.doc_id, str(err)) from err
     attach_profiles(mentions, annotation_index(document.annotations), lex,
                     use_word_lists=cfg.use_word_lists)
-    decisions = resolve_document(doc, mentions, lex, cfg, candidate_log)
+    decisions = resolve_document(doc, mentions, lex, cfg)
     clustering = transitive_closure(decisions, [m.mention_id for m in mentions])
     return PipelineResult(input=document, tree=doc, mentions=mentions,
                           decisions=decisions, clustering=clustering)

@@ -11,7 +11,7 @@ import re
 import weakref
 from itertools import islice
 from operator import length_hint
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 #: Label of the synthetic nodes that join sentence trees.
 DOCLINK = "DOCLINK"
@@ -69,10 +69,6 @@ class SyntaxNode:
     def parent(self) -> Optional["SyntaxNode"]:
         return None if self._up is None else self._up()
 
-    @parent.setter
-    def parent(self, node: Optional["SyntaxNode"]) -> None:
-        self._up = None if node is None else weakref.ref(node)
-
     def is_leaf(self) -> bool:
         return not self.children
 
@@ -113,67 +109,28 @@ class DocumentTree:
     """Sentence trees joined under right-branching DOCLINK nodes.
 
     With k sentences there are max(k-1, 0) link nodes. An empty document
-    has ``root is None``. The sentence trees must come from ``read_ptb``,
-    whose spans number the leaves of each sentence left to right.
-
-    Construction sets every node's ``node_id`` (its preorder index in
-    ``nodes``), ``depth``, ``_post``, ``sentence_index`` (-1 on link nodes)
-    and, on interior nodes, the head leaf ``head_leaf`` returns, and sets
-    its ``doc`` to this tree's ``key``: the list of each sentence's tokens,
-    filled by the same pass. Nodes refer to the key, not to the tree, so
-    that no reference cycle keeps a dropped document alive.
-    ``read_document`` builds the same tree as it reads, without these
-    passes.
+    has ``root is None``. ``read_document`` and ``link_document`` build it;
+    both set every node's ``node_id`` (its preorder index in ``nodes``),
+    ``depth``, ``_post``, ``sentence_index`` (-1 on link nodes) and, on
+    interior nodes, the head leaf ``head_leaf`` returns, and set its ``doc``
+    to ``key``: the list of each sentence's tokens. Nodes refer to the key,
+    not to the tree, so that no reference cycle keeps a dropped document
+    alive.
 
     The nodes a ``DocumentTree`` owns are immutable from then on: no label,
-    token, child or span changes. ``head_leaf`` reads the heads set here,
-    and ``SyntaxNode.tokens`` slices ``key``, on that condition.
+    token, child or span changes. ``head_leaf`` reads the heads set when
+    the tree was built, and ``SyntaxNode.tokens`` slices ``key``, on that
+    condition.
     """
 
-    def __init__(self, sentence_roots: Sequence[SyntaxNode],
-                 link_nodes: Sequence[SyntaxNode],
-                 root: Optional[SyntaxNode]):
-        self.sentence_roots = tuple(sentence_roots)
-        self.link_nodes = tuple(link_nodes)
+    def __init__(self, sentence_roots: tuple[SyntaxNode, ...],
+                 link_nodes: tuple[SyntaxNode, ...], root: Optional[SyntaxNode],
+                 key: list[list[str]], nodes: list[SyntaxNode]):
+        self.sentence_roots = sentence_roots
+        self.link_nodes = link_nodes
         self.root = root
-        self.key: list[list[str]] = [[] for _ in self.sentence_roots]
-        self.nodes: list[SyntaxNode] = []
-        for i, sentence in enumerate(self.sentence_roots):
-            sentence.sentence_index = i
-        # One preorder pass numbers the nodes and copies depth and sentence
-        # index down; leaves arrive in sentence order, each sentence's left
-        # to right. A node below a sentence root takes its parent's index.
-        key, nodes = self.key, self.nodes
-        stack = []
-        if root is not None:
-            root.depth = 0
-            stack.append(root)
-        while stack:
-            node = stack.pop()
-            node.node_id = len(nodes)
-            node.doc = key
-            nodes.append(node)
-            children = node.children
-            if not children:
-                key[node.sentence_index].append(node.token)
-                continue
-            depth, sentence_index = node.depth + 1, node.sentence_index
-            for child in children:
-                child.depth = depth
-                if sentence_index >= 0:
-                    child.sentence_index = sentence_index
-            stack.extend(reversed(children))
-        # _post is the first number past the subtree, so dominance is an
-        # interval test; a subtree ends where its last child's does. Heads
-        # too are set children first.
-        for node in reversed(nodes):
-            children = node.children
-            if children:
-                node._post = children[-1]._post
-                child = children[_head_index(node)]
-                node._head = child._head or child
-            else:
-                node._post = node.node_id + 1
+        self.key = key
+        self.nodes = nodes
 
 
 #: One PTB token. A whole preterminal ``(TAG word)`` is one token, with the
@@ -322,25 +279,22 @@ def read_ptb(text: str) -> list[SyntaxNode]:
     return _read_trees(text, [])[0]
 
 
-def read_document(sentences: Sequence[str]) -> DocumentTree:
-    """Read one bracketed tree per sentence into a linked document tree.
+def _join(count: int, read_one: Callable[..., tuple[SyntaxNode, list[str]]]) -> DocumentTree:
+    """Join ``count`` sentence trees under right-branching DOCLINK nodes.
 
-    The result equals ``link_document([read_ptb(s)[0] for s in sentences])``
-    node for node, but each node is built once, with all of its document
-    facts: the DOCLINK node that joins sentence i to the rest is numbered
-    just before that sentence's root, at depth i, as in the linked preorder.
-
-    Raises ValueError on the first sentence that is not exactly one tree:
-    ``sentence i: <PtbParseError text>``, or, when the whole sentence
-    reads, ``sentence i: expected one tree, found N``.
+    ``read_one(i, nodes, key, depth, up)`` returns sentence i's root and its
+    tokens, having appended the sentence's nodes to ``nodes`` in preorder
+    with every fact set: the root at ``depth``, under the weak reference
+    ``up``, and ``doc`` set to ``key``. The link node that joins sentence i
+    to the rest is numbered just before that sentence's root, at depth i.
     """
     key: list[list[str]] = []
     nodes: list[SyntaxNode] = []
     roots: list[SyntaxNode] = []
     links: list[SyntaxNode] = []
-    last = len(sentences) - 1
+    last = count - 1
     up = None
-    for i, text in enumerate(sentences):
+    for i in range(count):
         if i < last:
             link = SyntaxNode(DOCLINK)
             link._up = up
@@ -352,28 +306,39 @@ def read_document(sentences: Sequence[str]) -> DocumentTree:
                 links[-1].children.append(link)
             links.append(link)
             up = weakref.ref(link)
-        try:
-            trees, rows = _read_trees(text, nodes, key, i, i + (i < last), up)
-        except PtbParseError as err:
-            raise ValueError(f"sentence {i}: {err}") from err
-        if len(trees) != 1:
-            raise ValueError(f"sentence {i}: expected one tree, found {len(trees)}")
-        root = trees[0]
+        root, row = read_one(i, nodes, key, i + (i < last), up)
         roots.append(root)
-        key.append(rows[0])
+        key.append(row)
         if links:
             links[-1].children.append(root)
     for link in reversed(links):  # bottom up: a link's head is the one below's
         link._post = len(nodes)
         child = link.children[_head_index(link)]
         link._head = child._head or child
-    doc = DocumentTree.__new__(DocumentTree)
-    doc.sentence_roots = tuple(roots)
-    doc.link_nodes = tuple(links)
-    doc.root = links[0] if links else roots[0] if roots else None
-    doc.key = key
-    doc.nodes = nodes
-    return doc
+    return DocumentTree(tuple(roots), tuple(links),
+                        links[0] if links else roots[0] if roots else None, key, nodes)
+
+
+def read_document(sentences: Sequence[str]) -> DocumentTree:
+    """Read one bracketed tree per sentence into a linked document tree.
+
+    The result equals ``link_document([read_ptb(s)[0] for s in sentences])``
+    node for node, but each node is built once, with all of its document
+    facts, as the sentence is read.
+
+    Raises ValueError on the first sentence that is not exactly one tree:
+    ``sentence i: <PtbParseError text>``, or, when the whole sentence
+    reads, ``sentence i: expected one tree, found N``.
+    """
+    def read_one(i, nodes, key, depth, up):
+        try:
+            trees, rows = _read_trees(sentences[i], nodes, key, i, depth, up)
+        except PtbParseError as err:
+            raise ValueError(f"sentence {i}: {err}") from err
+        if len(trees) != 1:
+            raise ValueError(f"sentence {i}: expected one tree, found {len(trees)}")
+        return trees[0], rows[0]
+    return _join(len(sentences), read_one)
 
 
 def to_ptb(node: SyntaxNode) -> str:
@@ -532,23 +497,41 @@ def link_document(trees: Sequence[SyntaxNode]) -> DocumentTree:
     """Join sentence trees into one right-branching document tree.
 
     link(S1, link(S2, ... Sk)): each DOCLINK node has a sentence as its left
-    child and the linked remainder as its right child.
+    child and the linked remainder as its right child. The trees must come
+    from ``read_ptb``, whose spans number the leaves of each sentence left
+    to right. They become the document's nodes: a preorder walk over each,
+    and a sweep back up it, set their document facts.
     """
-    trees = list(trees)
-    if not trees:
-        return DocumentTree([], [], None)
-    if len(trees) == 1:
-        return DocumentTree(trees, [], trees[0])
-    links: list[SyntaxNode] = []
-    spine = trees[-1]
-    for tree in reversed(trees[:-1]):
-        link = SyntaxNode(DOCLINK, children=[tree, spine])
-        tree.parent = link
-        spine.parent = link
-        links.append(link)
-        spine = link
-    links.reverse()  # top-down order
-    return DocumentTree(trees, links, spine)
+    def adopt(i, nodes, key, depth, up):
+        root = trees[i]
+        root._up = up
+        root.depth = depth
+        row: list[str] = []
+        first = len(nodes)
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            node.node_id = len(nodes)
+            node.sentence_index = i
+            node.doc = key
+            nodes.append(node)
+            children = node.children
+            if not children:
+                row.append(node.token)
+                continue
+            for child in children:
+                child.depth = node.depth + 1
+            stack.extend(reversed(children))
+        for node in reversed(nodes[first:]):  # children first: _post and heads come from them
+            children = node.children
+            if children:
+                node._post = children[-1]._post
+                child = children[_head_index(node)]
+                node._head = child._head or child
+            else:
+                node._post = node.node_id + 1
+        return root, row
+    return _join(len(trees), adopt)
 
 
 def path_distance(a: SyntaxNode, b: SyntaxNode, doc: DocumentTree) -> int:

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -93,8 +94,7 @@ def doc_with_mentions(*sentences):
 
 
 def pipeline(sentences, annotations=None, gold_mentions=None, gold_clusters=None,
-             cfg=None, lex=None, doc_id="test",
-             candidate_log=None) -> PipelineResult:
+             cfg=None, lex=None, doc_id="test") -> PipelineResult:
     document = DocumentInput(doc_id=doc_id, sentences=list(sentences))
     if annotations:
         document.annotations = list(annotations)
@@ -102,8 +102,7 @@ def pipeline(sentences, annotations=None, gold_mentions=None, gold_clusters=None
         document.gold_mentions = list(gold_mentions)
     if gold_clusters is not None:
         document.gold_clusters = [list(c) for c in gold_clusters]
-    return run_pipeline(document, cfg or ResolveConfig(), lex,
-                        candidate_log=candidate_log)
+    return run_pipeline(document, cfg or ResolveConfig(), lex)
 
 
 def mention_with_head(mentions, head_word, occurrence=0) -> Mention:
@@ -194,21 +193,34 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def flag_combinations() -> list[list[str]]:
+    """A fixed sample of 8 combinations of 2-4 ablation flags, in CLI order,
+    drawn by a seeded generator."""
+    rng = random.Random(12)
+    flags = [flag for flag, _, _ in _ABLATION_FLAGS]
+    return [[flags[i] for i in sorted(rng.sample(range(len(flags)), rng.randint(2, 4)))]
+            for _ in range(8)]
+
+
 def cli_digests(tmp_path) -> dict[str, dict[str, object]]:
     """The sha256 of stdout and stderr, and the exit status, of ``resolve
-    --render``, ``score --gold --json`` and ``trace --gold`` on the ablation
-    corpus and on ``golden/long.jsonl``, under the default config and each
-    single ablation flag, run in-process.
+    --render``, ``score --gold --json`` and ``trace --gold``, run in-process.
 
-    Keys read ``"<command> | <corpus> | <flag or default>"``.
+    The ablation corpus and ``golden/long.jsonl`` run under the default
+    config, each single ablation flag and each of ``flag_combinations``;
+    ``golden/bad.jsonl`` (one document per kind of bad sentence, and one
+    good document) runs under the default config and each single flag.
+    Keys read ``"<command> | <corpus> | <flags or default>"``.
     """
-    corpora = {"ablation": write_corpus(tmp_path, ablation_corpus()),
-               "long": GOLDEN / "long.jsonl"}
-    configs = [[]] + [[flag] for flag, _, _ in _ABLATION_FLAGS]
+    singles = [[]] + [[flag] for flag, _, _ in _ABLATION_FLAGS]
+    sampled = singles + flag_combinations()
+    runs = {"ablation": (write_corpus(tmp_path, ablation_corpus()), sampled),
+            "long": (GOLDEN / "long.jsonl", sampled),
+            "bad": (GOLDEN / "bad.jsonl", singles)}
     table = {}
     for command in (["resolve", "--render"], ["score", "--gold", "--json"],
                     ["trace", "--gold"]):
-        for corpus, path in corpora.items():
+        for corpus, (path, configs) in runs.items():
             for config in configs:
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -11,8 +11,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from coref import (Gender, MentionKind, PairCounts, ResolveConfig, Rule,
-                   b_cubed_doc, gold_clustering, pairwise_counts,
-                   pairwise_micro, run_pipeline, transitive_closure)
+                   b_cubed_doc, default_lexicon, gold_clustering, pairwise_counts,
+                   pairwise_micro, resolve_document, run_pipeline, transitive_closure)
 from coref.cluster import from_entities
 from coref.resolve import Decision
 from helpers import (EXAMPLE1_GOLD, EXAMPLE1_SENTENCES, ablation_corpus,
@@ -333,8 +333,9 @@ def _config_for_flags(*flags):
 def _corpus_results(cfg):
     results = []
     for document in ablation_corpus():
+        result = run_pipeline(document, cfg)
         candidate_log = {}
-        result = run_pipeline(document, cfg, candidate_log=candidate_log)
+        resolve_document(result.tree, result.mentions, default_lexicon(), cfg, candidate_log)
         results.append((document, result, candidate_log))
     return results
 

@@ -471,12 +471,14 @@ def test_never_resolve_second_person(fixture_lex):
 
 
 def test_ablation_only_grows_candidate_sets(fixture_lex):
+    base = pipeline(EXAMPLE1_SENTENCES, lex=fixture_lex)
     base_log = {}
-    pipeline(EXAMPLE1_SENTENCES, lex=fixture_lex, candidate_log=base_log)
+    resolve_document(base.tree, base.mentions, fixture_lex, ResolveConfig(), base_log)
     for flag in ("check_gender", "check_personhood", "check_number"):
+        cfg = ResolveConfig(**{flag: False})
+        result = pipeline(EXAMPLE1_SENTENCES, cfg=cfg, lex=fixture_lex)
         log = {}
-        pipeline(EXAMPLE1_SENTENCES, cfg=ResolveConfig(**{flag: False}),
-                 lex=fixture_lex, candidate_log=log)
+        resolve_document(result.tree, result.mentions, fixture_lex, cfg, log)
         assert set(log) == set(base_log)
         for mid, candidates in base_log.items():
             assert candidates <= log[mid]

@@ -390,11 +390,35 @@ def test_dominates_across_documents_is_an_error():
         dominates(unlinked, unlinked.children[0])
 
 
-def test_dominance_and_depth_follow_parent_chain_on_random_documents():
+def _link_read_trees(texts):
+    return link_document([read_ptb(text)[0] for text in texts])
+
+
+@pytest.mark.parametrize("build", [read_document, _link_read_trees],
+                         ids=["read_document", "link_document"])
+def test_dominance_and_depth_follow_parent_chain_on_random_documents(build):
+    """Each node's number, depth, extent, sentence and tokens, and the
+    DOCLINK spine, against walks of the built tree, for both builders."""
     rng = random.Random(20261018)
     for _ in range(25):
         texts = [to_ptb(_random_tree(rng)) for _ in range(rng.randint(1, 5))]
-        doc = link_document(read_ptb(" ".join(texts)))
+        doc = build(texts)
+        assert list(doc.root.walk()) == doc.nodes
+        for index, node in enumerate(doc.nodes):
+            assert node.node_id == index
+            assert node._post == index + sum(1 for _ in node.walk())
+            parent = node.parent
+            assert node.depth == (0 if parent is None else parent.depth + 1)
+        roots, links = doc.sentence_roots, doc.link_nodes
+        assert len(roots) == len(texts) and len(links) == len(texts) - 1
+        assert doc.root is (links[0] if links else roots[0])
+        for i, link in enumerate(links):
+            assert (link.label, link.depth, link.sentence_index) == (DOCLINK, i, -1)
+            rest = links[i + 1] if i + 1 < len(links) else roots[-1]
+            assert link.children == [roots[i], rest]
+        for i, root in enumerate(roots):
+            assert {node.sentence_index for node in root.walk()} == {i}
+            assert doc.key[i] == [leaf.token for leaf in root.leaves()]
         for b in doc.nodes:
             chain = []
             node = b

@@ -40,6 +40,10 @@ class SyntaxNode:
     build share one empty tuple as ``children``; every other node gets a
     list.
 
+    An interior node gets its head leaf (see ``head_leaf``) when it is made:
+    from ``children`` here, or from its children as the reader closes it. So
+    its label and children must not change afterwards.
+
     A node keeps its subtree alive, not its ancestors: ``parent`` is a weak
     reference, so the tree holds no reference cycle and a document is freed
     as soon as its ``DocumentTree`` and root are dropped. Once they are,
@@ -62,8 +66,10 @@ class SyntaxNode:
         self.depth = 0
         self.doc: Optional[list[list[str]]] = None  # the owning DocumentTree's key
         self._post = -1
-        # The head leaf of an interior node a DocumentTree owns; None on leaves
-        self._head: Optional[SyntaxNode] = None
+        self._head: Optional[SyntaxNode] = None  # the head leaf; None on leaves
+        if self.children:
+            child = self.children[_head_index(self)]
+            self._head = child._head or child
 
     @property
     def parent(self) -> Optional["SyntaxNode"]:
@@ -111,16 +117,14 @@ class DocumentTree:
     With k sentences there are max(k-1, 0) link nodes. An empty document
     has ``root is None``. ``read_document`` and ``link_document`` build it;
     both set every node's ``node_id`` (its preorder index in ``nodes``),
-    ``depth``, ``_post``, ``sentence_index`` (-1 on link nodes) and, on
-    interior nodes, the head leaf ``head_leaf`` returns, and set its ``doc``
-    to ``key``: the list of each sentence's tokens. Nodes refer to the key,
-    not to the tree, so that no reference cycle keeps a dropped document
-    alive.
+    ``depth``, ``_post`` and ``sentence_index`` (-1 on link nodes), and set
+    its ``doc`` to ``key``: the list of each sentence's tokens. Nodes refer
+    to the key, not to the tree, so that no reference cycle keeps a dropped
+    document alive.
 
     The nodes a ``DocumentTree`` owns are immutable from then on: no label,
-    token, child or span changes. ``head_leaf`` reads the heads set when
-    the tree was built, and ``SyntaxNode.tokens`` slices ``key``, on that
-    condition.
+    token, child or span changes. ``SyntaxNode.tokens`` slices ``key`` on
+    that condition.
     """
 
     def __init__(self, sentence_roots: tuple[SyntaxNode, ...],
@@ -169,9 +173,9 @@ def _read_trees(text: str, nodes: list[SyntaxNode], doc: Optional[list[list[str]
     ``nodes`` in preorder (``node_id`` is its index there, ``_post`` the
     length when it closes), its ``depth`` counts from ``depth`` at a root,
     and it takes ``doc`` and ``sentence_index``. A root's parent is ``up``.
-    Spans number the leaves of each tree from 0. When ``doc`` is given the
-    nodes are final, so each interior node also gets its head leaf as it
-    closes. Raises PtbParseError as ``read_ptb`` documents.
+    Spans number the leaves of each tree from 0, and each interior node gets
+    its head leaf as it closes. Raises PtbParseError as ``read_ptb``
+    documents.
     """
     ref = weakref.ref
     new = object.__new__  # every slot is set below, so skip __init__'s defaults
@@ -227,9 +231,8 @@ def _read_trees(text: str, nodes: list[SyntaxNode], doc: Optional[list[list[str]
                                 text, tokens, rest)
             node.span = (children[0].span[0], children[-1].span[1])
             node._post = len(nodes)
-            if doc is not None:
-                child = children[_head_index(node)]
-                node._head = child._head or child
+            child = children[_head_index(node)]
+            node._head = child._head or child
             depth -= 1
             if stack:
                 parent = stack[-1]
@@ -273,8 +276,10 @@ def read_ptb(text: str) -> list[SyntaxNode]:
     unbalanced parentheses, an empty label, a node with no content, or
     empty input, naming the byte offset of the problem.
 
-    The trees belong to no document (``doc`` is None) until
-    ``link_document`` joins them into one.
+    Every node carries the facts a document needs, counted within
+    ``text``: its preorder ``node_id``, ``_post``, ``depth`` from 0 at its
+    root, and its head leaf. The trees belong to no document (``doc`` is
+    None) until ``link_document`` re-bases them into one.
     """
     return _read_trees(text, [])[0]
 
@@ -368,80 +373,55 @@ def to_ptb(node: SyntaxNode) -> str:
 # ---------------------------------------------------------------------------
 # Collins head rules
 #
-# Priority lists from the standard head-percolation table; "left" scans the
-# priority list against children left-to-right, "right" right-to-left. NP has
-# its own rule below. Categories not listed fall back to the rightmost child.
+# Each category's rule is a sequence of passes (direction, labels): "left"
+# scans the children left to right and "right" right to left; the first
+# child whose label is in ``labels`` is the head. Most categories' rules are
+# priority lists from the standard head-percolation table. Unlisted
+# categories and unmatched nodes take the rightmost child.
 # ---------------------------------------------------------------------------
 
-_HEAD_RULES: dict[str, tuple[str, tuple[str, ...]]] = {
-    "S": ("left", ("TO", "IN", "VP", "S", "SBAR", "ADJP", "UCP", "NP")),
-    "SBAR": ("left", ("WHNP", "WHPP", "WHADVP", "WHADJP", "IN", "DT", "S",
-                      "SQ", "SINV", "SBAR", "FRAG")),
-    "VP": ("left", ("TO", "VBD", "VBN", "MD", "VBZ", "VB", "VBG", "VBP",
-                    "AUX", "AUXG", "VP", "ADJP", "NN", "NNS", "NP")),
-    "PP": ("right", ("IN", "TO", "VBG", "VBN", "RP", "FW")),
-    "ADJP": ("left", ("NNS", "QP", "NN", "$", "ADVP", "JJ", "VBN", "VBG",
-                      "ADJP", "JJR", "NP", "JJS", "DT", "FW", "RBR", "RBS",
-                      "SBAR", "RB")),
-    "ADVP": ("right", ("RB", "RBR", "RBS", "FW", "ADVP", "TO", "CD", "JJR",
-                       "JJ", "IN", "NP", "JJS", "NN")),
-    "QP": ("left", ("$", "IN", "NNS", "NN", "JJ", "RB", "DT", "CD", "NCD",
-                    "QP", "JJR", "JJS")),
+def _priority(direction: str, tags: str) -> tuple[tuple[str, frozenset[str]], ...]:
+    """One pass per tag, in order; "NP" matches any of ``_NP_ALIASES``."""
+    return tuple((direction, _NP_ALIASES if tag == "NP" else frozenset((tag,)))
+                 for tag in tags.split())
+
+
+# A last child tagged POS heads an NP: the first pass, from the right, finds it.
+_NP_RULE = (("right", frozenset({"NN", "NNP", "NNPS", "NNS", "NX", "NML", "POS", "JJR"})),
+            ("left", _NP_ALIASES),
+            ("right", frozenset({"$", "ADJP", "PRN"})),
+            ("right", frozenset({"CD"})),
+            ("right", frozenset({"JJ", "JJS", "RB", "QP"})))
+
+_HEAD_RULES: dict[str, tuple[tuple[str, frozenset[str]], ...]] = {
+    **dict.fromkeys(_NP_ALIASES, _NP_RULE),
+    "S": _priority("left", "TO IN VP S SBAR ADJP UCP NP"),
+    "SBAR": _priority("left", "WHNP WHPP WHADVP WHADJP IN DT S SQ SINV SBAR FRAG"),
+    "VP": _priority("left", "TO VBD VBN MD VBZ VB VBG VBP AUX AUXG VP ADJP NN NNS NP"),
+    "PP": _priority("right", "IN TO VBG VBN RP FW"),
+    "ADJP": _priority("left", "NNS QP NN $ ADVP JJ VBN VBG ADJP JJR NP JJS DT FW RBR RBS"
+                              " SBAR RB"),
+    "ADVP": _priority("right", "RB RBR RBS FW ADVP TO CD JJR JJ IN NP JJS NN"),
+    "QP": _priority("left", "$ IN NNS NN JJ RB DT CD NCD QP JJR JJS"),
 }
-
-_NP_NOMINAL_TAGS = frozenset({"NN", "NNP", "NNPS", "NNS", "NX", "NML", "POS", "JJR"})
-
-
-def _matches(child_label: str, tag: str) -> bool:
-    if tag == "NP":
-        return child_label in _NP_ALIASES
-    return child_label == tag
-
-
-def _np_head_index(labels: Sequence[str]) -> int:
-    last = len(labels) - 1
-    if labels[last] == "POS":
-        return last
-    for i in range(last, -1, -1):
-        if labels[i] in _NP_NOMINAL_TAGS:
-            return i
-    for i, lab in enumerate(labels):
-        if lab in _NP_ALIASES:
-            return i
-    for i in range(last, -1, -1):
-        if labels[i] in ("$", "ADJP", "PRN"):
-            return i
-    for i in range(last, -1, -1):
-        if labels[i] == "CD":
-            return i
-    for i in range(last, -1, -1):
-        if labels[i] in ("JJ", "JJS", "RB", "QP"):
-            return i
-    return last
 
 
 def collins_head_child(node: SyntaxNode) -> int:
     """Index of the head child per the Collins head-percolation rules.
 
-    NML/NX parents use the NP rule; categories outside the table default to
-    the rightmost child. Raises ValueError on a node without children.
+    Runs the passes of ``_HEAD_RULES`` for the node's label in order; NML
+    and NX share the NP rule. Raises ValueError on a node without children.
     """
     if node.is_leaf():
         raise ValueError(f"leaf node {node!r} has no head child")
     labels = [child.label for child in node.children]
-    category = "NP" if node.label in _NP_ALIASES else node.label
-    if category == "NP":
-        return _np_head_index(labels)
-    rule = _HEAD_RULES.get(category)
-    if rule is None:
-        return len(labels) - 1
-    direction, priority = rule
-    positions = range(len(labels)) if direction == "left" else range(len(labels) - 1, -1, -1)
-    for tag in priority:
-        for i in positions:
-            if _matches(labels[i], tag):
+    last = len(labels) - 1
+    scans = {"left": range(last + 1), "right": range(last, -1, -1)}
+    for direction, wanted in _HEAD_RULES.get(node.label, ()):
+        for i in scans[direction]:
+            if labels[i] in wanted:
                 return i
-    return len(labels) - 1
+    return last
 
 
 #: Production (label, *child labels) -> the index ``collins_head_child``
@@ -469,16 +449,8 @@ def _head_index(node: SyntaxNode) -> int:
 
 
 def head_leaf(node: SyntaxNode) -> SyntaxNode:
-    """Follow head children down to a leaf; a leaf is its own head.
-
-    A node owned by a ``DocumentTree`` got its head leaf when the tree was
-    built, so this reads it. Nodes of an unlinked ``read_ptb`` tree may
-    still change, so they are walked every time.
-    """
-    if node.doc is None:
-        while node.children:
-            node = node.children[collins_head_child(node)]
-        return node
+    """The leaf reached by following head children down; a leaf is its own
+    head. Every interior node got it when it was made, so this reads it."""
     return node._head or node
 
 
@@ -498,38 +470,40 @@ def link_document(trees: Sequence[SyntaxNode]) -> DocumentTree:
 
     link(S1, link(S2, ... Sk)): each DOCLINK node has a sentence as its left
     child and the linked remainder as its right child. The trees must come
-    from ``read_ptb``, whose spans number the leaves of each sentence left
-    to right. They become the document's nodes: a preorder walk over each,
-    and a sweep back up it, set their document facts.
+    from ``read_ptb``, or be the sentence roots of a linked document: such a
+    tree already carries its spans, heads, and ``node_id``, ``_post`` and
+    ``depth`` counted within its text, so it is re-based, not rebuilt. One
+    preorder walk over it shifts each ``node_id`` and ``_post`` by one
+    offset, lifts each ``depth`` by another, and sets ``sentence_index`` and
+    ``doc``. The trees become the document's nodes.
+
+    Raises ValueError naming the index of a tree the reader did not build
+    (a hand-made ``SyntaxNode``), or of one given twice, whole or as part of
+    another tree.
     """
     def adopt(i, nodes, key, depth, up):
         root = trees[i]
+        if root._post < 0:
+            raise ValueError(f"tree {i} was not built by read_ptb")
+        shift = len(nodes) - root.node_id
+        lift = depth - root.depth
         root._up = up
-        root.depth = depth
         row: list[str] = []
-        first = len(nodes)
         stack = [root]
         while stack:
             node = stack.pop()
-            node.node_id = len(nodes)
+            if node.doc is key:
+                raise ValueError(f"tree {i} was given twice, in whole or in part")
+            node.node_id += shift
+            node._post += shift
+            node.depth += lift
             node.sentence_index = i
             node.doc = key
             nodes.append(node)
-            children = node.children
-            if not children:
-                row.append(node.token)
-                continue
-            for child in children:
-                child.depth = node.depth + 1
-            stack.extend(reversed(children))
-        for node in reversed(nodes[first:]):  # children first: _post and heads come from them
-            children = node.children
-            if children:
-                node._post = children[-1]._post
-                child = children[_head_index(node)]
-                node._head = child._head or child
+            if node.children:
+                stack.extend(reversed(node.children))
             else:
-                node._post = node.node_id + 1
+                row.append(node.token)
         return root, row
     return _join(len(trees), adopt)
 

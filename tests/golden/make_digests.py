@@ -4,6 +4,16 @@
 Run from the repository root, only when a change means to alter output:
 
     PYTHONPATH=src python tests/golden/make_digests.py
+
+The ``bench_*.jsonl`` corpora are fixed inputs, made once by the benchmark's
+generator and checked in so that a change in ``random`` across Python
+versions cannot change them. Each is ``corpus.generate(seed, lengths,
+gold_mentions)`` from ``bench/corpus.py``, written one ``json.dumps(doc.data)``
+per line:
+
+    bench_news.jsonl       "news_corpus:1", [2 + i % 11 for i in range(33)], False
+    bench_long_doc.jsonl   "long_doc:1",    [140],                           False
+    bench_gold.jsonl       "gold_eval:1",   [20, 30, 40, 50],                True
 """
 
 import json

@@ -206,21 +206,28 @@ def cli_digests(tmp_path) -> dict[str, dict[str, object]]:
     """The sha256 of stdout and stderr, and the exit status, of ``resolve
     --render``, ``score --gold --json`` and ``trace --gold``, run in-process.
 
-    The ablation corpus and ``golden/long.jsonl`` run under the default
-    config, each single ablation flag and each of ``flag_combinations``;
-    ``golden/bad.jsonl`` (one document per kind of bad sentence, and one
-    good document) runs under the default config and each single flag.
+    The ablation corpus and ``golden/long.jsonl`` run all three commands
+    under the default config, each single ablation flag and each of
+    ``flag_combinations``; ``golden/bad.jsonl`` (one document per kind of bad
+    sentence, and one good document) runs them under the default config and
+    each single flag. The corpora ``bench/corpus.py`` generated (see
+    ``golden/make_digests.py``) run under the default config and each single
+    flag: ``resolve --render`` on the news and long-document corpora, the
+    other two commands on the gold-mention corpus.
     Keys read ``"<command> | <corpus> | <flags or default>"``.
     """
     singles = [[]] + [[flag] for flag, _, _ in _ABLATION_FLAGS]
     sampled = singles + flag_combinations()
-    runs = {"ablation": (write_corpus(tmp_path, ablation_corpus()), sampled),
-            "long": (GOLDEN / "long.jsonl", sampled),
-            "bad": (GOLDEN / "bad.jsonl", singles)}
+    every = (["resolve", "--render"], ["score", "--gold", "--json"], ["trace", "--gold"])
+    runs = [("ablation", write_corpus(tmp_path, ablation_corpus()), every, sampled),
+            ("long", GOLDEN / "long.jsonl", every, sampled),
+            ("bad", GOLDEN / "bad.jsonl", every, singles),
+            ("bench_news", GOLDEN / "bench_news.jsonl", every[:1], singles),
+            ("bench_long_doc", GOLDEN / "bench_long_doc.jsonl", every[:1], singles),
+            ("bench_gold", GOLDEN / "bench_gold.jsonl", every[1:], singles)]
     table = {}
-    for command in (["resolve", "--render"], ["score", "--gold", "--json"],
-                    ["trace", "--gold"]):
-        for corpus, (path, configs) in runs.items():
+    for corpus, path, commands, configs in runs:
+        for command in commands:
             for config in configs:
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

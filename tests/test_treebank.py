@@ -308,7 +308,11 @@ def test_builders_set_the_heads_a_walk_finds_on_random_documents():
                 if not node.children:
                     assert node._head is None  # a leaf naming itself would be a cycle
         for root in read_ptb(" ".join(sentences)):
-            assert all(node._head is None for node in root.walk())
+            assert all(head_leaf(node) is _walked_head(node) for node in root.walk())
+    rng = random.Random(20261023)
+    for _ in range(150):
+        hand_built = _random_tree(rng)
+        assert all(head_leaf(node) is _walked_head(node) for node in hand_built.walk())
 
 
 def test_a_document_of_seen_productions_computes_no_head_child(monkeypatch):
@@ -538,6 +542,45 @@ def test_read_document_builds_the_linked_tree_on_random_documents():
         else:
             assert fused.root is linked.root is None
             assert fused.nodes == [] and fused.key == []
+
+
+def test_link_document_rebases_trees_numbered_from_anywhere():
+    """``link_document`` shifts each tree's numbers and lifts its depths.
+    Every tree after the first of one text is numbered from above 0; linked
+    in reverse, the first tree's shift is negative; the sentence roots of a
+    linked document also start below link nodes, so their depths move."""
+    def assert_links_as_read(doc, sentences):
+        read = read_document(sentences)
+        assert _facts(doc) == _facts(read)
+        assert doc.key == read.key
+
+    rng = random.Random(20261024)
+    for _ in range(100):
+        sentences = [_random_sentence(rng) for _ in range(rng.randint(1, 8))]
+        text = " ".join(sentences)
+        trees = read_ptb(text)
+        assert trees[-1].node_id > 0 or len(trees) == 1
+        assert_links_as_read(link_document(trees), sentences)
+        assert_links_as_read(link_document(trees[::-1]), sentences[::-1])
+        assert_links_as_read(link_document(read_ptb(text)[::-1]), sentences[::-1])
+        assert_links_as_read(link_document(read_document(sentences).sentence_roots),
+                             sentences)
+
+
+def test_link_document_rejects_a_tree_the_reader_did_not_build():
+    hand_built = SyntaxNode("S", children=[SyntaxNode("NN", token="a")])
+    with pytest.raises(ValueError, match="^tree 1 was not built by read_ptb$"):
+        link_document([read_ptb("(S (NN b))")[0], hand_built])
+
+
+@pytest.mark.parametrize("pick", [lambda first, second: [first, second, first],
+                                  lambda first, second: [second, first.children[0], first],
+                                  lambda first, second: [first, second, first.children[0]]],
+                         ids=["whole", "subtree_first", "subtree_last"])
+def test_link_document_rejects_a_tree_given_twice(pick):
+    first, second = read_ptb("(S (NP (NN a)) (VP (VBD b))) (S (NN c))")
+    with pytest.raises(ValueError, match="^tree 2 was given twice, in whole or in part$"):
+        link_document(pick(first, second))
 
 
 def _oracle_error(document):

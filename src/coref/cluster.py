@@ -78,41 +78,28 @@ def transitive_closure(decisions: Iterable[Decision],
     """Smallest equivalence relation containing the (mention, antecedent)
     pairs; NULL decisions contribute nothing, uncovered ids stay singletons.
 
-    Union-find with union by size and path compression; labels are assigned
-    deterministically afterwards.
+    Each id maps to the member list of its entity. A link moves the shorter
+    list into the longer one, so an id moves at most log2(n) times.
     """
     ids = list(universe)
-    known = set(ids)
-    parent = {mid: mid for mid in ids}
-    size = {mid: 1 for mid in ids}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:  # path compression
-            parent[x], x = root, parent[x]
-        return root
-
+    members = {mid: [mid] for mid in ids}
     for decision in decisions:
-        if decision.mention_id not in known:
+        mine = members.get(decision.mention_id)
+        if mine is None:
             raise ValueError(f"decision references unknown mention {decision.mention_id}")
         if decision.antecedent is None:
             continue
-        if decision.antecedent not in known:
+        theirs = members.get(decision.antecedent)
+        if theirs is None:
             raise ValueError(f"decision references unknown antecedent {decision.antecedent}")
-        a, b = find(decision.mention_id), find(decision.antecedent)
-        if a == b:
+        if mine is theirs:
             continue
-        if size[a] < size[b]:
-            a, b = b, a
-        parent[b] = a
-        size[a] += size[b]
-
-    groups: dict[int, list[int]] = {}
-    for mid in ids:
-        groups.setdefault(find(mid), []).append(mid)
-    return Clustering(ids, groups.values())
+        if len(mine) < len(theirs):
+            mine, theirs = theirs, mine
+        mine.extend(theirs)
+        for mid in theirs:
+            members[mid] = mine
+    return Clustering(ids, {id(group): group for group in members.values()}.values())
 
 
 def from_entities(universe: Sequence[int],

@@ -159,10 +159,14 @@ def run_pipeline(document: DocumentInput, cfg: Optional[ResolveConfig] = None,
                           decisions=decisions, clustering=clustering)
 
 
-def gold_clustering(document: DocumentInput, mentions: Sequence[Mention]) -> Optional[Clustering]:
-    """Gold partition over the same mention ids the pipeline used, or None."""
+def gold_clustering(document: DocumentInput, mentions: Sequence[Mention]) -> Clustering:
+    """Gold partition over the same mention ids the pipeline used.
+
+    A document without gold clusters, or whose clusters do not partition its
+    mentions, raises DocumentError.
+    """
     if document.gold_clusters is None:
-        return None
+        raise DocumentError(document.doc_id, "no gold clusters in input")
     universe = [m.mention_id for m in mentions]
     try:
         return from_entities(universe, document.gold_clusters)

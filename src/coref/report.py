@@ -45,47 +45,35 @@ def render_brackets(doc: DocumentTree, mentions: Sequence[Mention],
 # ---------------------------------------------------------------------------
 
 class TraceReport(Record):
-    """Per-rule decision counts, plus correctness tallies when gold is known.
+    """Decision tallies: ``rules`` counts (rule, verdict) pairs and
+    ``pronouns`` counts (casefolded pronoun form, verdict) pairs. A verdict
+    is True or False when gold is known and None when it is not; pronoun
+    forms are tallied only with gold.
 
     Each tally defaults to a new empty Counter for each report.
     """
 
-    __slots__ = ("rule_counts", "rule_correct", "rule_incorrect",
-                 "pronoun_correct", "pronoun_incorrect", "has_gold")
+    __slots__ = ("rules", "pronouns", "has_gold")
 
-    def __init__(self, rule_counts: Optional[Counter] = None,
-                 rule_correct: Optional[Counter] = None,
-                 rule_incorrect: Optional[Counter] = None,
-                 pronoun_correct: Optional[Counter] = None,
-                 pronoun_incorrect: Optional[Counter] = None,
-                 has_gold: bool = False):
-        self.rule_counts = Counter() if rule_counts is None else rule_counts
-        self.rule_correct = Counter() if rule_correct is None else rule_correct
-        self.rule_incorrect = Counter() if rule_incorrect is None else rule_incorrect
-        self.pronoun_correct = Counter() if pronoun_correct is None else pronoun_correct
-        self.pronoun_incorrect = Counter() if pronoun_incorrect is None else pronoun_incorrect
+    def __init__(self, rules: Optional[Counter] = None,
+                 pronouns: Optional[Counter] = None, has_gold: bool = False):
+        self.rules = Counter() if rules is None else rules
+        self.pronouns = Counter() if pronouns is None else pronouns
         self.has_gold = has_gold
 
     @property
     def total(self) -> int:
-        return sum(self.rule_counts.values())
+        return sum(self.rules.values())
 
     def __add__(self, other: "TraceReport") -> "TraceReport":
-        return TraceReport(
-            rule_counts=self.rule_counts + other.rule_counts,
-            rule_correct=self.rule_correct + other.rule_correct,
-            rule_incorrect=self.rule_incorrect + other.rule_incorrect,
-            pronoun_correct=self.pronoun_correct + other.pronoun_correct,
-            pronoun_incorrect=self.pronoun_incorrect + other.pronoun_incorrect,
-            has_gold=self.has_gold or other.has_gold,
-        )
+        return TraceReport(self.rules + other.rules, self.pronouns + other.pronouns,
+                           self.has_gold or other.has_gold)
 
     def pronoun_rows(self, min_count: int = 1) -> list[tuple[int, int, float, str]]:
         """(correct, incorrect, accuracy, form) rows, least accurate first."""
         rows = []
-        for form in set(self.pronoun_correct) | set(self.pronoun_incorrect):
-            good = self.pronoun_correct[form]
-            bad = self.pronoun_incorrect[form]
+        for form in {form for form, _ in self.pronouns}:
+            good, bad = self.pronouns[form, True], self.pronouns[form, False]
             if good + bad < min_count:
                 continue
             rows.append((good, bad, good / (good + bad), form))
@@ -95,9 +83,10 @@ class TraceReport(Record):
     def to_text(self, min_pronoun_count: int = 1) -> str:
         lines = ["rule\tcount" + ("\tcorrect\tincorrect" if self.has_gold else "")]
         for rule in Rule:
-            row = f"{rule.value}\t{self.rule_counts[rule]}"
+            good, bad = self.rules[rule, True], self.rules[rule, False]
+            row = f"{rule.value}\t{good + bad + self.rules[rule, None]}"
             if self.has_gold:
-                row += f"\t{self.rule_correct[rule]}\t{self.rule_incorrect[rule]}"
+                row += f"\t{good}\t{bad}"
             lines.append(row)
         lines.append(f"total\t{self.total}")
         if self.has_gold:
@@ -111,20 +100,20 @@ class TraceReport(Record):
 
 def trace_report(decisions: Sequence[Decision], mentions: Sequence[Mention],
                  gold: Optional[Clustering] = None) -> TraceReport:
-    """Tally one document's decisions by rule.
+    """Tally one document's decisions by rule, and with gold by pronoun form.
 
     With gold, a decision is correct iff its mention and antecedent are
     gold-coreferent; a NULL decision is correct iff no previous mention is
     gold-coreferent with the mention.
     """
     report = TraceReport(has_gold=gold is not None)
-    report.rule_counts.update(decision.rule for decision in decisions)
     if gold is None:
+        report.rules.update((decision.rule, None) for decision in decisions)
         return report
     by_id = {m.mention_id: m for m in mentions}
     position = {m.mention_id: i for i, m in enumerate(mentions)}
     opener: dict[int, int] = {}  # gold label -> the entity's first mention
-    right, wrong, right_forms, wrong_forms = [], [], [], []
+    rules, forms = [], []
     for decision in decisions:
         mid = decision.mention_id
         if decision.antecedent is not None:
@@ -135,14 +124,12 @@ def trace_report(decisions: Sequence[Decision], mentions: Sequence[Mention],
             if first is None:
                 first = opener[label] = min(gold.entity_of(mid), key=position.__getitem__)
             correct = first == mid
-        (right if correct else wrong).append(decision.rule)
+        rules.append((decision.rule, correct))
         mention = by_id[mid]
         if mention.kind is MentionKind.PRONOUN:
-            (right_forms if correct else wrong_forms).append(mention.head_word.casefold())
-    report.rule_correct.update(right)
-    report.rule_incorrect.update(wrong)
-    report.pronoun_correct.update(right_forms)
-    report.pronoun_incorrect.update(wrong_forms)
+            forms.append((mention.head_word.casefold(), correct))
+    report.rules.update(rules)
+    report.pronouns.update(forms)
     return report
 
 

@@ -91,9 +91,6 @@ class MentionIndex:
             for key in self.keys_at[i]:
                 self.by_nominal_key.setdefault(key, []).append(i)
 
-    def precedes(self, a: Mention, b: Mention) -> bool:
-        return self.position[a.mention_id] < self.position[b.mention_id]
-
     def before(self, m: Mention) -> Iterator[Mention]:
         """The mentions of ``candidate_pool(m, self)``, most recent first."""
         return map(self.mentions.__getitem__,
@@ -111,12 +108,13 @@ class MentionIndex:
             order = (i for i, _ in groupby(heapq.merge(*runs, reverse=True)))
         return map(self.mentions.__getitem__, order)
 
-    def mention_of(self, node: SyntaxNode) -> Optional[Mention]:
-        m = self.by_node.get(node.node_id)
-        if m is not None and m.node is node:
-            return m
-        m = self.by_head.get(head_leaf(node).node_id)
-        return m
+    def mention_before(self, node: SyntaxNode, m: Mention) -> Optional[Mention]:
+        """The mention at ``node``, else the one headed by ``node``'s head
+        leaf, if it comes before ``m`` in document order; otherwise None."""
+        found = self.by_node.get(node.node_id) or self.by_head.get(head_leaf(node).node_id)
+        if found is None or self.position[found.mention_id] >= self.position[m.mention_id]:
+            return None
+        return found
 
 
 def detect_appositive(m: Mention, index: MentionIndex) -> Optional[Mention]:
@@ -133,10 +131,7 @@ def detect_appositive(m: Mention, index: MentionIndex) -> Optional[Mention]:
         return None
     if left.label != "NP":
         return None
-    antecedent = index.mention_of(left)
-    if antecedent is None or not index.precedes(antecedent, m):
-        return None
-    return antecedent
+    return index.mention_before(left, m)
 
 
 def detect_role_appositive(m: Mention, index: MentionIndex,
@@ -158,13 +153,11 @@ def detect_role_appositive(m: Mention, index: MentionIndex,
     left = parent.children[i - 1]
     if left.label != "NP":
         return None
-    antecedent = index.mention_of(left)
+    antecedent = index.mention_before(left, m)
     if antecedent is None or antecedent.kind is not MentionKind.NOMINAL:
         return None
     if antecedent.profile is not None and \
             antecedent.profile.personhood is Personhood.NOT_PERSON:
-        return None
-    if not index.precedes(antecedent, m):
         return None
     return antecedent
 
@@ -217,10 +210,7 @@ def detect_pred_nom(m: Mention, index: MentionIndex, lex: Lexicon,
         modal = _verb_group_modal(vp)
         if modal is not None and modal.span[0] < verb.span[0]:
             return None
-    antecedent = index.mention_of(subject)
-    if antecedent is None or not index.precedes(antecedent, m):
-        return None
-    return antecedent
+    return index.mention_before(subject, m)
 
 
 def reflexive_subject(pron: Mention) -> Optional[SyntaxNode]:

@@ -211,9 +211,10 @@ def cli_digests(tmp_path) -> dict[str, dict[str, object]]:
     ``flag_combinations``; ``golden/bad.jsonl`` (one document per kind of bad
     sentence, and one good document) runs them under the default config and
     each single flag. The corpora ``bench/corpus.py`` generated (see
-    ``golden/make_digests.py``) run under the default config and each single
-    flag: ``resolve --render`` on the news and long-document corpora, the
-    other two commands on the gold-mention corpus.
+    ``golden/make_digests.py``) run under the default config, each single
+    flag and each of ``flag_combinations``: ``resolve --render`` on the news
+    and long-document corpora, the other two commands on the gold-mention
+    corpus.
     Keys read ``"<command> | <corpus> | <flags or default>"``.
     """
     singles = [[]] + [[flag] for flag, _, _ in _ABLATION_FLAGS]
@@ -222,9 +223,9 @@ def cli_digests(tmp_path) -> dict[str, dict[str, object]]:
     runs = [("ablation", write_corpus(tmp_path, ablation_corpus()), every, sampled),
             ("long", GOLDEN / "long.jsonl", every, sampled),
             ("bad", GOLDEN / "bad.jsonl", every, singles),
-            ("bench_news", GOLDEN / "bench_news.jsonl", every[:1], singles),
-            ("bench_long_doc", GOLDEN / "bench_long_doc.jsonl", every[:1], singles),
-            ("bench_gold", GOLDEN / "bench_gold.jsonl", every[1:], singles)]
+            ("bench_news", GOLDEN / "bench_news.jsonl", every[:1], sampled),
+            ("bench_long_doc", GOLDEN / "bench_long_doc.jsonl", every[:1], sampled),
+            ("bench_gold", GOLDEN / "bench_gold.jsonl", every[1:], sampled)]
     table = {}
     for corpus, path, commands, configs in runs:
         for command in commands:

@@ -159,14 +159,19 @@ def test_score_corpus_micro_pools_and_macro_averages():
 # Trace report
 # ---------------------------------------------------------------------------
 
+def _rule_count(report, rule):
+    """How many decisions ``rule`` made, whatever their verdict."""
+    return sum(report.rules[rule, verdict] for verdict in (True, False, None))
+
+
 def test_trace_all_null_on_singleton_gold(fixture_lex):
     sentences = ["(S (NP (DT a) (NN cat)) (VP (VBD saw) (NP (DT a) (NN fern))) (. .))"]
     result = pipeline(sentences, gold_clusters=[], lex=fixture_lex)
     gold = gold_clustering(result.input, result.mentions)
     report = trace_report(result.decisions, result.mentions, gold)
-    assert report.rule_counts[Rule.NULL] == 2
-    assert report.rule_correct[Rule.NULL] == 2
-    assert report.rule_incorrect[Rule.NULL] == 0
+    assert _rule_count(report, Rule.NULL) == 2
+    assert report.rules[Rule.NULL, True] == 2
+    assert report.rules[Rule.NULL, False] == 0
     assert report.total == 2
 
 
@@ -175,9 +180,9 @@ def test_trace_example1_pronoun_accuracy(fixture_lex):
                       lex=fixture_lex)
     gold = gold_clustering(result.input, result.mentions)
     report = trace_report(result.decisions, result.mentions, gold)
-    assert report.rule_correct[Rule.PRONOUN] >= 3
-    assert report.rule_incorrect[Rule.PRONOUN] == 0
-    assert report.rule_counts[Rule.PRONOUN] == 4  # himself x2, he, him
+    assert report.rules[Rule.PRONOUN, True] >= 3
+    assert report.rules[Rule.PRONOUN, False] == 0
+    assert _rule_count(report, Rule.PRONOUN) == 4  # himself x2, he, him
     assert report.total == len(result.decisions)
 
 
@@ -189,14 +194,14 @@ def test_trace_null_correctness_uses_previous_mentions(fixture_lex):
     gold = gold_clustering(result.input, result.mentions)
     report = trace_report(result.decisions, result.mentions, gold)
     # they vs ship clash on number -> NULL, but gold links them: incorrect
-    assert report.rule_incorrect[Rule.NULL] == 1
-    assert report.pronoun_incorrect["they"] == 1
+    assert report.rules[Rule.NULL, False] == 1
+    assert report.pronouns["they", False] == 1
 
 
 def test_trace_pronoun_rows_sorted_by_accuracy(fixture_lex):
     report = trace_report([], [], None)
-    report.pronoun_correct.update({"he": 3, "it": 1})
-    report.pronoun_incorrect.update({"he": 1, "it": 3, "you": 1})
+    report.pronouns.update({("he", True): 3, ("it", True): 1})
+    report.pronouns.update({("he", False): 1, ("it", False): 3, ("you", False): 1})
     rows = report.pronoun_rows(min_count=1)
     accuracies = [row[2] for row in rows]
     assert accuracies == sorted(accuracies)
@@ -209,7 +214,7 @@ def test_trace_report_merge(fixture_lex):
     single = trace_report(result.decisions, result.mentions, None)
     merged = single + single
     assert merged.total == 2 * single.total
-    assert merged.rule_counts[Rule.PRONOUN] == 2 * single.rule_counts[Rule.PRONOUN]
+    assert _rule_count(merged, Rule.PRONOUN) == 2 * _rule_count(single, Rule.PRONOUN)
 
 
 def trace_oracle(decisions, mentions, gold):
@@ -220,8 +225,8 @@ def trace_oracle(decisions, mentions, gold):
     by_id = {m.mention_id: m for m in mentions}
     report = TraceReport(has_gold=gold is not None)
     for decision in decisions:
-        report.rule_counts[decision.rule] += 1
         if gold is None:
+            report.rules[decision.rule, None] += 1
             continue
         mid = decision.mention_id
         entity = gold.entity_of(mid)
@@ -229,11 +234,10 @@ def trace_oracle(decisions, mentions, gold):
             correct = decision.antecedent in entity
         else:
             correct = min(entity, key=position.__getitem__) == mid
-        (report.rule_correct if correct else report.rule_incorrect)[decision.rule] += 1
+        report.rules[decision.rule, correct] += 1
         mention = by_id[mid]
         if mention.kind is MentionKind.PRONOUN:
-            form = mention.head_word.casefold()
-            (report.pronoun_correct if correct else report.pronoun_incorrect)[form] += 1
+            report.pronouns[mention.head_word.casefold(), correct] += 1
     return report
 
 
@@ -268,9 +272,9 @@ def _assert_same_report(report, expected):
     for min_count in (1, 2, 5):
         assert report.to_text(min_count) == expected.to_text(min_count)
     for rule in Rule:
-        assert report.rule_counts[rule] == expected.rule_counts[rule]
-        assert report.rule_correct[rule] == expected.rule_correct[rule]
-        assert report.rule_incorrect[rule] == expected.rule_incorrect[rule]
+        assert _rule_count(report, rule) == _rule_count(expected, rule)
+        assert report.rules[rule, True] == expected.rules[rule, True]
+        assert report.rules[rule, False] == expected.rules[rule, False]
     assert report.pronoun_rows() == expected.pronoun_rows()
     assert report.total == expected.total
 
@@ -422,6 +426,22 @@ def test_cli_continues_after_bad_document(tmp_path, capsys, argv, survivors):
 
 
 _SENTENCE = "(S (NP (NNP John)) (VP (VBD left)) (. .))"
+
+
+@pytest.mark.parametrize("argv, report, empty", [
+    (["score", "--gold", "--json"], json.dumps(score_corpus([]), sort_keys=True),
+     '"per_doc": []'),
+    (["trace", "--gold"], TraceReport(has_gold=True).to_text(), "\ntotal\t0\n"),
+], ids=["score", "trace"])
+def test_cli_gold_run_without_gold_clusters_reports_the_document(tmp_path, capsys, argv,
+                                                                 report, empty):
+    path = tmp_path / "nogold.jsonl"
+    path.write_text(json.dumps({"id": "nogold", "sentences": [_SENTENCE]}) + "\n")
+    assert main([*argv, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: document 'nogold': no gold clusters in input\n"
+    assert captured.out == report + "\n"
+    assert empty in captured.out
 
 
 @pytest.mark.parametrize("document, doc_id", [

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -84,6 +85,56 @@ def test_random_decisions_properties():
                    for entity in clustering.entities
                    for mid, ante in zip(sorted(entity)[1:], sorted(entity))]
         assert transitive_closure(implied, universe) == clustering
+
+
+def _components(universe, decisions):
+    """Connected components of the graph whose edges are the non-NULL
+    decisions, found by breadth-first search."""
+    neighbours = {mid: [] for mid in universe}
+    for d in decisions:
+        if d.antecedent is not None:
+            neighbours[d.mention_id].append(d.antecedent)
+            neighbours[d.antecedent].append(d.mention_id)
+    seen, components = set(), []
+    for start in universe:
+        if start in seen:
+            continue
+        seen.add(start)
+        component, queue = set(), deque([start])
+        while queue:
+            mid = queue.popleft()
+            component.add(mid)
+            for other in neighbours[mid]:
+                if other not in seen:
+                    seen.add(other)
+                    queue.append(other)
+        components.append(frozenset(component))
+    return components
+
+
+def test_closure_equals_connected_components_on_random_decisions():
+    # Ids unrelated to universe order; antecedents before or after their
+    # mention, self-links, repeated pairs and several decisions per mention.
+    rng = random.Random(1310)
+    for _ in range(400):
+        n = rng.randint(1, 60)
+        universe = rng.sample(range(1000), n)
+        decisions = []
+        for _ in range(rng.randint(0, 2 * n)):
+            mid = rng.choice(universe)
+            kind = rng.random()
+            if kind < 0.2:
+                decisions.append(_link(mid, None))
+            elif kind < 0.3:
+                decisions.append(_link(mid, mid))
+            elif kind < 0.4 and decisions:
+                decisions.append(rng.choice(decisions))
+            else:
+                decisions.append(_link(mid, rng.choice(universe)))
+        clustering = transitive_closure(decisions, universe)
+        components = _components(universe, decisions)
+        # components come out in order of their earliest universe position
+        assert clustering.entities == tuple(components)
 
 
 def test_singleton_preservation():

@@ -39,20 +39,38 @@ def test_missing_file_reports_which(tmp_path):
         load_lexicon(tmp_path)
 
 
-def test_malformed_name_line_reports_line_number(tmp_path, fixture_resources):
-    for name in ("female_names.txt", "titles.tsv", "pronouns.tsv", "copulas.txt"):
-        (tmp_path / name).write_text((fixture_resources / name).read_text())
-    (tmp_path / "male_names.txt").write_text("john\n\nMARY 2.6\n")
-    with pytest.raises(LexiconError, match="male_names.txt, line 3"):
-        load_lexicon(tmp_path)
+_HE = "he\tmale\tperson\tsingular\tthird\tfalse\tfalse\n"
 
 
-def test_malformed_pronoun_row_rejected(tmp_path, fixture_resources):
-    for name in ("male_names.txt", "female_names.txt", "titles.tsv", "copulas.txt"):
-        (tmp_path / name).write_text((fixture_resources / name).read_text())
-    (tmp_path / "pronouns.tsv").write_text("he\tmale\tperson\tunknown\tthird\tfalse\tfalse\n")
-    with pytest.raises(LexiconError, match="pronouns.tsv, line 1"):
+@pytest.mark.parametrize("name, text, expected", [
+    ("male_names.txt", "john\n\nMARY 2.6\n",
+     "male_names.txt, line 3: malformed name entry: 'MARY 2.6'"),
+    ("female_names.txt", "MARY 2.6 x 1\n",
+     "female_names.txt, line 1: malformed name entry: 'MARY 2.6 x 1'"),
+    ("titles.tsv", "Mr.\tmale\nMrs. female\n",
+     "titles.tsv, line 2: expected 'title TAB gender'"),
+    ("titles.tsv", "# title\tgender\nMr.\tmasculine\n",
+     "titles.tsv, line 2: unknown gender 'masculine'"),
+    ("pronouns.tsv", "he\tmale\tperson\tunknown\tthird\tfalse\tfalse\n",
+     "pronouns.tsv, line 1: malformed pronoun entry: "
+     "'he\\tmale\\tperson\\tunknown\\tthird\\tfalse\\tfalse'"),
+    ("pronouns.tsv", "he\tmale\tperson\tsingular\tthird\tfalse\n",
+     "pronouns.tsv, line 1: expected 7 tab-separated fields"),
+    ("pronouns.tsv", _HE + "\n" + _HE.upper(),
+     "pronouns.tsv, line 3: duplicate pronoun 'he'"),
+    ("copulas.txt", "is\nis not\n", "copulas.txt, line 2: expected one form per line"),
+    ("copulas.txt", "# none\n\n", "copulas.txt: copula list is empty"),
+], ids=["name-columns", "census-columns-not-numbers", "title-without-one-tab",
+        "unknown-title-gender", "pronoun-number-unknown", "pronoun-six-fields",
+        "duplicate-pronoun", "two-word-copula", "empty-copula-list"])
+def test_malformed_resource_entry_reports_file_and_line(tmp_path, fixture_resources, name,
+                                                        text, expected):
+    for other in _RESOURCE_FILES:
+        (tmp_path / other).write_text((fixture_resources / other).read_text())
+    (tmp_path / name).write_text(text)
+    with pytest.raises(LexiconError) as err:
         load_lexicon(tmp_path)
+    assert str(err.value) == expected
 
 
 @pytest.mark.parametrize("fault", ["not-utf8", "cannot-read"])

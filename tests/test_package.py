@@ -109,9 +109,7 @@ def _mutable_records():
         (PipelineResult, dict(input=document, tree=result.tree, mentions=result.mentions,
                               decisions=result.decisions, clustering=result.clustering),
          {}, {"decisions": []}),
-        (TraceReport, {}, dict(rule_counts=Counter(), rule_correct=Counter(),
-                               rule_incorrect=Counter(), pronoun_correct=Counter(),
-                               pronoun_incorrect=Counter(), has_gold=False),
+        (TraceReport, {}, dict(rules=Counter(), pronouns=Counter(), has_gold=False),
          {"has_gold": True}),
     ]
 
@@ -164,9 +162,7 @@ def test_mutable_record_defaults_are_fresh_per_instance():
     first.annotations.append(TokenAnnotation(0, 0))
     assert second.annotations == []
     first, second = TraceReport(), TraceReport()
-    tallies = ("rule_counts", "rule_correct", "rule_incorrect",
-               "pronoun_correct", "pronoun_incorrect")
-    for name in tallies:
+    for name in ("rules", "pronouns"):
         assert getattr(first, name) is not getattr(second, name)
-    first.rule_counts[Rule.NULL] += 1
+    first.rules[Rule.NULL, None] += 1
     assert second == TraceReport()

@@ -12,13 +12,13 @@ from coref import (Decision, Gender, Mention, MentionIndex, MentionKind, Number,
                    build_profile, candidate_pool, collins_head_child,
                    detect_appositive, detect_pred_nom,
                    detect_role_appositive, dominates, filter_nominal,
-                   filter_pronoun, head_leaf, initial_adjuncts, read_ptb,
+                   filter_pronoun, head_leaf, initial_adjuncts, map_gold_mentions, read_ptb,
                    reflexive_subject, resolve_document, select_antecedent,
                    type_compatible)
 from coref.mention import _PROFILES
 from coref.resolve import is_second_person
 from helpers import (EXAMPLE1_SENTENCES, decision_for, doc_with_mentions,
-                     mention_with_head, pipeline)
+                     mention_with_head, parse_doc, pipeline)
 
 TRIBE = ("(S (NP (NP (NNP Lawrence) (NNP Tribe)) (, ,) (NP (DT the)"
          " (NNP Harvard) (NNP Law) (NNP School) (NN Professor)) (, ,))"
@@ -59,6 +59,19 @@ def _prepared(lex, *sentences, annotations=()):
 # Immediate patterns
 # ---------------------------------------------------------------------------
 
+def test_mention_before_finds_only_earlier_mentions(fixture_lex):
+    doc, mentions, index = _prepared(fixture_lex, TRIBE, BOIES)
+    for a in mentions:
+        for b in mentions:
+            expected = a if mentions.index(a) < mentions.index(b) else None
+            assert index.mention_before(a.node, b) is expected
+    # a node that is no mention's goes to the mention its head leaf heads
+    boies = mention_with_head(mentions, "Boies")
+    inner = boies.node.children[0]
+    assert inner.label == "NP" and head_leaf(inner) is boies.head
+    assert index.mention_before(inner, mentions[-1]) is boies
+    assert index.mention_before(inner, mentions[0]) is None
+
 def test_appositive_lawrence_tribe(fixture_lex):
     doc, mentions, index = _prepared(fixture_lex, TRIBE)
     professor = mention_with_head(mentions, "Professor")
@@ -80,6 +93,14 @@ def test_appositive_requires_comma_sibling(fixture_lex):
         fixture_lex, "(S (NP (NP (NN salt)) (CC and) (NP (NN pepper))) (VP (VBD sat)) (. .))")
     pepper = mention_with_head(mentions, "pepper")
     assert detect_appositive(pepper, index) is None
+    # a comma, but what precedes it is a pronoun leaf, not an NP
+    doc, mentions, index = _prepared(
+        fixture_lex,
+        "(S (NP (NP (NNP Smith)) (PRP he) (, ,) (NP (NNP John))) (VP (VBD sat)) (. .))")
+    john = mention_with_head(mentions, "John")
+    assert mention_with_head(mentions, "he").node.label == "PRP"
+    assert john.node.parent.label == "NP"
+    assert detect_appositive(john, index) is None
 
 
 def test_role_appositive_links_person(fixture_lex):
@@ -123,6 +144,18 @@ def test_role_appositive_flag_off(fixture_lex):
     assert detect_role_appositive(bush, index, cfg) is None
 
 
+def test_role_appositive_declines_a_mention_that_is_not_an_np(fixture_lex):
+    # A gold span over a bare NNP maps to the leaf itself, which the pattern
+    # does not take even after a nominal NP sibling.
+    doc = parse_doc("(S (NP (JJ Republican) (NN candidate)) (NNP Bush) (VP (VBD won)) (. .))")
+    mentions = map_gold_mentions(doc, [(0, 0, 2), (0, 2, 3)])
+    attach_profiles(mentions, annotation_index([TokenAnnotation(0, 2, supersense="noun.person")]),
+                    fixture_lex)
+    bush = mention_with_head(mentions, "Bush")
+    assert bush.node.label == "NNP" and bush.profile.personhood is Personhood.PERSON
+    assert detect_role_appositive(bush, MentionIndex(doc, mentions), ResolveConfig()) is None
+
+
 def test_pred_nom_gridiron(lex):
     doc, mentions, index = _prepared(lex, GRIDIRON)
     organization = mention_with_head(mentions, "organization")
@@ -154,6 +187,21 @@ def test_pred_nom_requires_copula(lex):
         lex, "(S (NP (NNP Lameu)) (VP (VBD bought) (NP (DT a) (NN team))) (. .))")
     team = mention_with_head(mentions, "team")
     assert detect_pred_nom(team, index, lex, ResolveConfig()) is None
+
+
+@pytest.mark.parametrize("sentence, head", [
+    # an NP inside the copula's VP but before the copula
+    ("(S (NP (NNP Lameu)) (VP (NP (DT this) (NN season)) (VBD was) (NP (DT a) (NN star)))"
+     " (. .))", "season"),
+    # a clause with no subject NP before the verb group
+    ("(S (VP (VBZ is) (NP (DT a) (NN star))) (. .))", "star"),
+    # a VP chain that is not under a clause (a reduced relative)
+    ("(S (NP (NP (NNP Lameu)) (VP (VBG being) (NP (DT a) (NN star)))) (VP (VBD left)) (. .))",
+     "star"),
+], ids=["complement-before-copula", "no-subject", "not-under-a-clause"])
+def test_pred_nom_declines_without_a_subject_before_the_copula(lex, sentence, head):
+    doc, mentions, index = _prepared(lex, sentence)
+    assert detect_pred_nom(mention_with_head(mentions, head), index, lex, ResolveConfig()) is None
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +283,14 @@ def test_adjunct_candidate_outside_adjunct(lex):
     assert not any(dominates(a, earlier_john.node) for a in initial_adjuncts(he))
 
 
+def test_adjuncts_only_bind_a_subject_pronoun(lex):
+    # "him" sits under the clause with no VP after it: not a subject
+    doc, mentions, index = _prepared(
+        lex, "(S (S (VP (TO To) (VP (VB call) (NP (NNP John))))) (VP (VBD saw)) (NP (PRP him))"
+             " (. .))")
+    assert initial_adjuncts(mention_with_head(mentions, "him")) == []
+
+
 def test_gerund_adjunct_blocks(lex):
     doc, mentions, index = _prepared(
         lex,
@@ -303,7 +359,8 @@ def test_candidate_pool(fixture_lex):
     for i, m in enumerate(mentions):
         pool = candidate_pool(m, index)
         assert m not in pool
-        assert all(index.precedes(c, m) for c in pool)
+        assert all(index.position[c.mention_id] < index.position[m.mention_id]
+                   for c in pool)
 
 
 def test_filter_pronoun_john_bought_himself(fixture_lex):

@@ -10,9 +10,9 @@ Pre-filters only ever reject; they never force a match.
 from __future__ import annotations
 
 import enum
-import heapq
 from bisect import bisect_left
-from itertools import groupby
+from functools import partial
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .lexicon import Gender, GrammaticalPerson, Lexicon, Number, Personhood
@@ -79,14 +79,15 @@ class MentionIndex:
         self.doc = doc
         self.mentions = list(mentions)
         self.position = {m.mention_id: i for i, m in enumerate(self.mentions)}
-        self.by_node: dict[int, Mention] = {}
+        # node id -> ascending positions of the mentions at that node
+        self.by_node: dict[int, list[int]] = {}
         self.by_head: dict[int, Mention] = {}
         # each position's nominal keys, and nominal key -> ascending
         # positions of the mentions that have it
         self.keys_at = [nominal_keys(m) for m in self.mentions]
         self.by_nominal_key: dict[tuple[str, str], list[int]] = {}
         for i, m in enumerate(self.mentions):
-            self.by_node.setdefault(m.node.node_id, m)
+            self.by_node.setdefault(m.node.node_id, []).append(i)
             self.by_head.setdefault(m.head.node_id, m)
             for key in self.keys_at[i]:
                 self.by_nominal_key.setdefault(key, []).append(i)
@@ -100,21 +101,69 @@ class MentionIndex:
         """The mentions before ``m`` that share a nominal key with it, most
         recent first; ``filter_nominal`` over ``candidate_pool``, reversed."""
         stop = self.position[m.mention_id]
-        runs = [map(positions.__getitem__, range(bisect_left(positions, stop) - 1, -1, -1))
-                for positions in map(self.by_nominal_key.__getitem__, self.keys_at[stop])]
-        if len(runs) == 1:
-            order = runs[0]
-        else:  # a mention with both keys is in both runs
-            order = (i for i, _ in groupby(heapq.merge(*runs, reverse=True)))
-        return map(self.mentions.__getitem__, order)
+        keys = self.keys_at[stop]
+        run = self.by_nominal_key[keys[0]]
+        if len(keys) == 1:
+            return _latest_first(self.mentions, run, bisect_left(run, stop))
+        other = self.by_nominal_key[keys[1]]
+        return _union_latest_first(self.mentions, run, bisect_left(run, stop),
+                                   other, bisect_left(other, stop))
+
+    def shares_nominal_key(self, m: Mention, cand: Mention) -> bool:
+        """Whether ``cand`` has one of ``m``'s nominal keys, so that
+        ``nominal_matches_before(m)`` yields it if it comes before ``m``."""
+        keys = self.keys_at[self.position[cand.mention_id]]
+        return any(key in keys for key in self.keys_at[self.position[m.mention_id]])
 
     def mention_before(self, node: SyntaxNode, m: Mention) -> Optional[Mention]:
-        """The mention at ``node``, else the one headed by ``node``'s head
-        leaf, if it comes before ``m`` in document order; otherwise None."""
-        found = self.by_node.get(node.node_id) or self.by_head.get(head_leaf(node).node_id)
+        """The first mention at ``node``, else the one headed by ``node``'s
+        head leaf, if it comes before ``m`` in document order; otherwise
+        None."""
+        positions = self.by_node.get(node.node_id)
+        found = (self.mentions[positions[0]] if positions
+                 else self.by_head.get(head_leaf(node).node_id))
         if found is None or self.position[found.mention_id] >= self.position[m.mention_id]:
             return None
         return found
+
+
+def _latest_first(mentions: Sequence[Mention], run: Sequence[int],
+                  cut: int) -> Iterator[Mention]:
+    """The mentions at the ascending positions ``run[:cut]``, latest first."""
+    while cut:
+        cut -= 1
+        yield mentions[run[cut]]
+
+
+def _union_latest_first(mentions: Sequence[Mention], a: Sequence[int], i: int,
+                        b: Sequence[int], j: int) -> Iterator[Mention]:
+    """The mentions at the positions in ``a[:i]`` or ``b[:j]``, two ascending
+    runs, latest first and each once. Reads each run element at most once,
+    and only as far back as the caller draws."""
+    x = a[i - 1] if i else -1  # positions are >= 0, so -1 marks an empty run
+    y = b[j - 1] if j else -1
+    while x >= 0 or y >= 0:
+        if x >= y:
+            yield mentions[x]
+            if x == y:  # in both runs
+                j -= 1
+                y = b[j - 1] if j else -1
+            i -= 1
+            x = a[i - 1] if i else -1
+        else:
+            yield mentions[y]
+            j -= 1
+            y = b[j - 1] if j else -1
+
+
+_SPAN = attrgetter("span")
+
+
+def _child_index(parent: SyntaxNode, node: SyntaxNode) -> int:
+    """``parent.children.index(node)`` in O(log n): sibling spans are
+    disjoint and ascending, so a wide parent (a long coordination) costs
+    no scan per child."""
+    return bisect_left(parent.children, node.span, key=_SPAN)
 
 
 def detect_appositive(m: Mention, index: MentionIndex) -> Optional[Mention]:
@@ -123,7 +172,7 @@ def detect_appositive(m: Mention, index: MentionIndex) -> Optional[Mention]:
     node, parent = m.node, m.node.parent
     if parent is None or parent.label != "NP" or node.label != "NP":
         return None
-    i = parent.children.index(node)
+    i = _child_index(parent, node)
     if i < 2:
         return None
     comma, left = parent.children[i - 1], parent.children[i - 2]
@@ -147,7 +196,7 @@ def detect_role_appositive(m: Mention, index: MentionIndex,
     node, parent = m.node, m.node.parent
     if parent is None or node.label != "NP":
         return None
-    i = parent.children.index(node)
+    i = _child_index(parent, node)
     if i < 1:
         return None
     left = parent.children[i - 1]
@@ -247,8 +296,14 @@ def initial_adjuncts(pron: Mention) -> list[SyntaxNode]:
     return adjuncts
 
 
-def _attribute_clash(a, b, unknown) -> bool:
-    return a is not unknown and b is not unknown and a is not b
+def _attribute_clash(mine, theirs, unknown, strict: bool) -> bool:
+    """A definite ``mine`` clashes with a different definite ``theirs``, and
+    with an unknown one when ``strict``."""
+    if mine is unknown:
+        return False
+    if theirs is unknown:
+        return strict
+    return mine is not theirs
 
 
 def type_compatible(p: TypeProfile, c: TypeProfile, cfg: ResolveConfig) -> bool:
@@ -257,19 +312,14 @@ def type_compatible(p: TypeProfile, c: TypeProfile, cfg: ResolveConfig) -> bool:
     With strict_typecheck, an Unknown candidate attribute also clashes with a
     definite pronoun attribute (for each enabled check).
     """
-    checks = (
-        (cfg.check_gender, p.gender, c.gender, Gender.UNKNOWN),
-        (cfg.check_personhood, p.personhood, c.personhood, Personhood.UNKNOWN),
-        (cfg.check_number, p.number, c.number, Number.UNKNOWN),
-    )
-    for enabled, mine, theirs, unknown in checks:
-        if not enabled:
-            continue
-        if _attribute_clash(mine, theirs, unknown):
-            return False
-        if cfg.strict_typecheck and mine is not unknown and theirs is unknown:
-            return False
-    return True
+    strict = cfg.strict_typecheck
+    return not (
+        (cfg.check_gender
+         and _attribute_clash(p.gender, c.gender, Gender.UNKNOWN, strict))
+        or (cfg.check_personhood
+            and _attribute_clash(p.personhood, c.personhood, Personhood.UNKNOWN, strict))
+        or (cfg.check_number
+            and _attribute_clash(p.number, c.number, Number.UNKNOWN, strict)))
 
 
 def candidate_pool(m: Mention, index: MentionIndex) -> list[Mention]:
@@ -299,8 +349,9 @@ def pronoun_acceptor(m: Mention, cfg: ResolveConfig) -> Callable[[Mention], bool
             return False
         if dominates(cand.node, m.node):  # i-within-i
             return False
-        if cand.head is subject_head or \
-                any(dominates(adjunct, cand.node) for adjunct in adjuncts):
+        if cand.head is subject_head:
+            return False
+        if adjuncts and any(dominates(adjunct, cand.node) for adjunct in adjuncts):
             return False
         return not (m.profile and cand.profile
                     and not type_compatible(m.profile, cand.profile, cfg))
@@ -351,28 +402,54 @@ def select_antecedent(m: Mention, candidates: Sequence[Mention],
 
 def _nearest_acceptable(m: Mention, candidates: Iterable[Mention],
                         accepts: Optional[Callable[[Mention], bool]],
-                        doc: DocumentTree) -> Optional[Mention]:
+                        admits: Callable[[Mention], bool],
+                        index: MentionIndex) -> Optional[Mention]:
     """``select_antecedent`` over the ``candidates`` that ``accepts`` admits
-    (all of them when it is None), given most recent first.
+    (all of them when it is None), given most recent first. ``admits``
+    tells whether a mention before ``m`` is one of those.
 
-    A candidate in a sentence s before ``m``'s has depth at least s + 1, so
-    its distance is at least ``m.node.depth - s + 1``, and that bound grows
-    as s falls. The scan therefore stops at the first candidate
-    in a sentence before the best one's whose bound reaches the best
-    distance: it and all earlier candidates are no closer, and on a tie they
-    lose to the best, whose document-order key is larger.
+    In ``m``'s sentence, mention order is preorder except between nodes of
+    equal span. So for a candidate that is not an ancestor of ``m``, the
+    lowest common ancestor (LCA) with ``m`` only rises as the scan goes
+    back, and ``lca``, the lowest ancestor of ``m`` that holds every
+    candidate of the sentence seen so far, bounds the distance of each
+    later one from below by ``m.node.depth - lca.depth + 1``. That bound is
+    for stopping only: among equal spans ``lca`` can sit above the true LCA.
+    The scan stops at the first candidate whose bound reaches the best
+    distance and whose span differs from the best one's: it and all earlier
+    candidates that are not ancestors of ``m`` are no closer, and on a tie
+    they lose to the best, whose document-order key is larger. The
+    ancestors, at distance ``m.node.depth - depth``, are then looked up by
+    node (``_closer_ancestor``).
+
+    Past ``m``'s sentence the same bound holds with the LCA the link node
+    of the candidate's sentence s, at depth s, so that bound grows as s
+    falls. The scan stops at the first candidate in a sentence before the
+    best one's whose bound reaches the best distance.
     """
     best = None
     best_distance = 0
-    depth = m.node.depth
+    node = m.node
+    depth = node.depth
+    sentence = node.sentence_index
+    lca = node
+    doc = index.doc
     for cand in candidates:
-        s = cand.node.sentence_index
-        if (best is not None and s < best.node.sentence_index
+        c = cand.node
+        s = c.sentence_index
+        if s == sentence:
+            while not lca.node_id <= c.node_id < lca._post:
+                lca = lca.parent
+            if (best is not None and depth - lca.depth + 1 >= best_distance
+                    and c.span != best.node.span):
+                return _closer_ancestor(m, index.position[cand.mention_id], best_distance,
+                                        admits, index) or best
+        elif (best is not None and s < best.node.sentence_index
                 and depth - s + 1 >= best_distance):
             break
         if accepts is not None and not accepts(cand):
             continue
-        distance = path_distance(m.node, cand.node, doc)
+        distance = path_distance(node, c, doc)
         # Scanning backwards, ``>=`` on the key keeps select_antecedent's
         # order: larger key first, then the earlier position.
         if (best is None or distance < best_distance
@@ -380,6 +457,26 @@ def _nearest_acceptable(m: Mention, candidates: Iterable[Mention],
                     and document_order_key(cand) >= document_order_key(best))):
             best, best_distance = cand, distance
     return best
+
+
+def _closer_ancestor(m: Mention, last: int, best_distance: int,
+                     admits: Callable[[Mention], bool],
+                     index: MentionIndex) -> Optional[Mention]:
+    """Among the mentions at position ``last`` or before (the scan has seen
+    the later ones) that ``admits`` takes, the earliest at the lowest
+    ancestor of ``m``'s node that is closer than ``best_distance``; None if
+    there is none. Mentions at one node tie on distance and document-order
+    key, so the earliest wins, as the scan's tie rule would pick it."""
+    depth = m.node.depth
+    node = m.node.parent
+    while node is not None and depth - node.depth < best_distance:
+        for i in index.by_node.get(node.node_id, ()):
+            if i > last:
+                break
+            if admits(index.mentions[i]):
+                return index.mentions[i]
+        node = node.parent
+    return None
 
 
 def _resolve_one(m: Mention, index: MentionIndex, lex: Lexicon,
@@ -401,17 +498,17 @@ def _resolve_one(m: Mention, index: MentionIndex, lex: Lexicon,
         if is_second_person(m) and not cfg.resolve_second_person:
             return Decision(m.mention_id, None, Rule.NULL)
         candidates, accepts = index.before(m), pronoun_acceptor(m, cfg)
-        rule = Rule.PRONOUN
+        admits, rule = accepts, Rule.PRONOUN
     else:
         candidates, accepts = index.nominal_matches_before(m), None
-        rule = Rule.NOMINAL
+        admits, rule = partial(index.shares_nominal_key, m), Rule.NOMINAL
     if candidate_log is not None:
         # The log needs every accepted candidate; the search over them stops
         # where it would have stopped over all of them.
         candidates = list(candidates if accepts is None else filter(accepts, candidates))
         candidate_log[m.mention_id] = frozenset(c.mention_id for c in candidates)
         accepts = None
-    chosen = _nearest_acceptable(m, candidates, accepts, index.doc)
+    chosen = _nearest_acceptable(m, candidates, accepts, admits, index)
     if chosen is None:
         return Decision(m.mention_id, None, Rule.NULL)
     return Decision(m.mention_id, chosen.mention_id, rule)

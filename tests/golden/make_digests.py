@@ -14,6 +14,12 @@ per line:
     bench_news.jsonl       "news_corpus:1", [2 + i % 11 for i in range(33)], False
     bench_long_doc.jsonl   "long_doc:1",    [140],                           False
     bench_gold.jsonl       "gold_eval:1",   [20, 30, 40, 50],                True
+
+``coord.jsonl`` is written by hand for the same-sentence antecedent search:
+one sentence of 100 coordinated "JohnK" NPs and a mixed coordination of
+names and pronouns, nested same-sentence NPs ("of" chains, appositives and
+coordinations inside one another), and gold mentions with duplicated spans
+and spans on unary NP chains.
 """
 
 import json

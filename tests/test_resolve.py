@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,8 @@ from coref import (Decision, Gender, Mention, MentionIndex, MentionKind, Number,
                    filter_pronoun, head_leaf, initial_adjuncts, map_gold_mentions, read_ptb,
                    reflexive_subject, resolve_document, select_antecedent,
                    type_compatible)
-from coref.mention import _PROFILES
-from coref.resolve import is_second_person
+from coref.mention import _PROFILES, _kind_of_tag, document_order_key
+from coref.resolve import _latest_first, _union_latest_first, is_second_person
 from helpers import (EXAMPLE1_SENTENCES, decision_for, doc_with_mentions,
                      mention_with_head, parse_doc, pipeline)
 
@@ -617,6 +618,75 @@ def _random_documents(seed, count):
     return docs
 
 
+_WORDS = ["(NNP John)", "(NNP Johnson)", "(NNP Mary)", "(NNP Japan)",
+          "(DT the) (NNP Japanese)", "(DT the) (NN dog)", "(PRP$ his) (NN dog)",
+          "(PRP he)", "(PRP she)", "(PRP it)", "(PRP him)", "(PRP herself)"]
+
+
+def _random_np(rng, depth):
+    """A random NP: a name, pronoun or common noun, or, ``depth`` levels
+    down at most, a unary chain of 1-3 NPs, an "of" phrase, an appositive or
+    a coordination, sometimes a wide one."""
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return "(NP " + rng.choice(_WORDS) + ")"
+    if r < 0.45:
+        levels = rng.randint(1, 3)
+        return "(NP " * levels + _random_np(rng, depth - 1) + ")" * levels
+    if r < 0.6:
+        return f"(NP {_random_np(rng, depth - 1)} (PP (IN of) {_random_np(rng, depth - 1)}))"
+    if r < 0.7:
+        return f"(NP {_random_np(rng, depth - 1)} (, ,) {_random_np(rng, depth - 1)})"
+    width, inner = rng.choice([(2, depth - 1), (3, depth - 1), (rng.randint(4, 24), 0)])
+    return "(NP " + " (CC and) ".join(_random_np(rng, inner) for _ in range(width)) + ")"
+
+
+def _same_sentence_documents(seed, count):
+    """Seeded documents of 1-3 sentences built around ``_random_np``: wide
+    coordinations, nested NPs and unary NP chains, so that most candidates
+    share the mention's sentence. Every other one carries gold mention
+    spans, each repeated 1-3 times: the spans of random NPs (a unary chain's
+    spans all map to its lowest NP) and of random nodes, some cut short."""
+    rng = random.Random(seed)
+    docs = []
+    for k in range(count):
+        sentences = []
+        for _ in range(rng.randint(1, 3)):
+            subject, obj = _random_np(rng, 3), _random_np(rng, 2)
+            if rng.random() < 0.5:
+                obj = f"(SBAR (IN that) (S {_random_np(rng, 2)} (VP (VBD met) {obj})))"
+            sentences.append(f"(S {subject} (VP (VBD saw) {obj}) (. .))")
+        gold = None
+        if k % 2:
+            doc = parse_doc(*sentences)
+            nps = [node for node in doc.nodes if node.label == "NP"]
+            nodes = [node for node in doc.nodes if node.sentence_index >= 0]
+            gold = []
+            for _ in range(rng.randint(4, 10) * len(sentences)):
+                node = rng.choice(nps if rng.random() < 0.7 else nodes)
+                s, (start, end) = node.sentence_index, node.span
+                if rng.random() < 0.2:
+                    end = min(rng.randint(start + 1, start + 3), end)
+                gold += [(s, start, end)] * rng.randint(1, 3)
+        docs.append((sentences, [], gold))
+    return docs
+
+
+def _every_np_mentions(doc, lex, rng):
+    """Every NP and pronoun leaf of ``doc`` as one or two mentions, in
+    document order with ties in random order: unlike extraction, which keeps
+    the highest NP per head, a unary NP chain gives mentions at each node,
+    so mentions of equal span sit at different nodes as well as at one."""
+    nodes = [node for node in doc.nodes if node.label in ("NP", "PRP", "PRP$")]
+    mentions = [Mention(-1, node, head_leaf(node), _kind_of_tag(head_leaf(node).label))
+                for node in nodes for _ in range(rng.randint(1, 2))]
+    mentions.sort(key=lambda m: (document_order_key(m), rng.random()))
+    for i, m in enumerate(mentions):
+        m.mention_id = i
+    attach_profiles(mentions, {}, lex)
+    return mentions
+
+
 def _configs():
     """The default config and every single-flag ablation."""
     default = ResolveConfig()
@@ -664,8 +734,15 @@ def _exhaustive(doc, mentions, lex, cfg):
 
 
 def test_search_matches_exhaustive_reference_on_random_documents(lex):
+    """Also over the same-sentence shapes, with extracted, gold and every-NP
+    mentions: the last two put duplicated spans at one node, and unary
+    chains put equal spans at different nodes."""
     docs = _random_documents(20261018, 24)
     assert sum(gold is not None for _, _, gold in docs) == 8
+    shapes = _same_sentence_documents(1975, 8)
+    docs += shapes
+    every_np = [(doc, _every_np_mentions(doc, lex, random.Random(k)))
+                for k, doc in enumerate(parse_doc(*sentences) for sentences, _, _ in shapes)]
     for cfg in _configs():
         for sentences, annotations, gold in docs:
             result = pipeline(sentences, annotations=annotations,
@@ -675,16 +752,57 @@ def test_search_matches_exhaustive_reference_on_random_documents(lex):
             log = {}
             assert resolve_document(result.tree, result.mentions, lex, cfg, log) == expected
             assert log == expected_log
+        for doc, mentions in every_np:
+            expected, expected_log = _exhaustive(doc, mentions, lex, cfg)
+            assert resolve_document(doc, mentions, lex, cfg) == expected
+            log = {}
+            assert resolve_document(doc, mentions, lex, cfg, log) == expected
+            assert log == expected_log
 
 
 def test_index_scans_visit_each_pool_candidate_once_most_recent_first(lex):
-    for sentences, annotations, gold in _random_documents(1310, 12):
+    for sentences, annotations, gold in (_random_documents(1310, 12)
+                                         + _same_sentence_documents(1310, 6)):
         result = pipeline(sentences, annotations=annotations, gold_mentions=gold, lex=lex)
         index = MentionIndex(result.tree, result.mentions)
         for m in index.mentions:
             pool = candidate_pool(m, index)
             assert list(index.before(m)) == pool[::-1]
             assert list(index.nominal_matches_before(m)) == filter_nominal(m, pool)[::-1]
+
+
+class _CountedRun(list):
+    """An ascending position run that counts the elements read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_key_runs_read_latest_first_as_a_set_and_only_as_far_as_drawn():
+    """One run read backwards, and the union of two (sharing positions, or
+    one of them empty), give ``sorted(set(a) | set(b), reverse=True)``;
+    drawing k positions reads O(k) run elements, never a whole run."""
+    positions = range(1000)  # stands in for the mentions: position i -> i
+    rng = random.Random(2013)
+    for trial in range(400):
+        shared = rng.sample(range(300), rng.randint(0, 10))
+        a, b = ([] if trial % 7 == side else
+                sorted(set(rng.sample(range(300), rng.randint(0, 40)) + shared))
+                for side in (3, 5))
+        i, j = rng.randint(0, len(a)), rng.randint(0, len(b))
+        expected = sorted(set(a[:i]) | set(b[:j]), reverse=True)
+        assert list(_union_latest_first(positions, a, i, b, j)) == expected
+        assert list(_latest_first(positions, a, i)) == a[:i][::-1]
+        k = rng.randint(0, len(expected))
+        ra, rb = _CountedRun(a), _CountedRun(b)
+        assert list(islice(_union_latest_first(positions, ra, i, rb, j), k)) == expected[:k]
+        assert ra.reads + rb.reads <= 2 * k + 2
+        ra.reads = 0
+        assert list(islice(_latest_first(positions, ra, i), k)) == a[:i][::-1][:k]
+        assert ra.reads <= k
 
 
 def test_search_tie_on_duplicated_gold_span_goes_to_the_earlier_mention(lex):
@@ -726,6 +844,37 @@ def test_path_distance_calls_per_mention_stay_flat_on_a_long_document(lex, monke
         == result.decisions
     assert sum(map(len, log.values())) > 4 * len(result.mentions)
     assert calls <= 4 * len(result.mentions)
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_path_distance_calls_per_mention_stay_flat_on_a_wide_coordination(lex, monkeypatch, n):
+    """One sentence of n coordinated "JohnK" NPs, each sharing the "john"
+    prefix key with every earlier one: a search that stopped only between
+    sentences computed a distance to each, n(n-1)/2 in all (19,900 and
+    79,800). The LCA bound stops it after the nearest sibling, and the
+    coordination's own mention, an ancestor, wins at distance 1."""
+    sentence = ("(S (NP " + " (CC and) ".join(f"(NP (NNP John{k}))" for k in range(n))
+                + ") (VP (VBD left)) (. .))")
+    calls = 0
+    distance = coref.resolve.path_distance
+
+    def counted(a, b, doc):
+        nonlocal calls
+        calls += 1
+        return distance(a, b, doc)
+
+    monkeypatch.setattr(coref.resolve, "path_distance", counted)
+    result = pipeline([sentence], lex=lex)
+    assert len(result.mentions) == n
+    assert calls <= 2 * n
+    calls, log = 0, {}
+    assert resolve_document(result.tree, result.mentions, lex, candidate_log=log) \
+        == result.decisions
+    assert calls <= 2 * n
+    assert sum(map(len, log.values())) == n * (n - 1) // 2
+    first = result.mentions[0]
+    assert first.node is result.tree.sentence_roots[0].children[0]
+    assert all(d.antecedent == first.mention_id for d in result.decisions[1:])
 
 
 def test_linked_node_facts_match_their_walks_on_random_documents(lex, fixture_lex):

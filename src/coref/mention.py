@@ -35,6 +35,14 @@ class MentionKind(enum.Enum):
     PROPER = "proper"
 
 
+# Members read per mention and per token, bound once; see the note on
+# ``Gender`` in lexicon.py.
+_PRONOUN, _NOMINAL, _PROPER = MentionKind.PRONOUN, MentionKind.NOMINAL, MentionKind.PROPER
+_PERSON, _NOT_PERSON = Personhood.PERSON, Personhood.NOT_PERSON
+_UNKNOWN_GENDER, _UNKNOWN_PERSONHOOD, _UNKNOWN_NUMBER = (
+    Gender.UNKNOWN, Personhood.UNKNOWN, Number.UNKNOWN)
+
+
 class TypeProfile(NamedTuple):
     gender: Gender
     personhood: Personhood
@@ -102,10 +110,10 @@ class Mention(Record):
 
 def _kind_of_tag(tag: str) -> MentionKind:
     if tag in PRONOUN_TAGS:
-        return MentionKind.PRONOUN
+        return _PRONOUN
     if tag in PROPER_TAGS:
-        return MentionKind.PROPER
-    return MentionKind.NOMINAL
+        return _PROPER
+    return _NOMINAL
 
 
 def document_order_key(m: Mention) -> tuple[int, int, int]:
@@ -222,7 +230,7 @@ class _WordCues:
             title = titles(folded.rstrip("."))
             if title is not None:
                 self.titled_at.append(i)
-                if title is not Gender.UNKNOWN:
+                if title is not _UNKNOWN_GENDER:
                     self.gendered_at.append(i)
                     self.title_genders.append(title)
             gender = first_names(folded)
@@ -238,7 +246,7 @@ class _WordCues:
             k = bisect_left(at, start)
             if k < len(at) and at[k] < end:
                 return genders[k]
-        return Gender.UNKNOWN
+        return _UNKNOWN_GENDER
 
     def has_title(self, start: int, end: int) -> bool:
         k = bisect_left(self.titled_at, start)
@@ -247,18 +255,18 @@ class _WordCues:
 
 def _annotation_personhood(ann: Optional[TokenAnnotation]) -> Personhood:
     if ann is None:
-        return Personhood.UNKNOWN
+        return _UNKNOWN_PERSONHOOD
     if ann.supersense:
         if ann.supersense.casefold() == _PERSON_SUPERSENSE:
-            return Personhood.PERSON
-        return Personhood.NOT_PERSON
+            return _PERSON
+        return _NOT_PERSON
     if ann.ner:
         label = ann.ner.casefold()
         if label in _PERSON_NER:
-            return Personhood.PERSON
+            return _PERSON
         if label not in _UNINFORMATIVE_NER:
-            return Personhood.NOT_PERSON
-    return Personhood.UNKNOWN
+            return _NOT_PERSON
+    return _UNKNOWN_PERSONHOOD
 
 
 #: Every profile there is, keyed by its fields, so that mentions share them.
@@ -268,7 +276,7 @@ _PROFILES = {(g, p, n): TypeProfile(g, p, n)
 
 def _pronoun_profile(entry: Optional[PronounEntry]) -> TypeProfile:
     if entry is None:
-        return _PROFILES[Gender.UNKNOWN, Personhood.UNKNOWN, Number.UNKNOWN]
+        return _PROFILES[_UNKNOWN_GENDER, _UNKNOWN_PERSONHOOD, _UNKNOWN_NUMBER]
     return _PROFILES[entry.gender, entry.personhood, entry.number]
 
 
@@ -276,12 +284,12 @@ def _nominal_profile(m: Mention, annotations: AnnotationIndex,
                      cues: Optional[_WordCues], start: int, end: int) -> TypeProfile:
     """The profile of a non-pronoun mention whose tokens are [start, end) of
     the tokens ``cues`` was built from (None: word lists are off)."""
-    gender = Gender.UNKNOWN if cues is None else cues.gender(start, end)
+    gender = _UNKNOWN_GENDER if cues is None else cues.gender(start, end)
     personhood = _annotation_personhood(annotations.get((m.sentence_index, m.head.span[0])))
-    if personhood is not Personhood.PERSON and (
-            gender is not Gender.UNKNOWN or cues is not None and cues.has_title(start, end)):
-        personhood = Personhood.PERSON
-    return _PROFILES[gender, personhood, _TAG_NUMBER.get(m.head_tag, Number.UNKNOWN)]
+    if personhood is not _PERSON and (
+            gender is not _UNKNOWN_GENDER or cues is not None and cues.has_title(start, end)):
+        personhood = _PERSON
+    return _PROFILES[gender, personhood, _TAG_NUMBER.get(m.head_tag, _UNKNOWN_NUMBER)]
 
 
 def build_profile(m: Mention, annotations: AnnotationIndex, lex: Lexicon, *,
@@ -296,7 +304,7 @@ def build_profile(m: Mention, annotations: AnnotationIndex, lex: Lexicon, *,
     and not a person only from an explicit non-person label. NN/NNP heads
     are singular, NNS/NNPS plural, other heads unknown.
     """
-    if m.kind is MentionKind.PRONOUN:
+    if m.kind is _PRONOUN:
         return _pronoun_profile(pronoun_lookup(m.head_word, lex))
     if not use_word_lists:
         return _nominal_profile(m, annotations, None, 0, 0)
@@ -317,7 +325,7 @@ def attach_profiles(mentions: Iterable[Mention], annotations: AnnotationIndex,
     cues: dict[int, _WordCues] = {}
     for m in mentions:
         node = m.node
-        if m.kind is MentionKind.PRONOUN:
+        if m.kind is _PRONOUN:
             m.pronoun = pronoun_lookup(m.head_word, lex)
             m.profile = _pronoun_profile(m.pronoun)
         elif not use_word_lists or node.doc is None or node.sentence_index < 0:

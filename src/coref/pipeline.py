@@ -72,6 +72,14 @@ class DocumentInput(Record):
         sentences = data["sentences"]
         if not isinstance(sentences, list) or not all(isinstance(s, str) for s in sentences):
             raise DocumentError(doc_id, "'sentences' is not a list of strings")
+        # JSON can hold a lone surrogate ("\ud800"), which no output can
+        # encode as UTF-8; the id and tokens are printed, so reject it here.
+        try:
+            doc_id.encode()
+            for sentence in sentences:
+                sentence.encode()
+        except UnicodeEncodeError as err:
+            raise DocumentError(doc_id, f"not encodable as UTF-8: {err}") from None
         for key in ("annotations", "gold_mentions", "gold_clusters"):
             if data.get(key) is not None and not isinstance(data[key], list):
                 raise DocumentError(doc_id, f"{key!r} is not a list")

@@ -14,6 +14,9 @@ from .score import (PairCounts, Score, b_cubed_macro, pairwise_micro,
                     score_from_counts)
 from .treebank import DocumentTree
 
+# Read per decision, bound once; see the note on ``Gender`` in lexicon.py.
+_PRONOUN = MentionKind.PRONOUN
+
 
 def render_brackets(doc: DocumentTree, mentions: Sequence[Mention],
                     clustering: Clustering) -> list[str]:
@@ -126,7 +129,7 @@ def trace_report(decisions: Sequence[Decision], mentions: Sequence[Mention],
             correct = first == mid
         rules.append((decision.rule, correct))
         mention = by_id[mid]
-        if mention.kind is MentionKind.PRONOUN:
+        if mention.kind is _PRONOUN:
             forms.append((mention.head_word.casefold(), correct))
     report.rules.update(rules)
     report.pronouns.update(forms)

@@ -36,6 +36,17 @@ class Rule(enum.Enum):
     __hash__ = object.__hash__
 
 
+# Members read per mention and per candidate, bound once; see the note on
+# ``Gender`` in lexicon.py.
+_PRONOUN, _NOMINAL, _PROPER = MentionKind.PRONOUN, MentionKind.NOMINAL, MentionKind.PROPER
+_PERSON, _NOT_PERSON = Personhood.PERSON, Personhood.NOT_PERSON
+_UNKNOWN_GENDER, _UNKNOWN_PERSONHOOD, _UNKNOWN_NUMBER = (
+    Gender.UNKNOWN, Personhood.UNKNOWN, Number.UNKNOWN)
+_SECOND_PERSON = GrammaticalPerson.SECOND
+_APPOSITIVE, _ROLE_APPOSITIVE, _PRED_NOM = Rule.APPOSITIVE, Rule.ROLE_APPOSITIVE, Rule.PRED_NOM
+_PRONOUN_RESOLVE, _NOMINAL_RESOLVE, _NULL_RESOLVE = Rule.PRONOUN, Rule.NOMINAL, Rule.NULL
+
+
 class Decision(NamedTuple):
     """One antecedent choice; ``antecedent`` is a mention id or None."""
     mention_id: int
@@ -189,9 +200,9 @@ def detect_role_appositive(m: Mention, index: MentionIndex,
     no comma between, e.g. "[Republican candidate] [George Bush]"."""
     if not cfg.enable_role_appositive:
         return None
-    if m.kind is not MentionKind.PROPER:
+    if m.kind is not _PROPER:
         return None
-    if m.profile is None or m.profile.personhood is not Personhood.PERSON:
+    if m.profile is None or m.profile.personhood is not _PERSON:
         return None
     node, parent = m.node, m.node.parent
     if parent is None or node.label != "NP":
@@ -203,10 +214,10 @@ def detect_role_appositive(m: Mention, index: MentionIndex,
     if left.label != "NP":
         return None
     antecedent = index.mention_before(left, m)
-    if antecedent is None or antecedent.kind is not MentionKind.NOMINAL:
+    if antecedent is None or antecedent.kind is not _NOMINAL:
         return None
     if antecedent.profile is not None and \
-            antecedent.profile.personhood is Personhood.NOT_PERSON:
+            antecedent.profile.personhood is _NOT_PERSON:
         return None
     return antecedent
 
@@ -315,11 +326,11 @@ def type_compatible(p: TypeProfile, c: TypeProfile, cfg: ResolveConfig) -> bool:
     strict = cfg.strict_typecheck
     return not (
         (cfg.check_gender
-         and _attribute_clash(p.gender, c.gender, Gender.UNKNOWN, strict))
+         and _attribute_clash(p.gender, c.gender, _UNKNOWN_GENDER, strict))
         or (cfg.check_personhood
-            and _attribute_clash(p.personhood, c.personhood, Personhood.UNKNOWN, strict))
+            and _attribute_clash(p.personhood, c.personhood, _UNKNOWN_PERSONHOOD, strict))
         or (cfg.check_number
-            and _attribute_clash(p.number, c.number, Number.UNKNOWN, strict)))
+            and _attribute_clash(p.number, c.number, _UNKNOWN_NUMBER, strict)))
 
 
 def candidate_pool(m: Mention, index: MentionIndex) -> list[Mention]:
@@ -329,7 +340,7 @@ def candidate_pool(m: Mention, index: MentionIndex) -> list[Mention]:
 
 def is_second_person(m: Mention) -> bool:
     return (m.pronoun is not None
-            and m.pronoun.grammatical_person is GrammaticalPerson.SECOND)
+            and m.pronoun.grammatical_person is _SECOND_PERSON)
 
 
 def pronoun_acceptor(m: Mention, cfg: ResolveConfig) -> Callable[[Mention], bool]:
@@ -340,10 +351,10 @@ def pronoun_acceptor(m: Mention, cfg: ResolveConfig) -> Callable[[Mention], bool
     adjuncts = initial_adjuncts(m)
 
     def accepts(cand: Mention) -> bool:
-        if not cfg.allow_pro_pro_match and cand.kind is MentionKind.PRONOUN:
+        if not cfg.allow_pro_pro_match and cand.kind is _PRONOUN:
             return False
         if (cfg.check_grammatical_person
-                and cand.kind is MentionKind.PRONOUN
+                and cand.kind is _PRONOUN
                 and m.pronoun is not None and cand.pronoun is not None
                 and m.pronoun.grammatical_person is not cand.pronoun.grammatical_person):
             return False
@@ -484,24 +495,24 @@ def _resolve_one(m: Mention, index: MentionIndex, lex: Lexicon,
                  candidate_log: Optional[dict[int, frozenset[int]]]) -> Decision:
     antecedent = detect_appositive(m, index)
     if antecedent is not None:
-        return Decision(m.mention_id, antecedent.mention_id, Rule.APPOSITIVE)
+        return Decision(m.mention_id, antecedent.mention_id, _APPOSITIVE)
     antecedent = detect_role_appositive(m, index, cfg)
     if antecedent is not None:
-        return Decision(m.mention_id, antecedent.mention_id, Rule.ROLE_APPOSITIVE)
+        return Decision(m.mention_id, antecedent.mention_id, _ROLE_APPOSITIVE)
     antecedent = detect_pred_nom(m, index, lex, cfg)
     if antecedent is not None:
-        return Decision(m.mention_id, antecedent.mention_id, Rule.PRED_NOM)
+        return Decision(m.mention_id, antecedent.mention_id, _PRED_NOM)
 
-    if m.kind is MentionKind.PRONOUN:
+    if m.kind is _PRONOUN:
         if not cfg.resolve_pronouns:
-            return Decision(m.mention_id, None, Rule.NULL)
+            return Decision(m.mention_id, None, _NULL_RESOLVE)
         if is_second_person(m) and not cfg.resolve_second_person:
-            return Decision(m.mention_id, None, Rule.NULL)
+            return Decision(m.mention_id, None, _NULL_RESOLVE)
         candidates, accepts = index.before(m), pronoun_acceptor(m, cfg)
-        admits, rule = accepts, Rule.PRONOUN
+        admits, rule = accepts, _PRONOUN_RESOLVE
     else:
         candidates, accepts = index.nominal_matches_before(m), None
-        admits, rule = partial(index.shares_nominal_key, m), Rule.NOMINAL
+        admits, rule = partial(index.shares_nominal_key, m), _NOMINAL_RESOLVE
     if candidate_log is not None:
         # The log needs every accepted candidate; the search over them stops
         # where it would have stopped over all of them.
@@ -510,7 +521,7 @@ def _resolve_one(m: Mention, index: MentionIndex, lex: Lexicon,
         accepts = None
     chosen = _nearest_acceptable(m, candidates, accepts, admits, index)
     if chosen is None:
-        return Decision(m.mention_id, None, Rule.NULL)
+        return Decision(m.mention_id, None, _NULL_RESOLVE)
     return Decision(m.mention_id, chosen.mention_id, rule)
 
 

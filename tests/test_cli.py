@@ -496,6 +496,45 @@ def test_cli_bad_entry_is_skipped_and_the_rest_runs(tmp_path, name, text, messag
     assert run.stdout.decode() == "good\t0\t0\t1\t1\n"
 
 
+# (document id, sentence) of a document holding a lone surrogate escape,
+# which decodes to a str that cannot be written as UTF-8.
+_SURROGATE_DOCUMENTS = {
+    "in-a-token": ("s", "(S (NP (NNP Jo\ud800hn)) (VP (VBD left)) (. .))"),
+    "in-the-id": ("s\ud800", _SENTENCE),
+}
+
+
+@pytest.mark.parametrize("case", list(_SURROGATE_DOCUMENTS))
+def test_from_dict_rejects_a_lone_surrogate(case):
+    doc_id, sentence = _SURROGATE_DOCUMENTS[case]
+    with pytest.raises(DocumentError, match="not encodable as UTF-8") as caught:
+        DocumentInput.from_dict({"id": doc_id, "sentences": [_SENTENCE, sentence]})
+    assert caught.value.doc_id == doc_id
+
+
+@pytest.mark.parametrize("case, render", [
+    ("in-a-token", False), ("in-a-token", True), ("in-the-id", False),
+])
+def test_cli_lone_surrogate_fails_its_document_not_the_run(tmp_path, case, render):
+    """A subprocess, because only a real stdout encodes what is printed."""
+    doc_id, sentence = _SURROGATE_DOCUMENTS[case]
+    a, b = ({"id": name, "sentences": [_SENTENCE]} for name in "ab")
+    s = {"id": doc_id, "sentences": [sentence]}
+    (tmp_path / "asb.jsonl").write_text("".join(json.dumps(d) + "\n" for d in (a, s, b)))
+    (tmp_path / "ab.jsonl").write_text("".join(json.dumps(d) + "\n" for d in (a, b)))
+    flags = ["--render"] if render else []
+    run = run_cli(["resolve", *flags, "asb.jsonl"], tmp_path)
+    clean = run_cli(["resolve", *flags, "ab.jsonl"], tmp_path)
+    assert clean.returncode == 0
+    assert run.returncode == 1
+    assert run.stdout == clean.stdout
+    assert run.stdout.decode().count("\t1\t1\n") == 2  # a's row and b's
+    err = run.stderr.decode()
+    assert err.startswith(f"error: document {doc_id!r}: not encodable as UTF-8: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_bad_file_is_skipped_and_other_inputs_run(tmp_path):
     """A file that is neither JSON nor JSON lines is one error; a missing
     input, an empty directory or a file without documents still stop the

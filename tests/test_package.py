@@ -1,9 +1,14 @@
 """The package as a whole: what importing it loads, and the record types'
 construction, equality, mutability and hashing."""
 
+import ast
+import enum
+import importlib
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -62,6 +67,51 @@ def test_cli_still_offers_the_pipeline_and_report_names():
                  "gold_clustering", "TraceReport", "trace_report", "score_corpus",
                  "render_brackets"):
         assert getattr(coref.cli, name) is getattr(coref, name)
+
+
+# ---------------------------------------------------------------------------
+# Enum members off the hot paths
+# ---------------------------------------------------------------------------
+
+def _enum_member_reads(source: str, namespace) -> list[tuple[int, str]]:
+    """The ``Name.attr`` reads inside the function bodies of ``source`` whose
+    ``Name`` is bound in ``namespace`` to an Enum class, as (line, text)."""
+    found = set()  # a nested function is walked again with its parent
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        body = function.body if isinstance(function.body, list) else [function.body]
+        for node in (node for statement in body for node in ast.walk(statement)):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                bound = getattr(namespace, node.value.id, None)
+                if isinstance(bound, type) and issubclass(bound, enum.Enum):
+                    found.add((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", ["resolve", "mention", "report"])
+def test_per_mention_code_reads_no_enum_member_through_its_class(name):
+    """On Python 3.10 and 3.11 every ``Gender.UNKNOWN``-style read takes a
+    slow hook (see the note on ``Gender`` in lexicon.py), so these modules
+    read members through module-level aliases."""
+    module = importlib.import_module(f"coref.{name}")
+    source = Path(module.__file__).read_text(encoding="utf-8")
+    assert _enum_member_reads(source, module) == []
+
+
+def test_enum_member_read_check_flags_reads_and_passes_iteration():
+    source = (
+        "_UNKNOWN = Gender.UNKNOWN\n"  # module level: read once at import
+        "def tally(p, kind=MentionKind.PRONOUN):\n"  # a default: read once too
+        "    for rule in Rule:\n"
+        "        rule.value, p.gender.value, _UNKNOWN.value\n"
+        "    return p.gender is Gender.UNKNOWN\n"
+        "null = lambda: Rule.NULL\n"
+    )
+    namespace = SimpleNamespace(Gender=Gender, MentionKind=MentionKind, Rule=Rule,
+                                _UNKNOWN=Gender.UNKNOWN)
+    assert _enum_member_reads(source, namespace) == [(5, "Gender.UNKNOWN"),
+                                                     (6, "Rule.NULL")]
 
 
 # ---------------------------------------------------------------------------

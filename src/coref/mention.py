@@ -70,9 +70,15 @@ class Mention(Record):
     ``node`` is the highest NP for the head word (or the pronoun leaf itself
     for bare possessives); ``profile`` and ``pronoun`` are attached by
     ``attach_profiles`` once a lexicon is available.
+
+    ``sentence_index``, ``span``, ``head_word`` (``head.token or ""``) and
+    ``head_tag`` are copied from ``node`` and ``head`` when it is made. So a
+    mention made before ``link_document`` re-bases its tree's sentence
+    indices keeps the old one; the package and the benchmark link first.
     """
 
-    __slots__ = ("mention_id", "node", "head", "kind", "profile", "pronoun")
+    __slots__ = ("mention_id", "node", "head", "kind", "profile", "pronoun",
+                 "sentence_index", "span", "head_word", "head_tag")
 
     def __init__(self, mention_id: int, node: SyntaxNode, head: SyntaxNode,
                  kind: MentionKind, profile: Optional[TypeProfile] = None,
@@ -83,22 +89,10 @@ class Mention(Record):
         self.kind = kind
         self.profile = profile
         self.pronoun = pronoun
-
-    @property
-    def sentence_index(self) -> int:
-        return self.node.sentence_index
-
-    @property
-    def span(self) -> tuple[int, int]:
-        return self.node.span
-
-    @property
-    def head_word(self) -> str:
-        return self.head.token or ""
-
-    @property
-    def head_tag(self) -> str:
-        return self.head.label
+        self.sentence_index = node.sentence_index
+        self.span = node.span
+        self.head_word = head.token or ""
+        self.head_tag = head.label
 
     def tokens(self) -> list[str]:
         return self.node.tokens()
@@ -118,37 +112,32 @@ def _kind_of_tag(tag: str) -> MentionKind:
 
 def document_order_key(m: Mention) -> tuple[int, int, int]:
     """Sort key for document order: outer mentions precede the NPs they contain."""
-    node = m.node
-    start, end = node.span
-    return node.sentence_index, start, -end
+    start, end = m.span
+    return m.sentence_index, start, -end
 
 
 def extract_mentions(doc: DocumentTree) -> list[Mention]:
-    """All NPs that are the largest possible for their head word.
+    """All NPs that are the largest possible for their head word, and the
+    PRP/PRP$ leaves that head no NP, numbered in document order.
 
-    NPs sharing a head leaf are nested, so only the outermost survives.
-    PRP/PRP$ leaves that head no NP (possessive determiners) become leaf
-    mentions. Output is ordered by (sentence, span start, span end desc).
+    One preorder pass makes them in that order, with no sort. NPs sharing a
+    head leaf lie on its root path, and a pronoun leaf's heading NP is its
+    ancestor, so the first node seen for a head is the highest. No two
+    mentions share (sentence, start, -end), since equal spans mean a unary
+    chain with one head, so preorder is ``document_order_key`` order.
     """
-    highest_for_head: dict[SyntaxNode, SyntaxNode] = {}
-    pronoun_leaves = []
+    by_head: dict[SyntaxNode, Mention] = {}
     for node in doc.nodes:
-        if node.label == "NP":
+        label = node.label
+        if label == "NP":
             leaf = node._head or node
-            best = highest_for_head.get(leaf)
-            if best is None or node.depth < best.depth:
-                highest_for_head[leaf] = node
-        elif node.label in PRONOUN_TAGS and node.is_leaf():
-            pronoun_leaves.append(node)
-    for leaf in pronoun_leaves:
-        highest_for_head.setdefault(leaf, leaf)
-    mentions = [Mention(mention_id=-1, node=node, head=leaf,
-                        kind=_kind_of_tag(leaf.label))
-                for leaf, node in highest_for_head.items()]
-    mentions.sort(key=document_order_key)
-    for i, m in enumerate(mentions):
-        m.mention_id = i
-    return mentions
+        elif label in PRONOUN_TAGS and not node.children:
+            leaf = node
+        else:
+            continue
+        if leaf not in by_head:
+            by_head[leaf] = Mention(len(by_head), node, leaf, _kind_of_tag(leaf.label))
+    return list(by_head.values())
 
 
 def _span_end(node: SyntaxNode) -> int:
@@ -328,14 +317,14 @@ def attach_profiles(mentions: Iterable[Mention], annotations: AnnotationIndex,
         if m.kind is _PRONOUN:
             m.pronoun = pronoun_lookup(m.head_word, lex)
             m.profile = _pronoun_profile(m.pronoun)
-        elif not use_word_lists or node.doc is None or node.sentence_index < 0:
+        elif not use_word_lists or node.doc is None or m.sentence_index < 0:
             # no cues wanted, or no sentence token list to find them in
             m.profile = build_profile(m, annotations, lex, use_word_lists=use_word_lists)
         else:
             if node.doc is not doc:
                 doc, cues = node.doc, {}
-            s = node.sentence_index
+            s = m.sentence_index
             sentence = cues.get(s)
             if sentence is None:
                 sentence = cues[s] = _WordCues(doc[s], lex)
-            m.profile = _nominal_profile(m, annotations, sentence, *node.span)
+            m.profile = _nominal_profile(m, annotations, sentence, *m.span)

@@ -42,6 +42,10 @@ def _integer(value: object) -> int:
     return int(value)
 
 
+#: A tab and what ``str.splitlines`` breaks on: in an id they split its rows.
+_ROW_BREAKS = frozenset("\t\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029")
+
+
 class DocumentInput(Record):
     """One document: its sentence parses, and optional token annotations,
     gold mention spans (sentence, start, end) and gold clusters.
@@ -80,6 +84,8 @@ class DocumentInput(Record):
                 sentence.encode()
         except UnicodeEncodeError as err:
             raise DocumentError(doc_id, f"not encodable as UTF-8: {err}") from None
+        if not _ROW_BREAKS.isdisjoint(doc_id):
+            raise DocumentError(doc_id, "id holds a tab or a line break")
         for key in ("annotations", "gold_mentions", "gold_clusters"):
             if data.get(key) is not None and not isinstance(data[key], list):
                 raise DocumentError(doc_id, f"{key!r} is not a list")

@@ -442,20 +442,20 @@ def _nearest_acceptable(m: Mention, candidates: Iterable[Mention],
     best_distance = 0
     node = m.node
     depth = node.depth
-    sentence = node.sentence_index
+    sentence = m.sentence_index
     lca = node
     doc = index.doc
     for cand in candidates:
         c = cand.node
-        s = c.sentence_index
+        s = cand.sentence_index
         if s == sentence:
             while not lca.node_id <= c.node_id < lca._post:
                 lca = lca.parent
             if (best is not None and depth - lca.depth + 1 >= best_distance
-                    and c.span != best.node.span):
+                    and cand.span != best.span):
                 return _closer_ancestor(m, index.position[cand.mention_id], best_distance,
                                         admits, index) or best
-        elif (best is not None and s < best.node.sentence_index
+        elif (best is not None and s < best.sentence_index
                 and depth - s + 1 >= best_distance):
             break
         if accepts is not None and not accepts(cand):

@@ -535,6 +535,38 @@ def test_cli_lone_surrogate_fails_its_document_not_the_run(tmp_path, case, rende
     assert "Traceback" not in err
 
 
+def test_from_dict_rejects_an_id_that_would_break_a_row():
+    """A tab, or any character ``str.splitlines`` breaks on, in the id."""
+    breaks = [chr(c) for c in range(0x110000) if len(f"a{chr(c)}b".splitlines()) > 1]
+    assert len(breaks) == 10
+    for char in ["\t", *breaks]:
+        doc_id = f"a{char}b"
+        with pytest.raises(DocumentError, match="id holds a tab or a line break") as caught:
+            DocumentInput.from_dict({"id": doc_id, "sentences": [_SENTENCE]})
+        assert caught.value.doc_id == doc_id
+    for doc_id in ("a b", "a\u00a0b", "a\\tb", "\u00e9"):
+        assert DocumentInput.from_dict({"id": doc_id, "sentences": []}).doc_id == doc_id
+
+
+@pytest.mark.parametrize("argv", [["resolve"], ["score", "--gold"]])
+def test_cli_id_that_would_break_a_row_fails_its_document(tmp_path, capsys, argv):
+    """The id ``a<TAB>b<LF>c`` would print as two rows; its document is
+    reported and skipped, and the documents around it still run."""
+    a, b = ({"id": name, "sentences": [_SENTENCE], "gold_clusters": [[0]]} for name in "ab")
+    bad = dict(a, id="a\tb\nc")
+    (tmp_path / "abad.jsonl").write_text("".join(json.dumps(d) + "\n" for d in (a, bad, b)))
+    (tmp_path / "ab.jsonl").write_text("".join(json.dumps(d) + "\n" for d in (a, b)))
+    assert main([*argv, str(tmp_path / "ab.jsonl")]) == 0
+    clean = capsys.readouterr()
+    assert main([*argv, str(tmp_path / "abad.jsonl")]) == 1
+    run = capsys.readouterr()
+    assert run.out == clean.out
+    rows = [line.split("\t")[0] for line in run.out.splitlines()]
+    assert rows.count("a") == rows.count("b") == 1
+    assert run.err == "error: document 'a\\tb\\nc': id holds a tab or a line break\n"
+    assert "Traceback" not in run.err
+
+
 def test_cli_bad_file_is_skipped_and_other_inputs_run(tmp_path):
     """A file that is neither JSON nor JSON lines is one error; a missing
     input, an empty directory or a file without documents still stop the
@@ -765,17 +797,45 @@ def _fuzz_file(rng, documents):
     return data
 
 
+_LONE_SURROGATES = ["\ud800", "\udbff", "\udc80", "\udfff"]
+
+
+def _with_lone_surrogate(rng, document):
+    """A copy of ``document`` with a lone surrogate escape placed in its id
+    or inside one token of one of its sentences."""
+    document = dict(document)
+    surrogate = rng.choice(_LONE_SURROGATES)
+    if rng.random() < 0.5:
+        doc_id = str(document.get("id", ""))
+        i = rng.randrange(len(doc_id) + 1)
+        document["id"] = doc_id[:i] + surrogate + doc_id[i:]
+    else:
+        sentences = list(document["sentences"])
+        k = rng.randrange(len(sentences))
+        tokens = [match.start() for match in re.finditer(r"[^\s()]+\)", sentences[k])]
+        i = rng.choice(tokens) + 1
+        sentences[k] = sentences[k][:i] + surrogate + sentences[k][i:]
+        document["sentences"] = sentences
+    return document
+
+
 def test_cli_survives_seeded_fuzzed_inputs(tmp_path, capsys):
     """Faulty copies of the ``long.jsonl`` documents end, under every
     command, in exit status 0, 1 or 2 with only ``error: `` lines on
-    stderr, and never in an exception."""
+    stderr, and never in an exception. The second 100 copies hold a lone
+    surrogate escape in an id or a token, drawn from their own generator
+    so that the first 200 files keep their bytes."""
     documents = [json.loads(line) for line in
                  (GOLDEN / "long.jsonl").read_text(encoding="utf-8").splitlines()]
     rng = random.Random(20261018)
+    lone = random.Random(20261019)
+    files = [_fuzz_file(rng, documents) for _ in range(200)]
+    files += [_fuzz_file(lone, [_with_lone_surrogate(lone, d) for d in documents])
+              for _ in range(100)]
     path = tmp_path / "fuzz.json"
     statuses = set()
-    for _ in range(200):
-        path.write_bytes(_fuzz_file(rng, documents))
+    for data in files:
+        path.write_bytes(data)
         for argv in (["resolve"], ["score", "--gold"], ["trace", "--gold"]):
             code = main([*argv, str(path)])
             err = capsys.readouterr().err

@@ -12,11 +12,11 @@ from coref import (Decision, Gender, Mention, MentionIndex, MentionKind, Number,
                    TypeProfile, annotation_index, attach_profiles,
                    build_profile, candidate_pool, collins_head_child,
                    detect_appositive, detect_pred_nom,
-                   detect_role_appositive, dominates, filter_nominal,
+                   detect_role_appositive, dominates, extract_mentions, filter_nominal,
                    filter_pronoun, head_leaf, initial_adjuncts, map_gold_mentions, read_ptb,
                    reflexive_subject, resolve_document, select_antecedent,
                    type_compatible)
-from coref.mention import _PROFILES, _kind_of_tag, document_order_key
+from coref.mention import PRONOUN_TAGS, _PROFILES, _kind_of_tag, document_order_key
 from coref.resolve import _latest_first, _union_latest_first, is_second_person
 from helpers import (EXAMPLE1_SENTENCES, decision_for, doc_with_mentions,
                      mention_with_head, parse_doc, pipeline)
@@ -769,6 +769,67 @@ def test_index_scans_visit_each_pool_candidate_once_most_recent_first(lex):
             pool = candidate_pool(m, index)
             assert list(index.before(m)) == pool[::-1]
             assert list(index.nominal_matches_before(m)) == filter_nominal(m, pool)[::-1]
+
+
+def _extract_mentions_by_sorting(doc):
+    """Extraction without relying on preorder: the highest NP per head leaf
+    by depth, then the PRP/PRP$ leaves that head no NP, stably sorted by
+    ``document_order_key`` and numbered in that order."""
+    highest_for_head = {}
+    pronoun_leaves = []
+    for node in doc.nodes:
+        if node.label == "NP":
+            leaf = head_leaf(node)
+            best = highest_for_head.get(leaf)
+            if best is None or node.depth < best.depth:
+                highest_for_head[leaf] = node
+        elif node.label in PRONOUN_TAGS and node.is_leaf():
+            pronoun_leaves.append(node)
+    for leaf in pronoun_leaves:
+        highest_for_head.setdefault(leaf, leaf)
+    mentions = [Mention(-1, node, leaf, _kind_of_tag(leaf.label))
+                for leaf, node in highest_for_head.items()]
+    mentions.sort(key=document_order_key)
+    for i, m in enumerate(mentions):
+        m.mention_id = i
+    return mentions
+
+
+def _extraction_documents():
+    """The random and same-sentence documents as linked trees, with their
+    gold spans (or None)."""
+    return [(parse_doc(*sentences), gold) for sentences, _, gold
+            in _random_documents(20261019, 24) + _same_sentence_documents(20261019, 60)]
+
+
+def test_extraction_in_one_pass_matches_the_sorting_oracle():
+    """Same nodes, heads, kinds and ids, in the same order; the documents
+    hold unary NP chains, pronoun-headed NPs, PRP$ leaves and wide
+    coordinations."""
+    shapes = {"unary chain": 0, "pronoun-headed NP": 0, "PRP$ leaf": 0, "wide": 0}
+    for doc, _ in _extraction_documents():
+        got, expected = extract_mentions(doc), _extract_mentions_by_sorting(doc)
+        assert ([(m.mention_id, m.node, m.head, m.kind) for m in got]
+                == [(m.mention_id, m.node, m.head, m.kind) for m in expected])
+        for node in doc.nodes:
+            if node.label == "NP":
+                shapes["unary chain"] += [c.label for c in node.children] == ["NP"]
+                shapes["pronoun-headed NP"] += head_leaf(node).label in PRONOUN_TAGS
+                shapes["wide"] += len(node.children) >= 7
+        shapes["PRP$ leaf"] += sum(m.node.label == "PRP$" for m in got)
+    assert all(shapes.values()), shapes
+
+
+def test_mention_fields_are_copies_of_node_and_head_facts():
+    for doc, gold in _extraction_documents():
+        mentions = extract_mentions(doc)
+        if gold is not None:
+            mentions += map_gold_mentions(doc, gold)
+        for m in mentions:
+            assert m.sentence_index == m.node.sentence_index
+            assert m.span == m.node.span
+            assert m.head_word == (m.head.token or "")
+            assert m.head_tag == m.head.label
 
 
 class _CountedRun(list):

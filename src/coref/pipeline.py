@@ -8,6 +8,7 @@ builds its gold partition over the same mention ids.
 
 from __future__ import annotations
 
+import gc
 from typing import Optional, Sequence
 
 from .cluster import Clustering, from_entities, transitive_closure
@@ -143,34 +144,53 @@ def run_pipeline(document: DocumentInput, cfg: Optional[ResolveConfig] = None,
     document.
 
     Parse and annotation problems raise DocumentError carrying the document id.
+
+    The cyclic garbage collector is paused while the document runs: if it
+    is on, it is turned off here and back on when the run ends, by a return
+    or an exception; if the caller had turned it off, it stays off. This is
+    safe because the pipeline makes no reference cycle (a node reaches its
+    parent through a weak reference), so reference counting frees all it
+    makes, and the collector would only walk the document's live nodes again
+    and again; a test in ``tests/test_cli.py`` pins that no golden corpus
+    leaves cyclic garbage. Gold scoring and the CLI's printing run outside
+    the pause. The collector's state is process-wide, so another thread's
+    collections wait until the document ends.
     """
     cfg = cfg or ResolveConfig()
     lex = lex or default_lexicon()
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
     try:
-        doc = read_document(document.sentences)
-    except ValueError as err:
-        raise DocumentError(document.doc_id, str(err)) from err
-    for ann in document.annotations:
-        if not 0 <= ann.sentence_index < len(doc.sentence_roots):
-            raise DocumentError(document.doc_id, f"annotation names missing sentence "
-                                                 f"{ann.sentence_index}")
-        limit = doc.sentence_roots[ann.sentence_index].span[1]
-        if not 0 <= ann.token_index < limit:
-            raise DocumentError(document.doc_id, f"annotation names missing token "
-                                                 f"{ann.token_index} in sentence {ann.sentence_index}")
-    try:
-        if document.gold_mentions is not None:
-            mentions = map_gold_mentions(doc, document.gold_mentions)
-        else:
-            mentions = extract_mentions(doc)
-    except ValueError as err:
-        raise DocumentError(document.doc_id, str(err)) from err
-    attach_profiles(mentions, annotation_index(document.annotations), lex,
-                    use_word_lists=cfg.use_word_lists)
-    decisions = resolve_document(doc, mentions, lex, cfg)
-    clustering = transitive_closure(decisions, [m.mention_id for m in mentions])
-    return PipelineResult(input=document, tree=doc, mentions=mentions,
-                          decisions=decisions, clustering=clustering)
+        try:
+            doc = read_document(document.sentences)
+        except ValueError as err:
+            raise DocumentError(document.doc_id, str(err)) from err
+        for ann in document.annotations:
+            if not 0 <= ann.sentence_index < len(doc.sentence_roots):
+                raise DocumentError(document.doc_id, f"annotation names missing sentence "
+                                                     f"{ann.sentence_index}")
+            limit = doc.sentence_roots[ann.sentence_index].span[1]
+            if not 0 <= ann.token_index < limit:
+                raise DocumentError(document.doc_id, f"annotation names missing token "
+                                                     f"{ann.token_index} in sentence "
+                                                     f"{ann.sentence_index}")
+        try:
+            if document.gold_mentions is not None:
+                mentions = map_gold_mentions(doc, document.gold_mentions)
+            else:
+                mentions = extract_mentions(doc)
+        except ValueError as err:
+            raise DocumentError(document.doc_id, str(err)) from err
+        attach_profiles(mentions, annotation_index(document.annotations), lex,
+                        use_word_lists=cfg.use_word_lists)
+        decisions = resolve_document(doc, mentions, lex, cfg)
+        clustering = transitive_closure(decisions, [m.mention_id for m in mentions])
+        return PipelineResult(input=document, tree=doc, mentions=mentions,
+                              decisions=decisions, clustering=clustering)
+    finally:
+        if paused:
+            gc.enable()
 
 
 def gold_clustering(document: DocumentInput, mentions: Sequence[Mention]) -> Clustering:

@@ -20,6 +20,12 @@ one sentence of 100 coordinated "JohnK" NPs and a mixed coordination of
 names and pronouns, nested same-sentence NPs ("of" chains, appositives and
 coordinations inside one another), and gold mentions with duplicated spans
 and spans on unary NP chains.
+
+``surrogate.jsonl`` is written by hand for documents that cannot be
+written out: good documents a and b around s (a lone ``"\\ud800"`` escape in
+a token), t (one in the id) and r (an id holding a tab). Each of the three
+is reported and skipped, so its digests pin the failing-document path
+between two documents that run.
 """
 
 import json

@@ -209,9 +209,12 @@ def cli_digests(tmp_path) -> dict[str, dict[str, object]]:
     The ablation corpus and ``golden/long.jsonl`` run all three commands
     under the default config, each single ablation flag and each of
     ``flag_combinations``; ``golden/bad.jsonl`` (one document per kind of bad
-    sentence, and one good document) and ``golden/coord.jsonl`` (a wide
+    sentence, and one good document), ``golden/coord.jsonl`` (a wide
     coordination, nested same-sentence NPs, and gold mentions with duplicated
-    spans) run them under the default config and each single flag. The
+    spans) and ``golden/surrogate.jsonl`` (good documents a and b around
+    three that cannot be written: a lone surrogate escape in a token, one
+    in the id, and an id holding a tab) run them under the default config
+    and each single flag. The
     corpora ``bench/corpus.py`` generated (see ``golden/make_digests.py``)
     run under the default config, each single flag and each of
     ``flag_combinations``: ``resolve --render`` on the news and
@@ -226,6 +229,7 @@ def cli_digests(tmp_path) -> dict[str, dict[str, object]]:
             ("long", GOLDEN / "long.jsonl", every, sampled),
             ("bad", GOLDEN / "bad.jsonl", every, singles),
             ("coord", GOLDEN / "coord.jsonl", every, singles),
+            ("surrogate", GOLDEN / "surrogate.jsonl", every, singles),
             ("bench_news", GOLDEN / "bench_news.jsonl", every[:1], sampled),
             ("bench_long_doc", GOLDEN / "bench_long_doc.jsonl", every[:1], sampled),
             ("bench_gold", GOLDEN / "bench_gold.jsonl", every[1:], sampled)]

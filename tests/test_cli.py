@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
+import coref.pipeline
 from coref import (Decision, DocumentError, DocumentInput, Mention, MentionKind,
                    PairCounts, ResolveConfig, Rule, SyntaxNode, TraceReport,
-                   gold_clustering, render_brackets, run_pipeline,
-                   score_corpus, trace_report)
+                   b_cubed_doc, default_lexicon, gold_clustering, pairwise_counts,
+                   render_brackets, run_pipeline, score_corpus, trace_report)
 from coref.cluster import from_entities
-from coref.cli import build_config, build_parser, load_documents, main
+from coref.cli import _ABLATION_FLAGS, build_config, build_parser, load_documents, main
 from helpers import (EXAMPLE1_GOLD, EXAMPLE1_SENTENCES, ablation_corpus,
                      GOLDEN, cli_digests, pipeline, random_partition, run_cli,
                      run_cli_twice, write_corpus)
@@ -57,6 +58,83 @@ def test_dropped_result_frees_its_document_at_once(fixture_lex):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_golden_corpora_make_no_reference_cycle():
+    """Every ``golden/*.jsonl`` document, failing ones included, run through
+    the library under the default config and each single flag with the
+    cycle collector off, leaves no cyclic garbage: reference counting frees
+    all of it. ``run_pipeline`` pauses the collector on this premise; a
+    cycle, such as a strong parent reference, would otherwise live until
+    the document ends."""
+    lex = default_lexicon()
+    configs = [ResolveConfig()] + [ResolveConfig()._replace(**{field: value})
+                                   for _, field, value in _ABLATION_FLAGS]
+    # Loading is left out: a schema error is returned with its traceback,
+    # whose frames reach the list that holds it.
+    documents = [document for path in sorted(GOLDEN.glob("*.jsonl"))
+                 for document in load_documents([str(path)])
+                 if isinstance(document, DocumentInput)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        failed = 0
+        for cfg in configs:
+            for document in documents:
+                try:
+                    result = run_pipeline(document, cfg, lex)
+                except DocumentError:
+                    failed += 1
+                    continue
+                render_brackets(result.tree, result.mentions, result.clustering)
+                trace_report(result.decisions, result.mentions, None)
+                if document.gold_clusters is None:
+                    continue
+                gold = gold_clustering(document, result.mentions)
+                pairwise_counts(result.clustering, gold)
+                if result.mentions:
+                    b_cubed_doc(result.clustering, gold)
+                trace_report(result.decisions, result.mentions, gold)
+        assert failed == 4 * len(configs)  # golden/bad.jsonl's bad sentences
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("outcome", ["result", "DocumentError", "RuntimeError"])
+def test_pipeline_pauses_the_collector_and_restores_it(monkeypatch, fixture_lex,
+                                                       enabled, outcome):
+    """The collector is off while a document runs, and afterwards in the
+    state the caller left it, whether the run returns or raises."""
+    seen = []
+    original = coref.pipeline.read_document
+
+    def read_document(sentences):
+        seen.append(gc.isenabled())
+        return original(sentences)
+
+    def resolve_document(*args):
+        raise RuntimeError("resolver failed")
+
+    monkeypatch.setattr(coref.pipeline, "read_document", read_document)
+    if outcome == "RuntimeError":
+        monkeypatch.setattr(coref.pipeline, "resolve_document", resolve_document)
+    sentences = ["(S (NP"] if outcome == "DocumentError" else EXAMPLE1_SENTENCES
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if outcome == "result":
+            pipeline(sentences, lex=fixture_lex)
+        else:
+            with pytest.raises(DocumentError if outcome == "DocumentError" else RuntimeError):
+                pipeline(sentences, lex=fixture_lex)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
 
 
 def test_pipeline_parse_error_carries_doc_id(fixture_lex):

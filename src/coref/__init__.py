@@ -18,14 +18,13 @@ from .pipeline import (DocumentError, DocumentInput, PipelineResult,
                        gold_clustering, run_pipeline)
 from .report import TraceReport, render_brackets, score_corpus, trace_report
 from .resolve import (Decision, MentionIndex, ResolveConfig, Rule,
-                      candidate_pool, detect_appositive, detect_pred_nom,
-                      detect_role_appositive, filter_nominal, filter_pronoun,
+                      detect_appositive, detect_pred_nom, detect_role_appositive,
                       initial_adjuncts, reflexive_subject, resolve_document,
-                      select_antecedent, type_compatible)
+                      type_compatible)
 from .score import (PairCounts, Score, b_cubed_doc, b_cubed_macro,
                     pairwise_counts, pairwise_micro)
 from .treebank import (DOCLINK, DocumentTree, PtbParseError, SyntaxNode,
                        collins_head_child, dominates, head_leaf, link_document,
-                       path_distance, read_document, read_ptb, to_ptb)
+                       path_distance, read_document, read_ptb)
 
 __version__ = "0.1.0"

@@ -117,6 +117,10 @@ def _entry(data: object) -> DocumentInput | DocumentError:
     try:
         return DocumentInput.from_dict(data)
     except DocumentError as err:
+        # Returned, not raised: its traceback reaches the caller's frame and
+        # the list that will hold it, and its suppressed context has a
+        # traceback of its own, so both would make a reference cycle.
+        err.__traceback__ = err.__context__ = None
         return err
 
 

@@ -104,19 +104,18 @@ class MentionIndex:
                 self.by_nominal_key.setdefault(key, []).append(i)
 
     def before(self, m: Mention) -> Iterator[Mention]:
-        """The mentions of ``candidate_pool(m, self)``, most recent first."""
+        """Every mention before ``m`` in document order, most recent first."""
         return map(self.mentions.__getitem__,
                    range(self.position[m.mention_id] - 1, -1, -1))
 
     def nominal_matches_before(self, m: Mention) -> Iterator[Mention]:
-        """The mentions before ``m`` that share a nominal key with it, most
-        recent first; ``filter_nominal`` over ``candidate_pool``, reversed."""
+        """The mentions before ``m`` that share a nominal key with it (see
+        ``nominal_keys``), most recent first."""
         stop = self.position[m.mention_id]
         keys = self.keys_at[stop]
         run = self.by_nominal_key[keys[0]]
-        if len(keys) == 1:
-            return _latest_first(self.mentions, run, bisect_left(run, stop))
-        other = self.by_nominal_key[keys[1]]
+        # a one-key mention merges its run with an empty second one
+        other = self.by_nominal_key[keys[1]] if len(keys) == 2 else ()
         return _union_latest_first(self.mentions, run, bisect_left(run, stop),
                                    other, bisect_left(other, stop))
 
@@ -138,19 +137,11 @@ class MentionIndex:
         return found
 
 
-def _latest_first(mentions: Sequence[Mention], run: Sequence[int],
-                  cut: int) -> Iterator[Mention]:
-    """The mentions at the ascending positions ``run[:cut]``, latest first."""
-    while cut:
-        cut -= 1
-        yield mentions[run[cut]]
-
-
 def _union_latest_first(mentions: Sequence[Mention], a: Sequence[int], i: int,
                         b: Sequence[int], j: int) -> Iterator[Mention]:
     """The mentions at the positions in ``a[:i]`` or ``b[:j]``, two ascending
-    runs, latest first and each once. Reads each run element at most once,
-    and only as far back as the caller draws."""
+    runs (either may be empty), latest first and each once. Reads each run
+    element at most once, and only as far back as the caller draws."""
     x = a[i - 1] if i else -1  # positions are >= 0, so -1 marks an empty run
     y = b[j - 1] if j else -1
     while x >= 0 or y >= 0:
@@ -333,11 +324,6 @@ def type_compatible(p: TypeProfile, c: TypeProfile, cfg: ResolveConfig) -> bool:
             and _attribute_clash(p.number, c.number, _UNKNOWN_NUMBER, strict)))
 
 
-def candidate_pool(m: Mention, index: MentionIndex) -> list[Mention]:
-    """All mentions strictly before ``m`` in document order."""
-    return index.mentions[:index.position[m.mention_id]]
-
-
 def is_second_person(m: Mention) -> bool:
     return (m.pronoun is not None
             and m.pronoun.grammatical_person is _SECOND_PERSON)
@@ -370,13 +356,6 @@ def pronoun_acceptor(m: Mention, cfg: ResolveConfig) -> Callable[[Mention], bool
     return accepts
 
 
-def filter_pronoun(m: Mention, pool: Sequence[Mention],
-                   cfg: ResolveConfig) -> list[Mention]:
-    """The candidates in ``pool`` that ``pronoun_acceptor(m, cfg)`` accepts."""
-    accepts = pronoun_acceptor(m, cfg)
-    return [cand for cand in pool if accepts(cand)]
-
-
 def nominal_keys(m: Mention) -> tuple[tuple[str, str], ...]:
     """A nominal or proper mention matches a candidate that shares one of
     these keys with it: the casefolded head word, or for NNP heads of at
@@ -388,36 +367,15 @@ def nominal_keys(m: Mention) -> tuple[tuple[str, str], ...]:
     return (("head", head),)
 
 
-def filter_nominal(m: Mention, pool: Sequence[Mention]) -> list[Mention]:
-    """The candidates in ``pool`` that share a nominal key with ``m``: exact
-    head match (case-insensitive) or the proper-noun prefix rule. No
-    syntactic constraints."""
-    keys = set(nominal_keys(m))
-    return [cand for cand in pool if not keys.isdisjoint(nominal_keys(cand))]
-
-
-def select_antecedent(m: Mention, candidates: Sequence[Mention],
-                      doc: DocumentTree) -> Optional[Mention]:
-    """The candidate closest by tree path distance; ties go to the most
-    recent mention in document order. Empty candidate set resolves to None."""
-    best = None
-    best_distance = None
-    for cand in candidates:
-        distance = path_distance(m.node, cand.node, doc)
-        if (best is None or distance < best_distance
-                or (distance == best_distance
-                    and document_order_key(cand) > document_order_key(best))):
-            best, best_distance = cand, distance
-    return best
-
-
 def _nearest_acceptable(m: Mention, candidates: Iterable[Mention],
                         accepts: Optional[Callable[[Mention], bool]],
                         admits: Callable[[Mention], bool],
                         index: MentionIndex) -> Optional[Mention]:
-    """``select_antecedent`` over the ``candidates`` that ``accepts`` admits
-    (all of them when it is None), given most recent first. ``admits``
-    tells whether a mention before ``m`` is one of those.
+    """Among the ``candidates`` that ``accepts`` admits (all of them when it
+    is None), given most recent first, the one closest to ``m`` by tree
+    path distance; a tie goes to the larger document-order key, and among
+    equal keys to the earlier mention. None when no candidate is admitted.
+    ``admits`` tells whether a mention before ``m`` is one of those.
 
     In ``m``'s sentence, mention order is preorder except between nodes of
     equal span. So for a candidate that is not an ancestor of ``m``, the
@@ -461,8 +419,8 @@ def _nearest_acceptable(m: Mention, candidates: Iterable[Mention],
         if accepts is not None and not accepts(cand):
             continue
         distance = path_distance(node, c, doc)
-        # Scanning backwards, ``>=`` on the key keeps select_antecedent's
-        # order: larger key first, then the earlier position.
+        # Scanning backwards, ``>=`` on the key gives the tie rule: the
+        # larger key wins, and among equal keys the earlier position.
         if (best is None or distance < best_distance
                 or (distance == best_distance
                     and document_order_key(cand) >= document_order_key(best))):
@@ -532,13 +490,14 @@ def resolve_document(doc: DocumentTree, mentions: Sequence[Mention],
     """One decision per mention, in document order.
 
     Immediate patterns fire first (appositive, role appositive, predicate
-    nominative, in that order); otherwise the closest candidate the
-    kind-specific filter accepts wins, as ``select_antecedent`` over
-    ``filter_pronoun`` or ``filter_nominal`` of ``candidate_pool`` would pick
-    it. ``mentions`` must be in document order. ``candidate_log``, when
-    given, records the filtered candidate id set per mention that reached
-    filtering; that filters every earlier candidate, but the distance search
-    still stops early.
+    nominative, in that order). Otherwise, among the earlier mentions, a
+    pronoun takes those ``pronoun_acceptor`` accepts and a nominal or
+    proper mention those that share a nominal key with it, and the one
+    closest by tree path distance wins; a tie goes to the most recent in
+    document order. ``mentions`` must be in document order.
+    ``candidate_log``, when given, records the filtered candidate id set per
+    mention that reached filtering; that filters every earlier candidate,
+    but the distance search still stops early.
     """
     cfg = cfg or ResolveConfig()
     index = MentionIndex(doc, mentions)

@@ -346,30 +346,6 @@ def read_document(sentences: Sequence[str]) -> DocumentTree:
     return _join(len(sentences), read_one)
 
 
-def to_ptb(node: SyntaxNode) -> str:
-    """Serialize to the single-space-separated canonical bracketed form."""
-    parts: list[str] = []
-    stack: list[tuple[SyntaxNode, bool]] = [(node, False)]
-    while stack:
-        current, done = stack.pop()
-        if done:
-            parts.append(")")
-            continue
-        if current.is_leaf():
-            parts.append(f"({current.label} {current.token})")
-            continue
-        parts.append(f"({current.label}")
-        stack.append((current, True))
-        for child in reversed(current.children):
-            stack.append((child, False))
-    out: list[str] = []
-    for part in parts:
-        if out and part != ")":
-            out.append(" ")
-        out.append(part)
-    return "".join(out)
-
-
 # ---------------------------------------------------------------------------
 # Collins head rules
 #

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import coref
 from coref import (Clustering, DocumentInput, Mention, PipelineResult, ResolveConfig,
-                   extract_mentions, link_document, read_ptb, run_pipeline)
+                   SyntaxNode, extract_mentions, link_document, read_ptb, run_pipeline)
 from coref.cli import _ABLATION_FLAGS, main
 from coref.cluster import from_entities
 
@@ -76,6 +76,30 @@ def random_partition(rng, universe) -> Clustering:
         else:
             entities.append([mid])
     return from_entities(universe, entities)
+
+
+def to_ptb(node: SyntaxNode) -> str:
+    """Serialize to the single-space-separated canonical bracketed form."""
+    parts: list[str] = []
+    stack: list[tuple[SyntaxNode, bool]] = [(node, False)]
+    while stack:
+        current, done = stack.pop()
+        if done:
+            parts.append(")")
+            continue
+        if current.is_leaf():
+            parts.append(f"({current.label} {current.token})")
+            continue
+        parts.append(f"({current.label}")
+        stack.append((current, True))
+        for child in reversed(current.children):
+            stack.append((child, False))
+    out: list[str] = []
+    for part in parts:
+        if out and part != ")":
+            out.append(" ")
+        out.append(part)
+    return "".join(out)
 
 
 def parse_doc(*sentences):

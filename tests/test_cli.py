@@ -61,24 +61,22 @@ def test_dropped_result_frees_its_document_at_once(fixture_lex):
 
 
 def test_golden_corpora_make_no_reference_cycle():
-    """Every ``golden/*.jsonl`` document, failing ones included, run through
-    the library under the default config and each single flag with the
-    cycle collector off, leaves no cyclic garbage: reference counting frees
-    all of it. ``run_pipeline`` pauses the collector on this premise; a
-    cycle, such as a strong parent reference, would otherwise live until
-    the document ends."""
+    """Every ``golden/*.jsonl`` document, failing ones included, loaded and
+    run through the library under the default config and each single flag
+    with the cycle collector off, leaves no cyclic garbage: reference
+    counting frees all of it. ``run_pipeline`` pauses the collector on this
+    premise; a cycle, such as a strong parent reference, would otherwise
+    live until the document ends."""
     lex = default_lexicon()
     configs = [ResolveConfig()] + [ResolveConfig()._replace(**{field: value})
                                    for _, field, value in _ABLATION_FLAGS]
-    # Loading is left out: a schema error is returned with its traceback,
-    # whose frames reach the list that holds it.
-    documents = [document for path in sorted(GOLDEN.glob("*.jsonl"))
-                 for document in load_documents([str(path)])
-                 if isinstance(document, DocumentInput)]
     enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
+        documents = [document for path in sorted(GOLDEN.glob("*.jsonl"))
+                     for document in load_documents([str(path)])
+                     if isinstance(document, DocumentInput)]
         failed = 0
         for cfg in configs:
             for document in documents:

@@ -10,14 +10,14 @@ import coref.treebank
 from coref import (Decision, Gender, Mention, MentionIndex, MentionKind, Number,
                    Personhood, ResolveConfig, Rule, TokenAnnotation,
                    TypeProfile, annotation_index, attach_profiles,
-                   build_profile, candidate_pool, collins_head_child,
+                   build_profile, collins_head_child,
                    detect_appositive, detect_pred_nom,
-                   detect_role_appositive, dominates, extract_mentions, filter_nominal,
-                   filter_pronoun, head_leaf, initial_adjuncts, map_gold_mentions, read_ptb,
-                   reflexive_subject, resolve_document, select_antecedent,
-                   type_compatible)
+                   detect_role_appositive, dominates, extract_mentions,
+                   head_leaf, initial_adjuncts, map_gold_mentions, path_distance,
+                   read_ptb, reflexive_subject, resolve_document, type_compatible)
 from coref.mention import PRONOUN_TAGS, _PROFILES, _kind_of_tag, document_order_key
-from coref.resolve import _latest_first, _union_latest_first, is_second_person
+from coref.resolve import (_nearest_acceptable, _union_latest_first, is_second_person,
+                           pronoun_acceptor)
 from helpers import (EXAMPLE1_SENTENCES, decision_for, doc_with_mentions,
                      mention_with_head, parse_doc, pipeline)
 
@@ -347,18 +347,24 @@ def test_strict_typecheck_rejects_unknown_candidate():
 
 
 # ---------------------------------------------------------------------------
-# Pools, filters, selection
+# Pools, filters, selection: the candidate scans and decisions the search runs
 # ---------------------------------------------------------------------------
+
+def _accepted(m, index, cfg=ResolveConfig()):
+    """The earlier mentions that pronoun ``m``'s search admits, most recent
+    first."""
+    return list(filter(pronoun_acceptor(m, cfg), index.before(m)))
+
 
 def test_candidate_pool(fixture_lex):
     doc, mentions, index = _prepared(
         fixture_lex,
         "(S (NP (NNP John)) (VP (VBD saw) (NP (DT the) (NN dog))"
         " (NP (DT a) (NN cat))) (. .))")
-    assert candidate_pool(mentions[0], index) == []
-    assert candidate_pool(mentions[2], index) == mentions[:2]
+    assert list(index.before(mentions[0])) == []
+    assert list(index.before(mentions[2])) == mentions[:2][::-1]
     for i, m in enumerate(mentions):
-        pool = candidate_pool(m, index)
+        pool = list(index.before(m))
         assert m not in pool
         assert all(index.position[c.mention_id] < index.position[m.mention_id]
                    for c in pool)
@@ -367,8 +373,7 @@ def test_candidate_pool(fixture_lex):
 def test_filter_pronoun_john_bought_himself(fixture_lex):
     doc, mentions, index = _prepared(fixture_lex, EXAMPLE1_SENTENCES[0])
     himself = mention_with_head(mentions, "himself")
-    pool = candidate_pool(himself, index)
-    kept = filter_pronoun(himself, pool, ResolveConfig())
+    kept = _accepted(himself, index)
     assert [m.head_word for m in kept] == ["John"]
 
 
@@ -378,10 +383,8 @@ def test_filter_pronoun_drops_pro_pro_when_disabled(fixture_lex):
         "(S (NP (PRP he)) (VP (VBD waved)) (. .))",
         "(S (NP (PRP he)) (VP (VBD left)) (. .))")
     second = mentions[1]
-    pool = candidate_pool(second, index)
-    assert len(filter_pronoun(second, pool, ResolveConfig())) == 1
-    assert filter_pronoun(second, pool,
-                          ResolveConfig(allow_pro_pro_match=False)) == []
+    assert len(_accepted(second, index)) == 1
+    assert _accepted(second, index, ResolveConfig(allow_pro_pro_match=False)) == []
 
 
 def test_filter_pronoun_grammatical_person_check(fixture_lex):
@@ -390,10 +393,8 @@ def test_filter_pronoun_grammatical_person_check(fixture_lex):
         "(S (NP (PRP I)) (VP (VBD waved)) (. .))",
         "(S (NP (PRP he)) (VP (VBD left)) (. .))")
     he = mentions[1]
-    pool = candidate_pool(he, index)
-    assert len(filter_pronoun(he, pool, ResolveConfig())) == 1
-    assert filter_pronoun(he, pool,
-                          ResolveConfig(check_grammatical_person=True)) == []
+    assert len(_accepted(he, index)) == 1
+    assert _accepted(he, index, ResolveConfig(check_grammatical_person=True)) == []
 
 
 def test_filter_nominal_substring_rule(fixture_lex):
@@ -402,7 +403,7 @@ def test_filter_nominal_substring_rule(fixture_lex):
         "(S (NP (NNP Japan)) (VP (VBD exported) (NP (NNS cars))) (. .))",
         "(S (NP (DT the) (NNP Japanese)) (VP (VBD bought) (NP (NNS houses))) (. .))")
     japanese = mention_with_head(mentions, "Japanese")
-    kept = filter_nominal(japanese, candidate_pool(japanese, index))
+    kept = list(index.nominal_matches_before(japanese))
     assert [m.head_word for m in kept] == ["Japan"]
 
 
@@ -412,7 +413,7 @@ def test_filter_nominal_exact_head_match_false_positive(fixture_lex):
         "(S (NP (JJ Korean) (NNS officials)) (VP (VBD met)) (. .))",
         "(S (NP (JJ Iranian) (NNS officials)) (VP (VBD agreed)) (. .))")
     second = mentions[1]
-    kept = filter_nominal(second, candidate_pool(second, index))
+    kept = list(index.nominal_matches_before(second))
     assert [m.head_word for m in kept] == ["officials"]
 
 
@@ -422,12 +423,13 @@ def test_filter_nominal_short_prefix_mismatch(fixture_lex):
         "(S (NP (NNP Iran)) (VP (VBD signed)) (. .))",
         "(S (NP (NNP Iraq)) (VP (VBD refused)) (. .))")
     iraq = mention_with_head(mentions, "Iraq")
-    assert filter_nominal(iraq, candidate_pool(iraq, index)) == []
+    assert list(index.nominal_matches_before(iraq)) == []
 
 
 def test_select_antecedent_empty_is_null(fixture_lex):
     doc, mentions, index = _prepared(fixture_lex, "(S (NP (NN rain)))")
-    assert select_antecedent(mentions[0], [], doc) is None
+    assert resolve_document(doc, mentions, fixture_lex) == [
+        Decision(mentions[0].mention_id, None, Rule.NULL)]
 
 
 def test_select_antecedent_calverts(fixture_lex):
@@ -440,9 +442,11 @@ def test_select_antecedent_calverts(fixture_lex):
     they = mention_with_head(mentions, "they")
     calverts = mention_with_head(mentions, "Calverts")
     estates = mention_with_head(mentions, "estates")
-    kept = filter_pronoun(they, candidate_pool(they, index), ResolveConfig())
+    kept = _accepted(they, index)
     assert calverts in kept and estates in kept
-    assert select_antecedent(they, kept, doc) is calverts
+    decisions = resolve_document(doc, mentions, fixture_lex)
+    assert decisions[index.position[they.mention_id]] == Decision(
+        they.mention_id, calverts.mention_id, Rule.PRONOUN)
 
 
 def test_select_antecedent_tie_prefers_most_recent(fixture_lex):
@@ -453,8 +457,10 @@ def test_select_antecedent_tie_prefers_most_recent(fixture_lex):
     cat = mention_with_head(mentions, "cat")
     dog = mention_with_head(mentions, "dog")
     # both candidates are siblings of fox: equal distance 2
-    assert select_antecedent(fox, [cat, dog], doc) is dog
-    assert select_antecedent(fox, [dog, cat], doc) is dog
+    assert _select_antecedent(fox, [cat, dog], doc) is dog
+    assert _select_antecedent(fox, [dog, cat], doc) is dog
+    assert _nearest_acceptable(fox, index.before(fox), None, lambda cand: True,
+                               index) is dog
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +708,20 @@ def _nominal_match(m, cand):
                       and len(x) >= 4 and len(y) >= 4 and x[:4] == y[:4])
 
 
+def _select_antecedent(m, candidates, doc):
+    """The candidate closest by tree path distance; ties go to the most
+    recent mention in document order. No candidates resolve to None."""
+    best = None
+    best_distance = None
+    for cand in candidates:
+        distance = path_distance(m.node, cand.node, doc)
+        if (best is None or distance < best_distance
+                or (distance == best_distance
+                    and document_order_key(cand) > document_order_key(best))):
+            best, best_distance = cand, distance
+    return best
+
+
 def _exhaustive(doc, mentions, lex, cfg):
     """Decisions and candidate log by filtering the whole candidate pool of
     every mention, then selecting over all survivors."""
@@ -716,18 +736,18 @@ def _exhaustive(doc, mentions, lex, cfg):
         if antecedent is not None:
             decisions.append(Decision(m.mention_id, antecedent.mention_id, rule))
             continue
-        pool = candidate_pool(m, index)
+        pool = index.mentions[:index.position[m.mention_id]]
         if m.kind is MentionKind.PRONOUN:
             if not cfg.resolve_pronouns or (is_second_person(m)
                                             and not cfg.resolve_second_person):
                 decisions.append(Decision(m.mention_id, None, Rule.NULL))
                 continue
-            kept, rule = filter_pronoun(m, pool, cfg), Rule.PRONOUN
+            accepts = pronoun_acceptor(m, cfg)
+            kept, rule = [cand for cand in pool if accepts(cand)], Rule.PRONOUN
         else:
-            kept, rule = filter_nominal(m, pool), Rule.NOMINAL
-            assert kept == [cand for cand in pool if _nominal_match(m, cand)]
+            kept, rule = [cand for cand in pool if _nominal_match(m, cand)], Rule.NOMINAL
         log[m.mention_id] = frozenset(c.mention_id for c in kept)
-        chosen = select_antecedent(m, kept, doc)
+        chosen = _select_antecedent(m, kept, doc)
         decisions.append(Decision(m.mention_id, None, Rule.NULL) if chosen is None
                          else Decision(m.mention_id, chosen.mention_id, rule))
     return decisions, log
@@ -766,9 +786,10 @@ def test_index_scans_visit_each_pool_candidate_once_most_recent_first(lex):
         result = pipeline(sentences, annotations=annotations, gold_mentions=gold, lex=lex)
         index = MentionIndex(result.tree, result.mentions)
         for m in index.mentions:
-            pool = candidate_pool(m, index)
+            pool = index.mentions[:index.position[m.mention_id]]
             assert list(index.before(m)) == pool[::-1]
-            assert list(index.nominal_matches_before(m)) == filter_nominal(m, pool)[::-1]
+            assert list(index.nominal_matches_before(m)) == [
+                cand for cand in pool if _nominal_match(m, cand)][::-1]
 
 
 def _extract_mentions_by_sorting(doc):
@@ -843,9 +864,10 @@ class _CountedRun(list):
 
 
 def test_key_runs_read_latest_first_as_a_set_and_only_as_far_as_drawn():
-    """One run read backwards, and the union of two (sharing positions, or
-    one of them empty), give ``sorted(set(a) | set(b), reverse=True)``;
-    drawing k positions reads O(k) run elements, never a whole run."""
+    """The union of two runs (sharing positions, or one of them empty, as
+    for a one-key mention) gives ``sorted(set(a) | set(b), reverse=True)``;
+    drawing k positions reads O(k) run elements, k + 1 from a lone run,
+    never a whole run."""
     positions = range(1000)  # stands in for the mentions: position i -> i
     rng = random.Random(2013)
     for trial in range(400):
@@ -856,14 +878,12 @@ def test_key_runs_read_latest_first_as_a_set_and_only_as_far_as_drawn():
         i, j = rng.randint(0, len(a)), rng.randint(0, len(b))
         expected = sorted(set(a[:i]) | set(b[:j]), reverse=True)
         assert list(_union_latest_first(positions, a, i, b, j)) == expected
-        assert list(_latest_first(positions, a, i)) == a[:i][::-1]
         k = rng.randint(0, len(expected))
         ra, rb = _CountedRun(a), _CountedRun(b)
         assert list(islice(_union_latest_first(positions, ra, i, rb, j), k)) == expected[:k]
         assert ra.reads + rb.reads <= 2 * k + 2
-        ra.reads = 0
-        assert list(islice(_latest_first(positions, ra, i), k)) == a[:i][::-1][:k]
-        assert ra.reads <= k
+        if not b:
+            assert ra.reads <= k + 1
 
 
 def test_search_tie_on_duplicated_gold_span_goes_to_the_earlier_mention(lex):

@@ -6,8 +6,8 @@ import coref.treebank
 from coref import (DOCLINK, DocumentError, DocumentInput, PtbParseError,
                    SyntaxNode, collins_head_child, dominates, head_leaf,
                    link_document, path_distance, read_document, read_ptb,
-                   run_pipeline, to_ptb)
-from helpers import parse_doc
+                   run_pipeline)
+from helpers import parse_doc, to_ptb
 
 
 # ---------------------------------------------------------------------------

@@ -137,29 +137,32 @@ class DocumentTree:
         self.nodes = nodes
 
 
-#: One PTB token. A whole preterminal ``(TAG word)`` is one token, with the
-#: tag and the word as the first two groups; ``(LABEL`` is one token with the
-#: label alone; otherwise the third group holds a lone bracket or a run of
-#: characters that are neither brackets nor whitespace (``\s`` matches
-#: exactly what ``str.isspace`` does). The tokens cover the same characters
-#: as the bracket-and-word tokens the grammar is defined on, so a valid tree
-#: takes one step per node.
-_PTB_TOKEN = re.compile(r"\(\s*([^\s()]+)(?:\s+([^\s()]+)\s*\))?|([()]|[^\s()]+)")
+#: One PTB token per node. A whole preterminal ``(TAG word)`` is one token,
+#: with the tag and the word as the first two groups, and ``(LABEL`` is one
+#: with the label alone; either takes the run of ``)`` right after it as the
+#: third group, as does a run of ``)`` on its own. Otherwise the fourth group
+#: holds a lone ``(`` or a run of characters that are neither brackets nor
+#: whitespace (``\s`` matches exactly what ``str.isspace`` does). A token
+#: takes the whitespace after it and none before: a leading ``\s*`` would
+#: retry each position of a whitespace run that no token follows, taking
+#: quadratic time.
+_PTB_TOKEN = re.compile(
+    r"(?:\(\s*([^\s()]+)(?:\s+([^\s()]+)\s*\))?|(?=\)))(\)*)\s*|(\(|[^\s()]+)\s*")
 
 
 #: The ``children`` of every leaf the reader builds.
 _NO_CHILDREN: tuple[SyntaxNode, ...] = ()
 
 
-def _error_at(message: str, text: str, tokens: list[tuple[str, str, str]],
-              rest: Iterator[tuple[str, str, str]],
-              at_close: bool = False) -> PtbParseError:
-    """The error for the token ``rest`` yielded last: at its start, or at its
-    closing bracket when it is a preterminal; only this raising path scans
-    ``text`` again for the offset."""
+def _error_at(message: str, text: str, tokens: list[tuple[str, str, str, str]],
+              rest: Iterator[tuple[str, str, str, str]],
+              closer: Optional[int] = None) -> PtbParseError:
+    """The error for the token ``rest`` yielded last: at its start, or at the
+    ``closer``-th bracket of its closing run (-1 is a preterminal's own
+    ``)``); only this raising path scans ``text`` again for the offset."""
     index = len(tokens) - length_hint(rest) - 1
     match = next(islice(_PTB_TOKEN.finditer(text), index, None))
-    offset = match.end() - 1 if at_close else match.start()
+    offset = match.start() if closer is None else match.start(3) + closer
     return PtbParseError(message, len(text[:offset].encode("utf-8")))
 
 
@@ -173,83 +176,65 @@ def _read_trees(text: str, nodes: list[SyntaxNode], doc: Optional[list[list[str]
     ``nodes`` in preorder (``node_id`` is its index there, ``_post`` the
     length when it closes), its ``depth`` counts from ``depth`` at a root,
     and it takes ``doc`` and ``sentence_index``. A root's parent is ``up``.
-    Spans number the leaves of each tree from 0, and each interior node gets
-    its head leaf as it closes. Raises PtbParseError as ``read_ptb``
-    documents.
+    Spans number the leaves of each tree from 0. An open node gathers its
+    production (its label and its children's) as children attach, and
+    closing it looks the head child up by that in ``_HEAD_TABLE``. Raises
+    PtbParseError as ``read_ptb`` documents.
     """
     ref = weakref.ref
     new = object.__new__  # every slot is set below, so skip __init__'s defaults
+    append = nodes.append
+    head_table = _HEAD_TABLE
+    count = len(nodes)
     trees: list[SyntaxNode] = []
     rows: list[list[str]] = []
     row: list[str] = []  # the tokens of the current tree
-    stack: list[SyntaxNode] = []
-    parent: Optional[SyntaxNode] = None  # stack[-1], if any
-    root_up = up
+    stack: list[tuple[SyntaxNode, list[str]]] = []  # the open nodes above parent
+    parent: Optional[SyntaxNode] = None  # the innermost open node, if any
+    labels: list[str] = []  # parent's production, gathered so far
     tokens = _PTB_TOKEN.findall(text)
     rest = iter(tokens)
-    for label, word, other in rest:
+    for label, word, closers, other in rest:
         if label:
             node = new(SyntaxNode)
             node.label = label
             node._up = up
             node.sentence_index = sentence_index
-            node.node_id = len(nodes)
+            node.node_id = count
             node.depth = depth
             node.doc = doc
             node._head = None
-            nodes.append(node)
+            append(node)
+            count += 1
             if word:
                 node.children = _NO_CHILDREN
                 node.token = word
                 start = len(row)
                 node.span = (start, start + 1)
                 row.append(word)
-                node._post = len(nodes)
+                node._post = count
                 if parent is None:
                     trees.append(node)
                     rows.append(row)
                     row = []
                 elif parent.token is not None:
                     raise _error_at("mixed token and children under one node",
-                                    text, tokens, rest, at_close=True)
+                                    text, tokens, rest, -1)
                 else:
                     parent.children.append(node)
+                    labels.append(label)
             else:
                 node.children = []
                 node.token = None
-                stack.append(node)
+                if parent is not None:
+                    stack.append((parent, labels))
                 parent = node
+                labels = [label]
                 up = ref(node)
                 depth += 1
-        elif other == ")":
-            if parent is None:
-                raise _error_at("unbalanced ')'", text, tokens, rest)
-            node = stack.pop()
-            children = node.children
-            if not children:
-                raise _error_at(f"node ({node.label} has neither token nor children",
-                                text, tokens, rest)
-            node.span = (children[0].span[0], children[-1].span[1])
-            node._post = len(nodes)
-            child = children[_head_index(node)]
-            node._head = child._head or child
-            depth -= 1
-            if stack:
-                parent = stack[-1]
-                if parent.token is not None:
-                    raise _error_at("mixed token and children under one node",
-                                    text, tokens, rest)
-                parent.children.append(node)
-                up = ref(parent)
-            else:
-                parent = None
-                up = root_up
-                trees.append(node)
-                rows.append(row)
-                row = []
         elif other == "(":
             raise _error_at("empty node label", text, tokens, rest)
-        else:
+        elif other:
             # A word on its own: valid trees have none, as every leaf reads
             # as one preterminal token, so this only finds the error.
             if parent is None:
@@ -261,7 +246,36 @@ def _read_trees(text: str, nodes: list[SyntaxNode], doc: Optional[list[list[str]
             if parent.token is not None:
                 raise _error_at("multiple tokens under one node", text, tokens, rest)
             parent.token = other
-    if stack:
+        if not closers:
+            continue
+        for k in range(len(closers)):
+            node = parent
+            if node is None:
+                raise _error_at("unbalanced ')'", text, tokens, rest, k)
+            children = node.children
+            if not children:
+                raise _error_at(f"node ({node.label} has neither token nor children",
+                                text, tokens, rest, k)
+            node.span = (children[0].span[0], children[-1].span[1])
+            node._post = count
+            index = head_table.get(tuple(labels))
+            child = children[_head_index(node) if index is None else index]
+            node._head = child._head or child
+            depth -= 1
+            up = node._up
+            if stack:
+                parent, labels = stack.pop()
+                if parent.token is not None:
+                    raise _error_at("mixed token and children under one node",
+                                    text, tokens, rest, k)
+                parent.children.append(node)
+                labels.append(node.label)
+            else:
+                parent = None
+                trees.append(node)
+                rows.append(row)
+                row = []
+    if parent is not None:
         raise PtbParseError("unbalanced '(' at end of input", len(text.encode("utf-8")))
     if not trees:
         raise PtbParseError("empty input", 0)
@@ -272,9 +286,13 @@ def read_ptb(text: str) -> list[SyntaxNode]:
     """Parse bracketed trees, one sentence per top-level expression.
 
     Labels and leaf tokens are preserved verbatim; spans are assigned by
-    left-to-right leaf order within each sentence. Raises PtbParseError on
-    unbalanced parentheses, an empty label, a node with no content, or
-    empty input, naming the byte offset of the problem.
+    left-to-right leaf order within each sentence. Raises PtbParseError,
+    naming the UTF-8 byte offset of the problem, with one of eight
+    messages: ``unbalanced ')'``, ``unbalanced '(' at end of input``,
+    ``empty node label``, ``node (X has neither token nor children``,
+    ``mixed token and children under one node``, ``multiple tokens under
+    one node``, ``unexpected token 'w' outside brackets`` and ``empty
+    input``.
 
     Every node carries the facts a document needs, counted within
     ``text``: its preorder ``node_id``, ``_post``, ``depth`` from 0 at its
@@ -318,7 +336,9 @@ def _join(count: int, read_one: Callable[..., tuple[SyntaxNode, list[str]]]) -> 
             links[-1].children.append(root)
     for link in reversed(links):  # bottom up: a link's head is the one below's
         link._post = len(nodes)
-        child = link.children[_head_index(link)]
+        children = link.children
+        index = _HEAD_TABLE.get((DOCLINK, children[0].label, children[1].label))
+        child = children[_head_index(link) if index is None else index]
         link._head = child._head or child
     return DocumentTree(tuple(roots), tuple(links),
                         links[0] if links else roots[0] if roots else None, key, nodes)

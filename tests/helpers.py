@@ -8,8 +8,12 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import weakref
+from itertools import islice
+from operator import length_hint
 from pathlib import Path
 
 import coref
@@ -17,6 +21,7 @@ from coref import (Clustering, DocumentInput, Mention, PipelineResult, ResolveCo
                    SyntaxNode, extract_mentions, link_document, read_ptb, run_pipeline)
 from coref.cli import _ABLATION_FLAGS, main
 from coref.cluster import from_entities
+from coref.treebank import PtbParseError, _head_index
 
 # Three-sentence worked document: "John bought himself a book. Fred found out
 # that John had also bought himself a computer. Next, he found out that John
@@ -100,6 +105,109 @@ def to_ptb(node: SyntaxNode) -> str:
             out.append(" ")
         out.append(part)
     return "".join(out)
+
+
+# The reader ``read_ptb`` is checked against: one token per bracket, except
+# that a whole ``(TAG word)`` is one, and each closing node's production
+# rebuilt from its children. It raises the same messages at the same offsets.
+_REFERENCE_TOKEN = re.compile(r"\(\s*([^\s()]+)(?:\s+([^\s()]+)\s*\))?|([()]|[^\s()]+)")
+
+
+def _reference_error_at(message, text, tokens, rest, at_close=False) -> PtbParseError:
+    index = len(tokens) - length_hint(rest) - 1
+    match = next(islice(_REFERENCE_TOKEN.finditer(text), index, None))
+    offset = match.end() - 1 if at_close else match.start()
+    return PtbParseError(message, len(text[:offset].encode("utf-8")))
+
+
+def reference_read_ptb(text: str) -> list[SyntaxNode]:
+    """``read_ptb(text)``, by a bracket-at-a-time reader."""
+    ref = weakref.ref
+    new = object.__new__
+    nodes: list[SyntaxNode] = []
+    trees: list[SyntaxNode] = []
+    leaves = 0  # leaves of the current tree
+    stack: list[SyntaxNode] = []
+    parent = None
+    up = None
+    depth = 0
+    tokens = _REFERENCE_TOKEN.findall(text)
+    rest = iter(tokens)
+    for label, word, other in rest:
+        if label:
+            node = new(SyntaxNode)
+            node.label = label
+            node._up = up
+            node.sentence_index = -1
+            node.node_id = len(nodes)
+            node.depth = depth
+            node.doc = None
+            node._head = None
+            nodes.append(node)
+            if word:
+                node.children = ()
+                node.token = word
+                node.span = (leaves, leaves + 1)
+                leaves += 1
+                node._post = len(nodes)
+                if parent is None:
+                    trees.append(node)
+                    leaves = 0
+                elif parent.token is not None:
+                    raise _reference_error_at("mixed token and children under one node",
+                                              text, tokens, rest, at_close=True)
+                else:
+                    parent.children.append(node)
+            else:
+                node.children = []
+                node.token = None
+                stack.append(node)
+                parent = node
+                up = ref(node)
+                depth += 1
+        elif other == ")":
+            if parent is None:
+                raise _reference_error_at("unbalanced ')'", text, tokens, rest)
+            node = stack.pop()
+            children = node.children
+            if not children:
+                raise _reference_error_at(
+                    f"node ({node.label} has neither token nor children", text, tokens, rest)
+            node.span = (children[0].span[0], children[-1].span[1])
+            node._post = len(nodes)
+            child = children[_head_index(node)]
+            node._head = child._head or child
+            depth -= 1
+            if stack:
+                parent = stack[-1]
+                if parent.token is not None:
+                    raise _reference_error_at("mixed token and children under one node",
+                                              text, tokens, rest)
+                parent.children.append(node)
+                up = ref(parent)
+            else:
+                parent = None
+                up = None
+                trees.append(node)
+                leaves = 0
+        elif other == "(":
+            raise _reference_error_at("empty node label", text, tokens, rest)
+        else:
+            if parent is None:
+                raise _reference_error_at(f"unexpected token {other!r} outside brackets",
+                                          text, tokens, rest)
+            if parent.children:
+                raise _reference_error_at("mixed token and children under one node",
+                                          text, tokens, rest)
+            if parent.token is not None:
+                raise _reference_error_at("multiple tokens under one node",
+                                          text, tokens, rest)
+            parent.token = other
+    if stack:
+        raise PtbParseError("unbalanced '(' at end of input", len(text.encode("utf-8")))
+    if not trees:
+        raise PtbParseError("empty input", 0)
+    return trees
 
 
 def parse_doc(*sentences):

@@ -1,4 +1,6 @@
 import random
+import re
+import time
 
 import pytest
 
@@ -7,7 +9,7 @@ from coref import (DOCLINK, DocumentError, DocumentInput, PtbParseError,
                    SyntaxNode, collins_head_child, dominates, head_leaf,
                    link_document, path_distance, read_document, read_ptb,
                    run_pipeline)
-from helpers import parse_doc, to_ptb
+from helpers import parse_doc, reference_read_ptb, to_ptb
 
 
 # ---------------------------------------------------------------------------
@@ -131,22 +133,29 @@ def _assert_spans_in_leaf_order(tree):
             assert node.span == (node.children[0].span[0], node.children[-1].span[1])
 
 
+def _mutated(rng, text):
+    """``text`` after 1-3 random deletions, insertions, replacements or
+    truncations."""
+    alphabet = "() \x1c\u00a0a\u00e9"
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(4)
+        if op == 0:
+            text = text[:i] + text[i + 1:]
+        elif op == 1:
+            text = text[:i] + rng.choice(alphabet) + text[i:]
+        elif op == 2:
+            text = text[:i] + rng.choice(alphabet) + text[i + 1:]
+        else:
+            text = text[:i]
+    return text
+
+
 def test_read_mutated_trees_parse_or_fail_with_an_offset():
     rng = random.Random(20261019)
-    alphabet = "() \x1c\u00a0a\u00e9"
     for _ in range(2000):
         text = " ".join(to_ptb(_random_tree(rng)) for _ in range(rng.randint(1, 3)))
-        for _ in range(rng.randint(1, 3)):
-            i = rng.randrange(len(text) + 1)
-            op = rng.randrange(4)
-            if op == 0:
-                text = text[:i] + text[i + 1:]
-            elif op == 1:
-                text = text[:i] + rng.choice(alphabet) + text[i:]
-            elif op == 2:
-                text = text[:i] + rng.choice(alphabet) + text[i + 1:]
-            else:
-                text = text[:i]
+        text = _mutated(rng, text)
         try:
             trees = read_ptb(text)
         except PtbParseError as err:
@@ -156,6 +165,64 @@ def test_read_mutated_trees_parse_or_fail_with_an_offset():
         assert [to_ptb(tree) for tree in read_ptb(" ".join(canonical))] == canonical
         for tree in trees:
             _assert_spans_in_leaf_order(tree)
+
+
+def _read_facts(read, text):
+    """Every node's facts per tree as ``read(text)`` builds them, with
+    parent, children and head as node ids; or the error's text and offset."""
+    def node_id(node):
+        return None if node is None else node.node_id
+    try:
+        trees = read(text)
+    except PtbParseError as err:
+        return str(err), err.offset
+    return [[(node.label, node.token, node.span, node.node_id, node._post, node.depth,
+              node.sentence_index, node.doc, node_id(node.parent),
+              [child.node_id for child in node.children], node_id(node._head))
+             for node in tree.walk()] for tree in trees]
+
+
+def test_read_matches_the_reference_reader_on_mutated_trees():
+    rng = random.Random(20261024)
+    errors = 0
+    for case in range(2400):
+        text = " ".join(to_ptb(_random_tree(rng)) for _ in range(rng.randint(1, 3)))
+        if case % 3 == 1:  # every closer spaced from the one before: ") )"
+            text = text.replace(")", ") ").rstrip()
+        elif case % 3 == 2:  # some closers spaced, by any whitespace
+            text = "".join(c + rng.choice(["", "", " ", "\x1c", "\u00a0 "]) * (c == ")")
+                           for c in text)
+        text = _mutated(rng, text)
+        expected = _read_facts(reference_read_ptb, text)
+        assert _read_facts(read_ptb, text) == expected, text
+        errors += type(expected) is tuple
+    assert 1200 < errors < 2100  # both outcomes are common
+
+
+def test_read_whitespace_runs_in_linear_time():
+    for spaces in (10_000, 200_000):  # a quadratic reader fails the first in seconds
+        ws = " " * spaces
+        for text, tokens in ((f"(NN a){ws}", ["a"]), (f"{ws}(NN a)", ["a"]),
+                             (f"(S {ws}(NN a))", ["a"]),
+                             (f"(S{ws}(NN a){ws}(NN b){ws})", ["a", "b"])):
+            start = time.perf_counter()
+            (tree,) = read_ptb(text)
+            assert time.perf_counter() - start < 1.0, (spaces, text[:12])
+            assert tree.tokens() == tokens
+        for text, message in ((f"(S{ws}", "unbalanced '(' at end of input"),
+                              (f"({ws})", "empty node label"), (ws, "empty input")):
+            start = time.perf_counter()
+            with pytest.raises(PtbParseError, match=re.escape(message)):
+                read_ptb(text)
+            assert time.perf_counter() - start < 1.0, (spaces, text[:12])
+
+
+def test_read_takes_one_token_per_node_of_a_serialized_tree():
+    rng = random.Random(20261025)
+    for _ in range(200):
+        tree = _random_tree(rng)
+        text = to_ptb(tree)
+        assert len(coref.treebank._PTB_TOKEN.findall(text)) == sum(1 for _ in tree.walk())
 
 
 def test_read_error_offsets_are_bytes():

@@ -2,9 +2,9 @@
 
 The pipeline reads Penn Treebank bracketed parses, finds mentions (largest NP
 per head word), resolves each mention to an antecedent through syntactic and
-semantic constraint rules plus tree path distance, clusters decisions by
-transitive closure, and scores output against gold clusterings with pairwise
-F1 and B-cubed.
+semantic constraint rules plus tree path distance, groups the decisions into
+entities (each antecedent is an earlier mention), and scores output against
+gold clusterings with pairwise F1 and B-cubed.
 """
 
 from .cluster import Clustering, transitive_closure

@@ -1,4 +1,9 @@
-"""Entity clustering: transitive closure of antecedent decisions."""
+"""Entity clustering: antecedent decisions grouped into entities.
+
+The pipeline's antecedents are all earlier mentions, so
+``Clustering.from_decisions`` groups its decisions in one forward pass;
+``transitive_closure`` is the general routine, for decisions in any order.
+"""
 
 from __future__ import annotations
 
@@ -25,16 +30,18 @@ class Clustering:
         slots: list[Optional[frozenset[int]]] = [None] * len(position)
         entity_of: dict[int, frozenset[int]] = {}
         for entity in entities:
-            group = frozenset(entity)
+            members = tuple(entity)
+            group = frozenset(members)
             if not group:
                 raise ValueError("empty entity")
             first = len(position)
-            for mid in group:
+            for mid in members:
                 at = position.get(mid)
                 if at is None:
                     raise ValueError(f"entity member {mid} not in universe")
                 if mid in entity_of:
-                    raise ValueError(f"mention {mid} appears in two entities")
+                    where = "one entity twice" if entity_of[mid] is group else "two entities"
+                    raise ValueError(f"mention {mid} appears in {where}")
                 entity_of[mid] = group
                 if at < first:
                     first = at
@@ -47,6 +54,48 @@ class Clustering:
         self._label = {mid: i + 1 for i, group in enumerate(self.entities)
                        for mid in group}
         self._entity_of = entity_of
+
+    @classmethod
+    def from_decisions(cls, decisions: Sequence[Decision],
+                       universe: Sequence[int]) -> "Clustering":
+        """The clustering of one decision per mention of ``universe``, in its
+        order, each naming an earlier mention as antecedent or none.
+
+        A decision without an antecedent opens the next entity, and any other
+        joins its antecedent's, so the entities are made in one pass and
+        numbered by their first mention; ``transitive_closure`` of the same
+        decisions is the same clustering. Raises ValueError if the counts
+        differ, if decision i is not for ``universe[i]``, or if an antecedent
+        is unknown or not an earlier mention.
+        """
+        ids = tuple(universe)
+        if len(decisions) != len(ids):
+            raise ValueError(f"{len(decisions)} decisions for {len(ids)} mentions")
+        label: dict[int, int] = {}
+        groups: list[list[int]] = []
+        for mid, (of, antecedent, _) in zip(ids, decisions):
+            if of != mid:
+                raise ValueError(f"decision for mention {of} where mention {mid} is due")
+            if antecedent is None:
+                groups.append([mid])
+                label[mid] = len(groups)
+                continue
+            at = label.get(antecedent)
+            if at is None:
+                if antecedent in ids:
+                    raise ValueError(f"antecedent {antecedent} of mention {mid} "
+                                     "is not an earlier mention")
+                raise ValueError(f"decision references unknown antecedent {antecedent}")
+            groups[at - 1].append(mid)
+            label[mid] = at
+        if len(label) != len(ids):
+            raise ValueError("duplicate mention ids in universe")
+        self = cls.__new__(cls)
+        self.universe = ids
+        self.entities = entities = tuple(map(frozenset, groups))
+        self._label = label
+        self._entity_of = {mid: entities[at - 1] for mid, at in label.items()}
+        return self
 
     def label_of(self, mention_id: int) -> int:
         return self._label[mention_id]

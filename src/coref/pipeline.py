@@ -11,7 +11,7 @@ from __future__ import annotations
 import gc
 from typing import Optional, Sequence
 
-from .cluster import Clustering, from_entities, transitive_closure
+from .cluster import Clustering, from_entities
 from .lexicon import Lexicon, default_lexicon
 from .mention import (Mention, TokenAnnotation, annotation_index,
                       attach_profiles, extract_mentions, map_gold_mentions)
@@ -143,6 +143,10 @@ def run_pipeline(document: DocumentInput, cfg: Optional[ResolveConfig] = None,
     """Read the linked tree, find and type mentions, resolve, and cluster one
     document.
 
+    Every antecedent the resolver picks is an earlier mention, so the
+    decisions are grouped in one forward pass (``Clustering.from_decisions``),
+    not by the general ``transitive_closure``.
+
     Parse and annotation problems raise DocumentError carrying the document id.
 
     The cyclic garbage collector is paused while the document runs: if it
@@ -185,7 +189,8 @@ def run_pipeline(document: DocumentInput, cfg: Optional[ResolveConfig] = None,
         attach_profiles(mentions, annotation_index(document.annotations), lex,
                         use_word_lists=cfg.use_word_lists)
         decisions = resolve_document(doc, mentions, lex, cfg)
-        clustering = transitive_closure(decisions, [m.mention_id for m in mentions])
+        clustering = Clustering.from_decisions(decisions,
+                                               [m.mention_id for m in mentions])
         return PipelineResult(input=document, tree=doc, mentions=mentions,
                               decisions=decisions, clustering=clustering)
     finally:

@@ -48,6 +48,8 @@ def _pairs(n: int) -> int:
 
 
 def _check_universes(sys: Clustering, gold: Clustering) -> None:
+    if sys.universe == gold.universe:  # as gold_clustering builds it
+        return
     sys_ids, gold_ids = set(sys.universe), set(gold.universe)
     if sys_ids != gold_ids:
         only_sys = sorted(sys_ids - gold_ids)

@@ -520,6 +520,26 @@ def test_cli_gold_run_without_gold_clusters_reports_the_document(tmp_path, capsy
     assert empty in captured.out
 
 
+@pytest.mark.parametrize("argv", [["score", "--gold", "--json"], ["trace", "--gold"]],
+                         ids=["score", "trace"])
+def test_cli_gold_cluster_listing_a_mention_twice_fails_its_document(tmp_path, capsys,
+                                                                     argv):
+    """``[[0, 0]]`` lists mention 0 twice in one entity: bad gold, reported
+    like a gold partition that misses or repeats a mention across entities,
+    and the other document still runs."""
+    bad = {"id": "b", "sentences": [_SENTENCE], "gold_clusters": [[0, 0]]}
+    good = dict(bad, id="good", gold_clusters=[[0]])
+    (tmp_path / "good.jsonl").write_text(json.dumps(good) + "\n")
+    (tmp_path / "both.jsonl").write_text(json.dumps(bad) + "\n" + json.dumps(good) + "\n")
+    assert main([*argv, str(tmp_path / "good.jsonl")]) == 0
+    clean = capsys.readouterr()
+    assert main([*argv, str(tmp_path / "both.jsonl")]) == 1
+    run = capsys.readouterr()
+    assert run.err == ("error: document 'b': bad gold clusters: "
+                       "mention 0 appears in one entity twice\n")
+    assert run.out == clean.out
+
+
 @pytest.mark.parametrize("document, doc_id", [
     ({"id": "b"}, "b"),
     (["notadict"], "?"),

@@ -3,8 +3,11 @@ from collections import deque
 
 import pytest
 
-from coref import Clustering, Decision, Rule, transitive_closure
+from coref import (Clustering, Decision, DocumentError, DocumentInput, ResolveConfig,
+                   Rule, default_lexicon, run_pipeline, transitive_closure)
+from coref.cli import _ABLATION_FLAGS, load_documents
 from coref.cluster import from_entities
+from helpers import GOLDEN
 
 
 def _link(mid, ante):
@@ -164,3 +167,85 @@ def test_from_entities_fills_singletons():
     assert clustering.entity_of(0) == frozenset({0, 2})
     assert clustering.entity_of(1) == frozenset({1})
     assert len(clustering) == 3
+
+
+def test_clustering_rejects_a_mention_listed_twice_in_one_entity():
+    with pytest.raises(ValueError, match="mention 0 appears in one entity twice"):
+        Clustering([0, 1], [[0, 0], [1]])
+    with pytest.raises(ValueError, match="mention 1 appears in one entity twice"):
+        from_entities([0, 1, 2], [[1, 2, 1]])
+
+
+def _assert_same_clustering(got, want):
+    assert got.universe == want.universe
+    assert got.entities == want.entities
+    assert [got.label_of(mid) for mid in got.universe] == \
+        [want.label_of(mid) for mid in want.universe]
+    assert all(got.entity_of(mid) == want.entity_of(mid) for mid in got.universe)
+
+
+def test_forward_clustering_equals_the_closure_on_random_forward_decisions():
+    rng = random.Random(1110)
+    for _ in range(300):
+        n = rng.randint(0, 30)
+        universe = rng.sample(range(1000), n)
+        decisions = [_link(mid, rng.choice(universe[:i]) if i and rng.random() < 0.6
+                           else None)
+                     for i, mid in enumerate(universe)]
+        _assert_same_clustering(Clustering.from_decisions(decisions, universe),
+                                transitive_closure(decisions, universe))
+
+
+def test_forward_clustering_equals_the_closure_on_every_golden_corpus():
+    """Under the default config and each single ablation flag, every
+    antecedent the resolver picks on ``golden/*.jsonl`` is an earlier
+    mention, and grouping the decisions forward gives the clustering
+    ``transitive_closure`` gives, labels included."""
+    lex = default_lexicon()
+    configs = [ResolveConfig()] + [ResolveConfig()._replace(**{field: value})
+                                   for _, field, value in _ABLATION_FLAGS]
+    documents = [document for path in sorted(GOLDEN.glob("*.jsonl"))
+                 for document in load_documents([str(path)])
+                 if isinstance(document, DocumentInput)]
+    decisions = 0
+    for cfg in configs:
+        for document in documents:
+            try:
+                result = run_pipeline(document, cfg, lex)
+            except DocumentError:
+                continue
+            universe = [m.mention_id for m in result.mentions]
+            closure = transitive_closure(result.decisions, universe)
+            _assert_same_clustering(Clustering.from_decisions(result.decisions, universe),
+                                    closure)
+            _assert_same_clustering(result.clustering, closure)
+            decisions += len(result.decisions)
+    assert decisions > 10_000
+
+
+_FORWARD = [_link(0, None), _link(1, 0), _link(2, None), _link(3, 1)]
+
+
+@pytest.mark.parametrize("decisions, message", [
+    ([_link(0, None), _link(1, 3), _link(2, None), _link(3, 1)],
+     "antecedent 3 of mention 1 is not an earlier mention"),
+    ([_link(0, None), _link(1, 1), _link(2, None), _link(3, 1)],
+     "antecedent 1 of mention 1 is not an earlier mention"),
+    ([_link(0, None), _link(1, 0), _link(2, None), _link(3, 9)],
+     "unknown antecedent 9"),
+    ([_link(0, None), _link(2, None), _link(1, 0), _link(3, 1)],
+     "decision for mention 2 where mention 1 is due"),
+    (_FORWARD[:3], "3 decisions for 4 mentions"),
+    (_FORWARD + [_link(4, None)], "5 decisions for 4 mentions"),
+], ids=["later-antecedent", "self-antecedent", "unknown-antecedent",
+        "out-of-order", "missing-decision", "extra-decision"])
+def test_forward_clustering_rejects_decisions_it_cannot_group(decisions, message):
+    assert Clustering.from_decisions(_FORWARD, range(4)).entities == (
+        frozenset({0, 1, 3}), frozenset({2}))
+    with pytest.raises(ValueError, match=message):
+        Clustering.from_decisions(decisions, range(4))
+
+
+def test_forward_clustering_rejects_a_repeated_universe_id():
+    with pytest.raises(ValueError, match="duplicate mention ids in universe"):
+        Clustering.from_decisions([_link(0, None), _link(0, None)], [0, 0])

@@ -163,8 +163,9 @@ def load_documents(inputs: Sequence[str]) -> list[DocumentInput | Exception]:
     An entry that is not a valid document (a schema error, or a JSON-lines
     line that is not JSON), and a file that cannot be read or decoded, is
     returned in its place as the error that describes it, so the caller can
-    report it and go on. A missing path, a directory without ``.json`` files
-    and a blank file raise ValueError.
+    report it and go on. Any other path that is not a directory (a named
+    pipe, ``/dev/stdin``) is read as one file. A missing path, a directory
+    without ``.json`` files and a blank file raise ValueError.
     """
     docs: list[DocumentInput | Exception] = []
     for item in inputs:
@@ -175,7 +176,7 @@ def load_documents(inputs: Sequence[str]) -> list[DocumentInput | Exception]:
                 raise ValueError(f"{path}: directory contains no .json files")
             for file in files:
                 docs.extend(_load_file(file))
-        elif path.is_file():
+        elif path.exists():
             docs.extend(_load_file(path))
         else:
             raise ValueError(f"{item}: no such file or directory")

@@ -1,13 +1,14 @@
 """Entity clustering: antecedent decisions grouped into entities.
 
-The pipeline's antecedents are all earlier mentions, so
+A clustering holds one label per mention, numbering the entities on first
+sight. The pipeline's antecedents are all earlier mentions, so
 ``Clustering.from_decisions`` groups its decisions in one forward pass;
 ``transitive_closure`` is the general routine, for decisions in any order.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .resolve import Decision
 
@@ -15,45 +16,40 @@ from .resolve import Decision
 class Clustering:
     """A partition of mention ids into entities.
 
-    Entity labels are 1..E, ordered by the document position of each entity's
-    earliest mention (positions follow the order of ``universe``).
+    Each mention's entity is one label, 1..E; the labels number the entities
+    in order of first sight in ``universe``, and ``entities[label - 1]`` is
+    the entity's member set.
     """
+
+    __slots__ = ("universe", "entities", "_label")
 
     def __init__(self, universe: Sequence[int],
                  entities: Iterable[Iterable[int]]):
         self.universe = tuple(universe)
-        position = {mid: i for i, mid in enumerate(self.universe)}
-        if len(position) != len(self.universe):
+        ids = set(self.universe)
+        if len(ids) != len(self.universe):
             raise ValueError("duplicate mention ids in universe")
-        # Each group goes to the slot of its earliest position, which no
-        # other group shares, so reading the slots in order sorts them.
-        slots: list[Optional[frozenset[int]]] = [None] * len(position)
-        entity_of: dict[int, frozenset[int]] = {}
+        owner: dict[int, frozenset[int]] = {}
         for entity in entities:
             members = tuple(entity)
             group = frozenset(members)
             if not group:
                 raise ValueError("empty entity")
-            first = len(position)
             for mid in members:
-                at = position.get(mid)
-                if at is None:
+                if mid not in ids:
                     raise ValueError(f"entity member {mid} not in universe")
-                if mid in entity_of:
-                    where = "one entity twice" if entity_of[mid] is group else "two entities"
+                if mid in owner:
+                    where = "one entity twice" if owner[mid] is group else "two entities"
                     raise ValueError(f"mention {mid} appears in {where}")
-                entity_of[mid] = group
-                if at < first:
-                    first = at
-            slots[first] = group
-        if len(entity_of) != len(position):
-            missing = sorted(set(self.universe) - entity_of.keys())
+                owner[mid] = group
+        if len(owner) != len(ids):
+            missing = sorted(ids - owner.keys())
             raise ValueError(f"mentions not covered by any entity: {missing}")
-        self.entities: tuple[frozenset[int], ...] = tuple(
-            group for group in slots if group is not None)
-        self._label = {mid: i + 1 for i, group in enumerate(self.entities)
-                       for mid in group}
-        self._entity_of = entity_of
+        # Disjoint, non-empty groups are equal only when they are one group.
+        labels: dict[frozenset[int], int] = {}
+        self._label = {mid: labels.setdefault(owner[mid], len(labels) + 1)
+                       for mid in self.universe}
+        self.entities: tuple[frozenset[int], ...] = tuple(labels)
 
     @classmethod
     def from_decisions(cls, decisions: Sequence[Decision],
@@ -92,19 +88,18 @@ class Clustering:
             raise ValueError("duplicate mention ids in universe")
         self = cls.__new__(cls)
         self.universe = ids
-        self.entities = entities = tuple(map(frozenset, groups))
+        self.entities = tuple(map(frozenset, groups))
         self._label = label
-        self._entity_of = {mid: entities[at - 1] for mid, at in label.items()}
         return self
 
     def label_of(self, mention_id: int) -> int:
         return self._label[mention_id]
 
     def entity_of(self, mention_id: int) -> frozenset[int]:
-        return self._entity_of[mention_id]
+        return self.entities[self._label[mention_id] - 1]
 
     def same_entity(self, a: int, b: int) -> bool:
-        return self._entity_of[a] is self._entity_of[b]
+        return self._label[a] == self._label[b]
 
     def __len__(self) -> int:
         return len(self.entities)

@@ -114,19 +114,16 @@ def trace_report(decisions: Sequence[Decision], mentions: Sequence[Mention],
         report.rules.update((decision.rule, None) for decision in decisions)
         return report
     by_id = {m.mention_id: m for m in mentions}
-    position = {m.mention_id: i for i, m in enumerate(mentions)}
     opener: dict[int, int] = {}  # gold label -> the entity's first mention
+    for m in mentions:
+        opener.setdefault(gold.label_of(m.mention_id), m.mention_id)
     rules, forms = [], []
     for decision in decisions:
         mid = decision.mention_id
         if decision.antecedent is not None:
             correct = gold.same_entity(mid, decision.antecedent)
         else:  # correct iff the mention opens its gold entity
-            label = gold.label_of(mid)
-            first = opener.get(label)
-            if first is None:
-                first = opener[label] = min(gold.entity_of(mid), key=position.__getitem__)
-            correct = first == mid
+            correct = opener[gold.label_of(mid)] == mid
         rules.append((decision.rule, correct))
         mention = by_id[mid]
         if mention.kind is _PRONOUN:

@@ -8,6 +8,7 @@ Pairwise counts are pooled across documents before computing P/R/F
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
 from .cluster import Clustering
@@ -59,21 +60,13 @@ def _check_universes(sys: Clustering, gold: Clustering) -> None:
             f"only in system: {only_sys}; only in gold: {only_gold}")
 
 
-def _overlaps(sys: Clustering,
-              gold: Clustering) -> list[tuple[frozenset[int], frozenset[int], int]]:
-    """The contingency table: (S, G, |S∩G|) for each system entity S and
-    gold entity G that share a mention, from one visit to each mention."""
+def _overlaps(sys: Clustering, gold: Clustering) -> list[tuple[int, int, int]]:
+    """The contingency table: (|S|, |G|, |S∩G|) for each system entity S and
+    gold entity G that share a mention, counted from each mention's labels."""
     _check_universes(sys, gold)
-    gold_entity = gold.entity_of
-    cells = []
-    for s in sys.entities:
-        row: dict[frozenset[int], int] = {}
-        for mid in s:
-            g = gold_entity(mid)
-            row[g] = row.get(g, 0) + 1
-        for g, overlap in row.items():
-            cells.append((s, g, overlap))
-    return cells
+    cells = Counter(zip(map(sys.label_of, sys.universe), map(gold.label_of, sys.universe)))
+    return [(len(sys.entities[s - 1]), len(gold.entities[g - 1]), overlap)
+            for (s, g), overlap in cells.items()]
 
 
 def pairwise_counts(sys: Clustering, gold: Clustering) -> PairCounts:
@@ -110,9 +103,9 @@ def b_cubed_doc(sys: Clustering, gold: Clustering) -> tuple[float, float]:
         raise ValueError("B-cubed is undefined for an empty mention universe")
     p_terms: list[float] = []
     r_terms: list[float] = []
-    for s, g, overlap in cells:  # the same ratio for each mention of S∩G
-        p_terms += [overlap / len(s)] * overlap
-        r_terms += [overlap / len(g)] * overlap
+    for s_size, g_size, overlap in cells:  # one ratio per mention of S∩G
+        p_terms += [overlap / s_size] * overlap
+        r_terms += [overlap / g_size] * overlap
     # fsum is exact, so the result depends only on the terms, not their order
     return math.fsum(p_terms) / n, math.fsum(r_terms) / n
 

@@ -336,9 +336,7 @@ def _join(count: int, read_one: Callable[..., tuple[SyntaxNode, list[str]]]) -> 
             links[-1].children.append(root)
     for link in reversed(links):  # bottom up: a link's head is the one below's
         link._post = len(nodes)
-        children = link.children
-        index = _HEAD_TABLE.get((DOCLINK, children[0].label, children[1].label))
-        child = children[_head_index(link) if index is None else index]
+        child = link.children[1]  # DOCLINK has no head rule: its last child heads it
         link._head = child._head or child
     return DocumentTree(tuple(roots), tuple(links),
                         links[0] if links else roots[0] if roots else None, key, nodes)

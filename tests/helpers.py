@@ -47,19 +47,21 @@ COREF_IMPORT_ROOT = Path(coref.__file__).resolve().parents[1]
 
 
 def run_cli(args, cwd, hash_seed: str = "0",
-            program=(sys.executable, "-m", "coref")) -> subprocess.CompletedProcess:
+            program=(sys.executable, "-m", "coref"),
+            stdin=None) -> subprocess.CompletedProcess:
     """Run ``program args`` in a fresh process that imports the ``coref`` under test.
 
     The import root goes first on an absolute ``PYTHONPATH``, so neither the
     child's working directory (a relative inherited entry would resolve
     against it) nor another installed ``coref`` can change which code runs.
-    ``PYTHONHASHSEED`` is set explicitly to ``hash_seed``.
+    ``PYTHONHASHSEED`` is set explicitly to ``hash_seed``. Given ``stdin``
+    bytes, the child reads them from a pipe.
     """
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(COREF_IMPORT_ROOT), env.get("PYTHONPATH")]))
     return subprocess.run([*program, *args], capture_output=True, cwd=cwd,
-                          env=env)
+                          env=env, input=stdin)
 
 
 def run_cli_twice(args, cwd) -> list[subprocess.CompletedProcess]:

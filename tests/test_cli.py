@@ -1,9 +1,11 @@
 import gc
 import json
+import os
 import random
 import re
 import shutil
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -681,6 +683,28 @@ def test_cli_bad_file_is_skipped_and_other_inputs_run(tmp_path):
         assert run.returncode == 2
         assert run.stderr.decode().startswith(f"error: {stopper}: ")
         assert run.stdout == b""
+
+
+@pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin")
+def test_cli_reads_a_document_piped_to_dev_stdin(tmp_path):
+    run = run_cli(["resolve", "/dev/stdin"], tmp_path, stdin=json.dumps(_GOOD).encode())
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout.decode() == "good\t0\t0\t1\t1\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_load_documents_reads_a_fifo_as_one_file(tmp_path):
+    fifo = tmp_path / "docs"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(json.dumps([_GOOD, _GOOD]),))
+    writer.start()
+    try:
+        docs = load_documents([str(fifo)])
+    finally:  # a read end, opened and closed, frees a writer nothing read
+        while writer.is_alive():
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(0.1)
+    assert [doc.doc_id for doc in docs] == ["good", "good"]
 
 
 # Every integer field of a document, as (field, document with the value V).

@@ -153,6 +153,45 @@ def test_singleton_preservation():
                 assert clustering.entity_of(mid) == frozenset({mid})
 
 
+def _built_four_ways(rng, universe):
+    """One clustering of ``universe`` from each constructor, each from its
+    own random input."""
+    forward = [_link(mid, rng.choice(universe[:i]) if i and rng.random() < 0.6 else None)
+               for i, mid in enumerate(universe)]
+    anywhere = [_link(rng.choice(universe), rng.choice(universe + [None]))
+                for _ in range(len(universe))]
+    groups = {}
+    for mid in universe:
+        groups.setdefault(rng.randrange(len(universe)), []).append(mid)
+    entities = [rng.sample(group, len(group)) for group in groups.values()]
+    rng.shuffle(entities)
+    return [Clustering(universe, entities),
+            from_entities(universe, entities[:len(entities) // 2]),
+            transitive_closure(anywhere, universe),
+            Clustering.from_decisions(forward, universe)]
+
+
+def test_every_constructor_keeps_one_label_per_mention():
+    rng = random.Random(2026)
+    for _ in range(200):
+        universe = rng.sample(range(1000), rng.randint(1, 25))
+        for clustering in _built_four_ways(rng, universe):
+            labels = [clustering.label_of(mid) for mid in universe]
+            # numbered on first sight in universe order
+            seen = []
+            for label in labels:
+                if label not in seen:
+                    assert label == len(seen) + 1
+                    seen.append(label)
+            assert len(seen) == len(clustering.entities)
+            for mid, label in zip(universe, labels):
+                assert mid in clustering.entity_of(mid)
+                assert clustering.entity_of(mid) == clustering.entities[label - 1]
+            for a, label_a in zip(universe, labels):
+                for b, label_b in zip(universe, labels):
+                    assert clustering.same_entity(a, b) == (label_a == label_b)
+
+
 def test_clustering_rejects_bad_partitions():
     with pytest.raises(ValueError, match="two entities"):
         Clustering([0, 1], [[0, 1], [1]])

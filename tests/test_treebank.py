@@ -9,7 +9,8 @@ from coref import (DOCLINK, DocumentError, DocumentInput, PtbParseError,
                    SyntaxNode, collins_head_child, dominates, head_leaf,
                    link_document, path_distance, read_document, read_ptb,
                    run_pipeline)
-from helpers import parse_doc, reference_read_ptb, to_ptb
+from coref.cli import load_documents
+from helpers import GOLDEN, parse_doc, reference_read_ptb, to_ptb
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +415,31 @@ def test_head_table_stops_growing_at_its_bound(monkeypatch):
         assert head_leaf(read_document([wide]).root).token == "w11"
     assert calls[0] == 2
     assert ("NP",) + ("NN",) * 12 not in table
+
+
+def test_every_golden_link_node_is_headed_by_its_last_child(monkeypatch):
+    """DOCLINK has no head rule, so both builders head a link node by its
+    last child without reading or filling the head table."""
+    monkeypatch.setattr(coref.treebank, "_HEAD_TABLE", {})
+    monkeypatch.setattr(coref.treebank, "_head_table_labels", 0)
+    links = 0
+    for path in sorted(GOLDEN.glob("*.jsonl")):
+        for document in load_documents([str(path)]):
+            if not isinstance(document, DocumentInput):
+                continue
+            try:
+                doc = read_document(document.sentences)
+            except ValueError:
+                continue
+            trees = [read_ptb(sentence)[0] for sentence in document.sentences]
+            for built in (doc, link_document(trees)):
+                for link in built.link_nodes:
+                    assert len(link.children) == 2
+                    assert collins_head_child(link) == 1
+                    assert head_leaf(link) is head_leaf(link.children[1])
+                    links += 1
+    assert links > 1000
+    assert not [key for key in coref.treebank._HEAD_TABLE if key[0] == DOCLINK]
 
 
 def test_leaves_of_a_read_document_share_one_children_tuple():

@@ -23,7 +23,7 @@ from .resolve import (Decision, MentionIndex, ResolveConfig, Rule,
                       type_compatible)
 from .score import (PairCounts, Score, b_cubed_doc, b_cubed_macro,
                     pairwise_counts, pairwise_micro)
-from .treebank import (DOCLINK, DocumentTree, PtbParseError, SyntaxNode,
+from .treebank import (DocumentTree, PtbParseError, SyntaxNode,
                        collins_head_child, dominates, head_leaf, link_document,
                        path_distance, read_document, read_ptb)
 

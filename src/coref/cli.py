@@ -24,9 +24,8 @@ from typing import Optional, Sequence
 
 from .lexicon import LexiconError, default_lexicon, load_lexicon
 # Callers also import the pipeline and report names from here, so this
-# module keeps them all, PipelineResult included.
-from .pipeline import (DocumentError, DocumentInput, PipelineResult,  # noqa: F401
-                       gold_clustering, run_pipeline)
+# module keeps them all.
+from .pipeline import DocumentError, DocumentInput, gold_clustering, run_pipeline
 from .report import (TraceReport, format_score_text, render_brackets,
                      score_corpus, trace_report)
 from .resolve import ResolveConfig

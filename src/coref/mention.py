@@ -158,7 +158,7 @@ def map_gold_mentions(doc: DocumentTree,
     child that holds ``start`` by bisecting the children's span ends:
     O(depth x log fan-out) per span.
     """
-    if doc.root is None:
+    if not doc.sentence_roots:
         if spans:
             raise ValueError("gold mentions supplied for an empty document")
         return []
@@ -317,7 +317,7 @@ def attach_profiles(mentions: Iterable[Mention], annotations: AnnotationIndex,
         if m.kind is _PRONOUN:
             m.pronoun = pronoun_lookup(m.head_word, lex)
             m.profile = _pronoun_profile(m.pronoun)
-        elif not use_word_lists or node.doc is None or m.sentence_index < 0:
+        elif not use_word_lists or node.doc is None:
             # no cues wanted, or no sentence token list to find them in
             m.profile = build_profile(m, annotations, lex, use_word_lists=use_word_lists)
         else:

@@ -1,7 +1,7 @@
 """One document through the whole pipeline.
 
 ``DocumentInput`` is a decoded document (see ``coref.cli`` for the JSON
-schema it is read from), ``run_pipeline`` reads its linked tree, finds and
+schema it is read from), ``run_pipeline`` reads its document tree, finds and
 types its mentions, resolves and clusters them, and ``gold_clustering``
 builds its gold partition over the same mention ids.
 """
@@ -140,7 +140,7 @@ class PipelineResult(Record):
 
 def run_pipeline(document: DocumentInput, cfg: Optional[ResolveConfig] = None,
                  lex: Optional[Lexicon] = None) -> PipelineResult:
-    """Read the linked tree, find and type mentions, resolve, and cluster one
+    """Read the document tree, find and type mentions, resolve, and cluster one
     document.
 
     Every antecedent the resolver picks is an earlier mention, so the

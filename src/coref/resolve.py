@@ -391,10 +391,11 @@ def _nearest_acceptable(m: Mention, candidates: Iterable[Mention],
     ancestors, at distance ``m.node.depth - depth``, are then looked up by
     node (``_closer_ancestor``).
 
-    Past ``m``'s sentence the same bound holds with the LCA the link node
-    of the candidate's sentence s, at depth s, so that bound grows as s
-    falls. The scan stops at the first candidate in a sentence before the
-    best one's whose bound reaches the best distance.
+    Past ``m``'s sentence the same bound holds with the LCA at depth s for
+    a candidate of sentence s (``path_distance`` puts it at link s of its
+    chain), so that bound grows as s falls. The scan stops at the first
+    candidate in a sentence before the best one's whose bound reaches the
+    best distance.
     """
     best = None
     best_distance = 0

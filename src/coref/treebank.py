@@ -1,8 +1,9 @@
 """Penn Treebank bracketed parses, Collins head finding, and document tree queries.
 
-A document is a sequence of per-sentence constituency trees joined into one
-right-branching tree so that path distance is defined across sentence
-boundaries.
+A document is a sequence of per-sentence constituency trees. Path distance
+across sentence boundaries is that of one right-branching tree joining them,
+which is never built: each node's depth counts its edges in that tree (see
+``path_distance``).
 """
 
 from __future__ import annotations
@@ -12,9 +13,6 @@ import weakref
 from itertools import islice
 from operator import length_hint
 from typing import Callable, Iterator, Optional, Sequence
-
-#: Label of the synthetic nodes that join sentence trees.
-DOCLINK = "DOCLINK"
 
 #: Clause categories used for subject/object detection downstream.
 CLAUSE_LABELS = frozenset({"S", "SINV", "SQ"})
@@ -46,8 +44,8 @@ class SyntaxNode:
 
     A node keeps its subtree alive, not its ancestors: ``parent`` is a weak
     reference, so the tree holds no reference cycle and a document is freed
-    as soon as its ``DocumentTree`` and root are dropped. Once they are,
-    ``parent`` of a node kept on its own reads None.
+    as soon as its ``DocumentTree`` and sentence roots are dropped. Once
+    they are, ``parent`` of a node kept on its own reads None.
     """
 
     __slots__ = ("label", "token", "children", "_up", "sentence_index",
@@ -94,12 +92,12 @@ class SyntaxNode:
     def tokens(self) -> list[str]:
         """The leaf tokens of this subtree, left to right.
 
-        A node owned by a ``DocumentTree``, link nodes aside, slices its
-        sentence's token list by ``span``: such nodes are immutable, so the
-        slice stays valid. Other nodes walk their leaves.
+        A node owned by a ``DocumentTree`` slices its sentence's token list
+        by ``span``: such nodes are immutable, so the slice stays valid.
+        Other nodes walk their leaves.
         """
         doc = self.doc
-        if doc is not None and self.sentence_index >= 0:
+        if doc is not None:
             start, end = self.span
             return doc[self.sentence_index][start:end]
         return [leaf.token for leaf in self.leaves()]
@@ -112,15 +110,14 @@ class SyntaxNode:
 
 
 class DocumentTree:
-    """Sentence trees joined under right-branching DOCLINK nodes.
+    """The sentence trees of one document, numbered as one.
 
-    With k sentences there are max(k-1, 0) link nodes. An empty document
-    has ``root is None``. ``read_document`` and ``link_document`` build it;
-    both set every node's ``node_id`` (its preorder index in ``nodes``),
-    ``depth``, ``_post`` and ``sentence_index`` (-1 on link nodes), and set
-    its ``doc`` to ``key``: the list of each sentence's tokens. Nodes refer
-    to the key, not to the tree, so that no reference cycle keeps a dropped
-    document alive.
+    ``read_document`` and ``link_document`` build it; both set every node's
+    ``node_id`` (its preorder index in ``nodes``, sentence after sentence),
+    ``depth`` (as ``_join`` rules), ``_post`` and ``sentence_index``, and
+    set its ``doc`` to ``key``: the list of each sentence's tokens. A
+    sentence root has no parent. Nodes refer to the key, not to the tree,
+    so that no reference cycle keeps a dropped document alive.
 
     The nodes a ``DocumentTree`` owns are immutable from then on: no label,
     token, child or span changes. ``SyntaxNode.tokens`` slices ``key`` on
@@ -128,11 +125,8 @@ class DocumentTree:
     """
 
     def __init__(self, sentence_roots: tuple[SyntaxNode, ...],
-                 link_nodes: tuple[SyntaxNode, ...], root: Optional[SyntaxNode],
                  key: list[list[str]], nodes: list[SyntaxNode]):
         self.sentence_roots = sentence_roots
-        self.link_nodes = link_nodes
-        self.root = root
         self.key = key
         self.nodes = nodes
 
@@ -167,15 +161,14 @@ def _error_at(message: str, text: str, tokens: list[tuple[str, str, str, str]],
 
 
 def _read_trees(text: str, nodes: list[SyntaxNode], doc: Optional[list[list[str]]] = None,
-                sentence_index: int = -1, depth: int = 0,
-                up: Optional[weakref.ref] = None
+                sentence_index: int = -1, depth: int = 0
                 ) -> tuple[list[SyntaxNode], list[list[str]]]:
     """Every tree in ``text`` and the tokens of each, in one pass.
 
     Each node gets all of its facts as it opens or closes: it is appended to
     ``nodes`` in preorder (``node_id`` is its index there, ``_post`` the
     length when it closes), its ``depth`` counts from ``depth`` at a root,
-    and it takes ``doc`` and ``sentence_index``. A root's parent is ``up``.
+    and it takes ``doc`` and ``sentence_index``. A root has no parent.
     Spans number the leaves of each tree from 0. An open node gathers its
     production (its label and its children's) as children attach, and
     closing it looks the head child up by that in ``_HEAD_TABLE``. Raises
@@ -192,6 +185,7 @@ def _read_trees(text: str, nodes: list[SyntaxNode], doc: Optional[list[list[str]
     stack: list[tuple[SyntaxNode, list[str]]] = []  # the open nodes above parent
     parent: Optional[SyntaxNode] = None  # the innermost open node, if any
     labels: list[str] = []  # parent's production, gathered so far
+    up: Optional[weakref.ref] = None  # the weak reference to parent
     tokens = _PTB_TOKEN.findall(text)
     rest = iter(tokens)
     for label, word, closers, other in rest:
@@ -303,47 +297,27 @@ def read_ptb(text: str) -> list[SyntaxNode]:
 
 
 def _join(count: int, read_one: Callable[..., tuple[SyntaxNode, list[str]]]) -> DocumentTree:
-    """Join ``count`` sentence trees under right-branching DOCLINK nodes.
+    """Number ``count`` sentence trees as one document.
 
-    ``read_one(i, nodes, key, depth, up)`` returns sentence i's root and its
+    ``read_one(i, nodes, key, depth)`` returns sentence i's root and its
     tokens, having appended the sentence's nodes to ``nodes`` in preorder
-    with every fact set: the root at ``depth``, under the weak reference
-    ``up``, and ``doc`` set to ``key``. The link node that joins sentence i
-    to the rest is numbered just before that sentence's root, at depth i.
+    with every fact set: the root at ``depth``, with no parent, and ``doc``
+    set to ``key``. Sentence i's root sits at depth i + 1, the last one's
+    at ``count - 1``: its depth under the link chain ``path_distance``
+    models.
     """
     key: list[list[str]] = []
     nodes: list[SyntaxNode] = []
     roots: list[SyntaxNode] = []
-    links: list[SyntaxNode] = []
-    last = count - 1
-    up = None
     for i in range(count):
-        if i < last:
-            link = SyntaxNode(DOCLINK)
-            link._up = up
-            link.node_id = len(nodes)
-            link.depth = i
-            link.doc = key
-            nodes.append(link)
-            if links:
-                links[-1].children.append(link)
-            links.append(link)
-            up = weakref.ref(link)
-        root, row = read_one(i, nodes, key, i + (i < last), up)
+        root, row = read_one(i, nodes, key, i + (i < count - 1))
         roots.append(root)
         key.append(row)
-        if links:
-            links[-1].children.append(root)
-    for link in reversed(links):  # bottom up: a link's head is the one below's
-        link._post = len(nodes)
-        child = link.children[1]  # DOCLINK has no head rule: its last child heads it
-        link._head = child._head or child
-    return DocumentTree(tuple(roots), tuple(links),
-                        links[0] if links else roots[0] if roots else None, key, nodes)
+    return DocumentTree(tuple(roots), key, nodes)
 
 
 def read_document(sentences: Sequence[str]) -> DocumentTree:
-    """Read one bracketed tree per sentence into a linked document tree.
+    """Read one bracketed tree per sentence into a document tree.
 
     The result equals ``link_document([read_ptb(s)[0] for s in sentences])``
     node for node, but each node is built once, with all of its document
@@ -353,9 +327,9 @@ def read_document(sentences: Sequence[str]) -> DocumentTree:
     ``sentence i: <PtbParseError text>``, or, when the whole sentence
     reads, ``sentence i: expected one tree, found N``.
     """
-    def read_one(i, nodes, key, depth, up):
+    def read_one(i, nodes, key, depth):
         try:
-            trees, rows = _read_trees(sentences[i], nodes, key, i, depth, up)
+            trees, rows = _read_trees(sentences[i], nodes, key, i, depth)
         except PtbParseError as err:
             raise ValueError(f"sentence {i}: {err}") from err
         if len(trees) != 1:
@@ -460,28 +434,27 @@ def dominates(a: SyntaxNode, b: SyntaxNode) -> bool:
 
 
 def link_document(trees: Sequence[SyntaxNode]) -> DocumentTree:
-    """Join sentence trees into one right-branching document tree.
+    """Join sentence trees into one document tree, as ``read_document`` would.
 
-    link(S1, link(S2, ... Sk)): each DOCLINK node has a sentence as its left
-    child and the linked remainder as its right child. The trees must come
-    from ``read_ptb``, or be the sentence roots of a linked document: such a
-    tree already carries its spans, heads, and ``node_id``, ``_post`` and
-    ``depth`` counted within its text, so it is re-based, not rebuilt. One
-    preorder walk over it shifts each ``node_id`` and ``_post`` by one
-    offset, lifts each ``depth`` by another, and sets ``sentence_index`` and
-    ``doc``. The trees become the document's nodes.
+    The trees must come from ``read_ptb``, or be the sentence roots of a
+    document: such a tree already carries its spans, heads, and
+    ``node_id``, ``_post`` and ``depth`` counted within its text, so it is
+    re-based, not rebuilt. One preorder walk over it shifts each
+    ``node_id`` and ``_post`` by one offset, lifts each ``depth`` by
+    another, and sets ``sentence_index`` and ``doc``. The trees become the
+    document's nodes, and each tree's root loses its parent.
 
     Raises ValueError naming the index of a tree the reader did not build
     (a hand-made ``SyntaxNode``), or of one given twice, whole or as part of
     another tree.
     """
-    def adopt(i, nodes, key, depth, up):
+    def adopt(i, nodes, key, depth):
         root = trees[i]
         if root._post < 0:
             raise ValueError(f"tree {i} was not built by read_ptb")
         shift = len(nodes) - root.node_id
         lift = depth - root.depth
-        root._up = up
+        root._up = None
         row: list[str] = []
         stack = [root]
         while stack:
@@ -505,18 +478,20 @@ def link_document(trees: Sequence[SyntaxNode]) -> DocumentTree:
 def path_distance(a: SyntaxNode, b: SyntaxNode, doc: DocumentTree) -> int:
     """Number of edges on the tree path between two nodes of one document.
 
-    DOCLINK edges count like ordinary edges. Raises ValueError when a node
-    is not part of ``doc``.
-
-    For nodes of sentences i != j the lowest common ancestor is link node
-    min(i, j), at depth min(i, j), so that case takes O(1); same-sentence
-    pairs and link nodes climb to their common ancestor.
+    Across sentences the path runs through a right-branching chain of
+    k - 1 link nodes that is a model, not a tree that is built: link i sits
+    at depth i, with sentence i's root as its left child and link i + 1, or
+    the last sentence's root, as its right child. ``_join`` sets every
+    depth on that model. So for nodes of sentences i != j the lowest common
+    ancestor is link min(i, j), at depth min(i, j), and that case takes
+    O(1); same-sentence pairs climb to their common ancestor. Raises
+    ValueError when a node is not part of ``doc``.
     """
     for name, node in (("first", a), ("second", b)):
         if node.doc is not doc.key:
             raise ValueError(f"{name} node {node!r} is not in this document")
     i, j = a.sentence_index, b.sentence_index
-    if i != j and i >= 0 and j >= 0:
+    if i != j:
         return a.depth + b.depth - 2 * min(i, j)
     x, y = a, b
     while x.depth > y.depth:

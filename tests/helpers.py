@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import weakref
+from collections import defaultdict, deque
 from itertools import islice
 from operator import length_hint
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import coref
 from coref import (Clustering, DocumentInput, Mention, PipelineResult, ResolveConfig,
                    SyntaxNode, extract_mentions, link_document, read_ptb, run_pipeline)
-from coref.cli import _ABLATION_FLAGS, main
+from coref.cli import _ABLATION_FLAGS, load_documents, main
 from coref.cluster import from_entities
 from coref.treebank import PtbParseError, _head_index
 
@@ -213,13 +214,55 @@ def reference_read_ptb(text: str) -> list[SyntaxNode]:
 
 
 def parse_doc(*sentences):
-    """Link one tree per bracketed sentence string into a DocumentTree."""
+    """Join one tree per bracketed sentence string into a DocumentTree."""
     trees = []
     for sentence in sentences:
         parsed = read_ptb(sentence)
         assert len(parsed) == 1
         trees.append(parsed[0])
     return link_document(trees)
+
+
+def linked_tree(doc):
+    """The document tree ``path_distance`` models, built explicitly.
+
+    ``doc.sentence_roots`` hang from a right-branching chain of k - 1 link
+    vertices ``("link", i)``: link i has sentence i's root and then link
+    i + 1, or the last sentence's root, as its children. Returns the
+    adjacency map of that tree, over the document's nodes and the link
+    vertices, and its top vertex (None for an empty document).
+    """
+    roots = doc.sentence_roots
+    adjacency = defaultdict(list)
+
+    def join(parent, child):
+        adjacency[parent].append(child)
+        adjacency[child].append(parent)
+
+    for root in roots:
+        for node in root.walk():
+            for child in node.children:
+                join(node, child)
+    links = [("link", i) for i in range(len(roots) - 1)]
+    for i, link in enumerate(links):
+        join(link, roots[i])
+        join(link, links[i + 1] if i + 1 < len(links) else roots[-1])
+    top = links[0] if links else roots[0] if roots else None
+    return adjacency, top
+
+
+def bfs_distances(adjacency, source):
+    """Edges from ``source`` to every vertex of ``adjacency``, counted by
+    breadth-first search."""
+    distances = {source: 0}
+    queue = deque([source])
+    while queue:
+        vertex = queue.popleft()
+        for other in adjacency[vertex]:
+            if other not in distances:
+                distances[other] = distances[vertex] + 1
+                queue.append(other)
+    return distances
 
 
 def doc_with_mentions(*sentences):
@@ -321,6 +364,19 @@ def write_corpus(tmp_path, docs):
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def golden_documents() -> list[DocumentInput]:
+    """Every document of ``golden/*.jsonl`` that decodes, file by file."""
+    return [document for path in sorted(GOLDEN.glob("*.jsonl"))
+            for document in load_documents([str(path)])
+            if isinstance(document, DocumentInput)]
+
+
+def single_flag_configs() -> list[ResolveConfig]:
+    """The default config, then one per ablation flag with that flag set."""
+    return [ResolveConfig()] + [ResolveConfig()._replace(**{field: value})
+                                for _, field, value in _ABLATION_FLAGS]
 
 
 def _sha256(text: str) -> str:

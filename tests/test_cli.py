@@ -17,10 +17,10 @@ from coref import (Decision, DocumentError, DocumentInput, Mention, MentionKind,
                    b_cubed_doc, default_lexicon, gold_clustering, pairwise_counts,
                    render_brackets, run_pipeline, score_corpus, trace_report)
 from coref.cluster import from_entities
-from coref.cli import _ABLATION_FLAGS, build_config, build_parser, load_documents, main
+from coref.cli import build_config, build_parser, load_documents, main
 from helpers import (EXAMPLE1_GOLD, EXAMPLE1_SENTENCES, ablation_corpus,
-                     GOLDEN, cli_digests, pipeline, random_partition, run_cli,
-                     run_cli_twice, write_corpus)
+                     GOLDEN, cli_digests, golden_documents, pipeline, random_partition,
+                     run_cli, run_cli_twice, single_flag_configs, write_corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +49,7 @@ def test_dropped_result_frees_its_document_at_once(fixture_lex):
     gc.disable()
     try:
         result = pipeline(EXAMPLE1_SENTENCES, lex=fixture_lex)
-        tree, root = weakref.ref(result.tree), weakref.ref(result.tree.root)
+        tree, root = weakref.ref(result.tree), weakref.ref(result.tree.sentence_roots[0])
         kept = result.mentions[0]
         assert kept.node.parent is not None
         del result
@@ -70,15 +70,12 @@ def test_golden_corpora_make_no_reference_cycle():
     premise; a cycle, such as a strong parent reference, would otherwise
     live until the document ends."""
     lex = default_lexicon()
-    configs = [ResolveConfig()] + [ResolveConfig()._replace(**{field: value})
-                                   for _, field, value in _ABLATION_FLAGS]
+    configs = single_flag_configs()
     enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
-        documents = [document for path in sorted(GOLDEN.glob("*.jsonl"))
-                     for document in load_documents([str(path)])
-                     if isinstance(document, DocumentInput)]
+        documents = golden_documents()
         failed = 0
         for cfg in configs:
             for document in documents:

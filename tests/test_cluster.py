@@ -3,11 +3,10 @@ from collections import deque
 
 import pytest
 
-from coref import (Clustering, Decision, DocumentError, DocumentInput, ResolveConfig,
-                   Rule, default_lexicon, run_pipeline, transitive_closure)
-from coref.cli import _ABLATION_FLAGS, load_documents
+from coref import (Clustering, Decision, DocumentError, Rule, default_lexicon,
+                   run_pipeline, transitive_closure)
 from coref.cluster import from_entities
-from helpers import GOLDEN
+from helpers import golden_documents, single_flag_configs
 
 
 def _link(mid, ante):
@@ -241,11 +240,8 @@ def test_forward_clustering_equals_the_closure_on_every_golden_corpus():
     mention, and grouping the decisions forward gives the clustering
     ``transitive_closure`` gives, labels included."""
     lex = default_lexicon()
-    configs = [ResolveConfig()] + [ResolveConfig()._replace(**{field: value})
-                                   for _, field, value in _ABLATION_FLAGS]
-    documents = [document for path in sorted(GOLDEN.glob("*.jsonl"))
-                 for document in load_documents([str(path)])
-                 if isinstance(document, DocumentInput)]
+    configs = single_flag_configs()
+    documents = golden_documents()
     decisions = 0
     for cfg in configs:
         for document in documents:

@@ -17,7 +17,7 @@ def test_nested_np_same_head_is_one_mention():
     doc, mentions = doc_with_mentions(ACCOUNTING)
     assert [m.head_word for m in mentions] == ["accounting", "incident"]
     outer = mentions[0]
-    assert outer.node is doc.root  # the largest NP for "accounting"
+    assert outer.node is doc.sentence_roots[0]  # the largest NP for "accounting"
     assert outer.span == (0, 6)
     assert mentions[1].span == (4, 6)
 
@@ -86,7 +86,7 @@ def test_maximality_and_completeness_brute_force():
             " (VP (VBD mattered))))) (. .))"),
     ]
     for doc, mentions in docs:
-        np_nodes = [n for n in doc.root.walk() if n.label == "NP"]
+        np_nodes = [n for n in doc.nodes if n.label == "NP"]
         mention_nodes = {m.node.node_id for m in mentions}
         for m in mentions:
             for np in np_nodes:

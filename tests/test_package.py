@@ -63,9 +63,8 @@ def test_import_loads_no_module_it_does_not_use(module, absent):
 
 
 def test_cli_still_offers_the_pipeline_and_report_names():
-    for name in ("DocumentError", "DocumentInput", "PipelineResult", "run_pipeline",
-                 "gold_clustering", "TraceReport", "trace_report", "score_corpus",
-                 "render_brackets"):
+    for name in ("DocumentError", "DocumentInput", "run_pipeline", "gold_clustering",
+                 "TraceReport", "trace_report", "score_corpus", "render_brackets"):
         assert getattr(coref.cli, name) is getattr(coref, name)
 
 

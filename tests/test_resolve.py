@@ -7,19 +7,22 @@ import pytest
 
 import coref.resolve
 import coref.treebank
-from coref import (Decision, Gender, Mention, MentionIndex, MentionKind, Number,
+from coref import (Decision, DocumentError, Gender, Mention, MentionIndex,
+                   MentionKind, Number,
                    Personhood, ResolveConfig, Rule, TokenAnnotation,
                    TypeProfile, annotation_index, attach_profiles,
                    build_profile, collins_head_child,
                    detect_appositive, detect_pred_nom,
                    detect_role_appositive, dominates, extract_mentions,
                    head_leaf, initial_adjuncts, map_gold_mentions, path_distance,
-                   read_ptb, reflexive_subject, resolve_document, type_compatible)
+                   read_ptb, reflexive_subject, resolve_document, run_pipeline,
+                   type_compatible)
 from coref.mention import PRONOUN_TAGS, _PROFILES, _kind_of_tag, document_order_key
 from coref.resolve import (_nearest_acceptable, _union_latest_first, is_second_person,
                            pronoun_acceptor)
 from helpers import (EXAMPLE1_SENTENCES, decision_for, doc_with_mentions,
-                     mention_with_head, parse_doc, pipeline)
+                     golden_documents, mention_with_head, parse_doc, pipeline,
+                     single_flag_configs)
 
 TRIBE = ("(S (NP (NP (NNP Lawrence) (NNP Tribe)) (, ,) (NP (DT the)"
          " (NNP Harvard) (NNP Law) (NNP School) (NN Professor)) (, ,))"
@@ -143,6 +146,38 @@ def test_role_appositive_flag_off(fixture_lex):
     bush = mention_with_head(mentions, "Bush")
     cfg = ResolveConfig(enable_role_appositive=False)
     assert detect_role_appositive(bush, index, cfg) is None
+
+
+def test_role_appositive_stays_inside_its_sentence():
+    """A nominal sentence and a proper person sentence are no role
+    appositive: a sentence root has no parent, so the two NPs are not
+    siblings."""
+    result = pipeline(["(NP (NN candidate))", "(NP (NNP George) (NNP Bush))"],
+                      annotations=[TokenAnnotation(1, 1, supersense="noun.person")])
+    assert [d.rule for d in result.decisions] == [Rule.NULL, Rule.NULL]
+    assert [result.clustering.label_of(m.mention_id) for m in result.mentions] == [1, 2]
+
+
+def test_golden_syntactic_patterns_link_mentions_of_one_sentence():
+    """Under the default config and each single ablation flag, every
+    Appositive, RoleAppositive and PredNom decision on the golden corpora
+    links two mentions of the same sentence."""
+    configs = single_flag_configs()
+    documents = golden_documents()
+    patterns = {Rule.APPOSITIVE, Rule.ROLE_APPOSITIVE, Rule.PRED_NOM}
+    seen = 0
+    for cfg in configs:
+        for document in documents:
+            try:
+                result = run_pipeline(document, cfg)
+            except DocumentError:
+                continue
+            sentence = {m.mention_id: m.sentence_index for m in result.mentions}
+            for d in result.decisions:
+                if d.rule in patterns:
+                    assert sentence[d.mention_id] == sentence[d.antecedent]
+                    seen += 1
+    assert seen > 0
 
 
 def test_role_appositive_declines_a_mention_that_is_not_an_np(fixture_lex):

@@ -5,12 +5,11 @@ import time
 import pytest
 
 import coref.treebank
-from coref import (DOCLINK, DocumentError, DocumentInput, PtbParseError,
-                   SyntaxNode, collins_head_child, dominates, head_leaf,
-                   link_document, path_distance, read_document, read_ptb,
-                   run_pipeline)
-from coref.cli import load_documents
-from helpers import GOLDEN, parse_doc, reference_read_ptb, to_ptb
+from coref import (DocumentError, DocumentInput, PtbParseError, SyntaxNode,
+                   collins_head_child, dominates, head_leaf, link_document,
+                   path_distance, read_document, read_ptb, run_pipeline)
+from helpers import (bfs_distances, linked_tree, parse_doc, reference_read_ptb,
+                     to_ptb)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +337,7 @@ def test_head_leaf_dominated_by_node_on_random_trees():
     for _ in range(50):
         text = to_ptb(_random_tree(rng))
         doc = link_document(read_ptb(text))
-        for node in doc.root.walk():
+        for node in doc.nodes:
             assert dominates(node, head_leaf(node))
 
 
@@ -370,7 +369,6 @@ def test_builders_set_the_heads_a_walk_finds_on_random_documents():
     for _ in range(150):
         sentences = _random_document(rng)
         for doc in (read_document(sentences), parse_doc(*sentences)):
-            assert any(node.label == DOCLINK for node in doc.nodes) == (len(sentences) > 1)
             for node in doc.nodes:
                 assert head_leaf(node) is _walked_head(node)
                 if not node.children:
@@ -393,7 +391,6 @@ def test_a_document_of_seen_productions_computes_no_head_child(monkeypatch):
     for doc in (read_document(again), parse_doc(*again)):
         assert calls[0] == 0
         assert [head_leaf(root).token for root in doc.sentence_roots] == ["met", "left"]
-        assert head_leaf(doc.root).token == "left"
 
 
 def test_head_table_stops_growing_at_its_bound(monkeypatch):
@@ -412,34 +409,9 @@ def test_head_table_stops_growing_at_its_bound(monkeypatch):
     wide = "(NP " + " ".join(f"(NN w{i})" for i in range(12)) + ")"
     calls = _count_head_children(monkeypatch)
     for _ in range(2):
-        assert head_leaf(read_document([wide]).root).token == "w11"
+        assert head_leaf(read_document([wide]).sentence_roots[0]).token == "w11"
     assert calls[0] == 2
     assert ("NP",) + ("NN",) * 12 not in table
-
-
-def test_every_golden_link_node_is_headed_by_its_last_child(monkeypatch):
-    """DOCLINK has no head rule, so both builders head a link node by its
-    last child without reading or filling the head table."""
-    monkeypatch.setattr(coref.treebank, "_HEAD_TABLE", {})
-    monkeypatch.setattr(coref.treebank, "_head_table_labels", 0)
-    links = 0
-    for path in sorted(GOLDEN.glob("*.jsonl")):
-        for document in load_documents([str(path)]):
-            if not isinstance(document, DocumentInput):
-                continue
-            try:
-                doc = read_document(document.sentences)
-            except ValueError:
-                continue
-            trees = [read_ptb(sentence)[0] for sentence in document.sentences]
-            for built in (doc, link_document(trees)):
-                for link in built.link_nodes:
-                    assert len(link.children) == 2
-                    assert collins_head_child(link) == 1
-                    assert head_leaf(link) is head_leaf(link.children[1])
-                    links += 1
-    assert links > 1000
-    assert not [key for key in coref.treebank._HEAD_TABLE if key[0] == DOCLINK]
 
 
 def test_leaves_of_a_read_document_share_one_children_tuple():
@@ -460,20 +432,21 @@ def test_leaves_of_a_read_document_share_one_children_tuple():
 
 def test_root_dominates_everything():
     doc = parse_doc("(S (NP (DT the) (NN dog)) (VP (VBD ran)))")
-    for node in doc.root.walk():
-        assert dominates(doc.root, node)
+    (root,) = doc.sentence_roots
+    for node in doc.nodes:
+        assert dominates(root, node)
 
 
 def test_unrelated_leaves_do_not_dominate():
     doc = parse_doc("(S (NP (DT the) (NN dog)) (VP (VBD ran)))")
-    leaves = list(doc.root.leaves())
+    leaves = list(doc.sentence_roots[0].leaves())
     assert not dominates(leaves[0], leaves[1])
     assert not dominates(leaves[2], leaves[0])
 
 
 def test_dominates_is_reflexive():
     doc = parse_doc("(S (NN a))")
-    for node in doc.root.walk():
+    for node in doc.nodes:
         assert dominates(node, node)
 
 
@@ -481,7 +454,7 @@ def test_dominates_across_documents_is_an_error():
     doc1 = parse_doc("(S (NN a))")
     doc2 = parse_doc("(S (NN b))")
     with pytest.raises(ValueError, match="different documents"):
-        dominates(doc1.root, doc2.root)
+        dominates(doc1.sentence_roots[0], doc2.sentence_roots[0])
     (unlinked,) = read_ptb("(S (NP (NN a)))")
     with pytest.raises(ValueError, match="different documents"):
         dominates(unlinked, unlinked.children[0])
@@ -491,28 +464,24 @@ def _link_read_trees(texts):
     return link_document([read_ptb(text)[0] for text in texts])
 
 
-@pytest.mark.parametrize("build", [read_document, _link_read_trees],
-                         ids=["read_document", "link_document"])
+_BUILDERS = pytest.mark.parametrize("build", [read_document, _link_read_trees],
+                                    ids=["read_document", "link_document"])
+
+
+@_BUILDERS
 def test_dominance_and_depth_follow_parent_chain_on_random_documents(build):
-    """Each node's number, depth, extent, sentence and tokens, and the
-    DOCLINK spine, against walks of the built tree, for both builders."""
+    """Each node's number, extent, sentence, tokens and ancestors against
+    walks of the built tree, for both builders."""
     rng = random.Random(20261018)
     for _ in range(25):
         texts = [to_ptb(_random_tree(rng)) for _ in range(rng.randint(1, 5))]
         doc = build(texts)
-        assert list(doc.root.walk()) == doc.nodes
+        roots = doc.sentence_roots
+        assert len(roots) == len(texts)
+        assert [node for root in roots for node in root.walk()] == doc.nodes
         for index, node in enumerate(doc.nodes):
             assert node.node_id == index
             assert node._post == index + sum(1 for _ in node.walk())
-            parent = node.parent
-            assert node.depth == (0 if parent is None else parent.depth + 1)
-        roots, links = doc.sentence_roots, doc.link_nodes
-        assert len(roots) == len(texts) and len(links) == len(texts) - 1
-        assert doc.root is (links[0] if links else roots[0])
-        for i, link in enumerate(links):
-            assert (link.label, link.depth, link.sentence_index) == (DOCLINK, i, -1)
-            rest = links[i + 1] if i + 1 < len(links) else roots[-1]
-            assert link.children == [roots[i], rest]
         for i, root in enumerate(roots):
             assert {node.sentence_index for node in root.walk()} == {i}
             assert doc.key[i] == [leaf.token for leaf in root.leaves()]
@@ -522,63 +491,83 @@ def test_dominance_and_depth_follow_parent_chain_on_random_documents(build):
             while node is not None:
                 chain.append(node)
                 node = node.parent
-            assert chain[-1] is doc.root
-            assert b.depth == len(chain) - 1
+            assert chain[-1] is roots[b.sentence_index]
+            assert b.depth - chain[-1].depth == len(chain) - 1
             ancestors = {id(node) for node in chain}
             for a in doc.nodes:
                 assert dominates(a, b) == (id(a) in ancestors)
 
 
+@_BUILDERS
+def test_sentence_roots_hang_from_nothing_at_their_link_chain_depths(build):
+    """No node joins the sentences: every sentence root has no parent and
+    sits at the depth of the link chain ``path_distance`` models, i + 1,
+    or k - 1 for the last of k; every other node is one below its parent.
+    Every depth equals the node's distance from the top of the explicit
+    linked tree."""
+    rng = random.Random(20261101)
+    for _ in range(40):
+        texts = [to_ptb(_random_tree(rng)) for _ in range(rng.randint(1, 7))]
+        doc = build(texts)
+        k = len(doc.sentence_roots)
+        for i, root in enumerate(doc.sentence_roots):
+            assert root.parent is None
+            assert root.depth == i + (i < k - 1)
+        roots = set(doc.sentence_roots)
+        for node in doc.nodes:
+            if node not in roots:
+                assert node.depth == node.parent.depth + 1
+        adjacency, top = linked_tree(doc)
+        from_top = bfs_distances(adjacency, top)
+        assert [node.depth for node in doc.nodes] == [from_top[node] for node in doc.nodes]
+
+
 def test_link_empty_document():
     doc = link_document([])
-    assert doc.root is None
     assert doc.sentence_roots == ()
-    assert doc.link_nodes == ()
+    assert doc.nodes == [] and doc.key == []
 
 
 def test_link_single_sentence():
     trees = read_ptb("(S (NN a))")
     doc = link_document(trees)
-    assert doc.root is trees[0]
-    assert doc.link_nodes == ()
+    assert doc.sentence_roots == (trees[0],)
+    assert trees[0].parent is None and trees[0].depth == 0
 
 
 def test_link_two_sentences():
     trees = read_ptb("(S (NN a)) (S (NN b))")
     doc = link_document(trees)
-    assert len(doc.link_nodes) == 1
-    assert doc.root.label == DOCLINK
-    assert doc.root.children[0] is trees[0]
-    assert doc.root.children[1] is trees[1]
+    assert doc.sentence_roots == tuple(trees)
+    assert [(root.parent, root.depth) for root in trees] == [(None, 1), (None, 1)]
+    a, b = (root.children[0] for root in trees)
+    assert path_distance(a, b, doc) == 4
 
 
 def test_link_three_sentences_right_branching():
     trees = read_ptb("(S (NN a)) (S (NN b)) (S (NN c))")
     doc = link_document(trees)
-    assert len(doc.link_nodes) == 2
-    top = doc.root
-    assert top.children[0] is trees[0]
-    inner = top.children[1]
-    assert inner.label == DOCLINK
-    assert inner.children[0] is trees[1]
-    assert inner.children[1] is trees[2]
+    assert doc.sentence_roots == tuple(trees)
+    assert [root.depth for root in trees] == [1, 2, 2]
+    a, b, c = trees
+    assert [path_distance(a, b, doc), path_distance(a, c, doc),
+            path_distance(b, c, doc)] == [3, 3, 2]
 
 
 def test_link_node_count_and_leaf_order():
+    """Linking adds no node: a document's nodes are its sentences' own."""
     sentences = ["(S (NN a) (NN b))", "(S (NN c))", "(S (NN d) (NN e))",
                  "(S (NN f))"]
     trees = read_ptb(" ".join(sentences))
+    sizes = [sum(1 for _ in tree.walk()) for tree in trees]
     doc = link_document(trees)
-    assert len(doc.link_nodes) == len(sentences) - 1
-    assert [leaf.token for leaf in doc.root.leaves()] == list("abcdef")
-    for node in doc.root.walk():
+    assert len(doc.nodes) == sum(sizes)
+    assert [leaf.token for tree in trees for leaf in tree.leaves()] == list("abcdef")
+    for node in doc.nodes:
         sentence_root = node
-        while sentence_root.parent is not None and sentence_root.parent.label != DOCLINK:
+        while sentence_root.parent is not None:
             sentence_root = sentence_root.parent
-        if node.label == DOCLINK:
-            assert node.sentence_index == -1
-        else:
-            assert node.sentence_index == trees.index(sentence_root)
+        assert node.sentence_index == trees.index(sentence_root)
 
 
 # Separators the reader must treat as whitespace: ``\x1c`` (a control
@@ -626,14 +615,11 @@ def test_read_document_builds_the_linked_tree_on_random_documents():
         linked = link_document([read_ptb(s)[0] for s in sentences])
         assert _facts(fused) == _facts(linked)
         assert fused.key == linked.key
-        for name in ("sentence_roots", "link_nodes"):
-            assert ([n.node_id for n in getattr(fused, name)]
-                    == [n.node_id for n in getattr(linked, name)])
-        if count:
-            assert fused.root.node_id == linked.root.node_id == 0
-            assert [n.node_id for n in fused.root.walk()] == list(range(len(fused.nodes)))
-        else:
-            assert fused.root is linked.root is None
+        assert ([n.node_id for n in fused.sentence_roots]
+                == [n.node_id for n in linked.sentence_roots])
+        walked = [n.node_id for root in fused.sentence_roots for n in root.walk()]
+        assert walked == list(range(len(fused.nodes)))
+        if not count:
             assert fused.nodes == [] and fused.key == []
 
 
@@ -735,7 +721,7 @@ def test_run_pipeline_reports_the_same_sentence_errors_on_mutated_documents():
 
 def test_path_distance_trivial_cases():
     doc = parse_doc("(S (NP (NN a)) (VP (VBD b)))")
-    np, vp = doc.root.children
+    np, vp = doc.sentence_roots[0].children
     assert path_distance(np, np, doc) == 0
     assert path_distance(np, vp, doc) == 2
 
@@ -744,7 +730,7 @@ def test_path_distance_node_not_in_document():
     doc = parse_doc("(S (NN a))")
     other = parse_doc("(S (NN b))")
     with pytest.raises(ValueError, match="not in this document"):
-        path_distance(doc.root, other.root, doc)
+        path_distance(doc.sentence_roots[0], other.sentence_roots[0], doc)
 
 
 def test_path_distance_prefers_prior_subject_over_embedded_np():
@@ -766,15 +752,11 @@ def test_path_distance_prefers_prior_subject_over_embedded_np():
     assert path_distance(pronoun, subject, doc) < path_distance(pronoun, embedded, doc)
 
 
-def _all_nodes(doc):
-    return list(doc.root.walk())
-
-
 def test_path_distance_symmetry_and_triangle():
     rng = random.Random(99)
     texts = [to_ptb(_random_tree(rng)) for _ in range(3)]
     doc = link_document(read_ptb(" ".join(texts)))
-    nodes = _all_nodes(doc)
+    nodes = doc.nodes
     sample = rng.sample(nodes, min(12, len(nodes)))
     for a in sample:
         for b in sample:
@@ -784,29 +766,18 @@ def test_path_distance_symmetry_and_triangle():
                         <= path_distance(a, b, doc) + path_distance(b, c, doc))
 
 
-def _climbing_distance(a, b):
-    """Edges from ``a`` and ``b`` up to their lowest common ancestor, found
-    by following ``parent`` links only."""
-    up = {}
-    node, steps = a, 0
-    while node is not None:
-        up[id(node)] = steps
-        node, steps = node.parent, steps + 1
-    node, steps = b, 0
-    while id(node) not in up:
-        node, steps = node.parent, steps + 1
-    return steps + up[id(node)]
-
-
-def test_path_distance_matches_climbing_on_random_documents():
-    """Every node pair, link nodes included, of documents of 1-6 sentences."""
+def test_path_distance_matches_the_linked_tree_on_random_documents():
+    """Every node pair of documents of 1-6 sentences, against breadth-first
+    search over the explicitly built linked tree."""
     rng = random.Random(1310)
     for _ in range(30):
         texts = [to_ptb(_random_tree(rng)) for _ in range(rng.randint(1, 6))]
         doc = link_document(read_ptb(" ".join(texts)))
+        adjacency, _ = linked_tree(doc)
         for a in doc.nodes:
+            from_a = bfs_distances(adjacency, a)
             for b in doc.nodes:
-                assert path_distance(a, b, doc) == _climbing_distance(a, b)
+                assert path_distance(a, b, doc) == from_a[b]
 
 
 def test_path_distance_monotone_in_sentence_separation():

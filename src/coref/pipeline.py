@@ -90,15 +90,21 @@ class DocumentInput(Record):
         for key in ("annotations", "gold_mentions", "gold_clusters"):
             if data.get(key) is not None and not isinstance(data[key], list):
                 raise DocumentError(doc_id, f"{key!r} is not a list")
+        # Each field is read, then checked, before the next is read, so an
+        # entry's first bad field is the one reported; ``type(v) is int``
+        # passes what JSON integers decode to without a call to ``_integer``.
         annotations = []
         for entry in data.get("annotations") or []:
             try:
-                ann = TokenAnnotation(_integer(entry["s"]), _integer(entry["t"]),
-                                      entry.get("supersense"), entry.get("ner"))
-                if not all(isinstance(label, (str, type(None)))
-                           for label in (ann.supersense, ann.ner)):
+                s = entry["s"]
+                s = s if type(s) is int else _integer(s)
+                t = entry["t"]
+                t = t if type(t) is int else _integer(t)
+                sup, ner = entry.get("supersense"), entry.get("ner")
+                if not ((sup is None or isinstance(sup, str))
+                        and (ner is None or isinstance(ner, str))):
                     raise TypeError("supersense and ner must be strings")
-                annotations.append(ann)
+                annotations.append(tuple.__new__(TokenAnnotation, (s, t, sup, ner)))
             except (KeyError, TypeError, ValueError) as err:
                 raise DocumentError(doc_id, f"bad annotation {entry!r}: {err}") from None
         gold_mentions = None
@@ -106,8 +112,13 @@ class DocumentInput(Record):
             gold_mentions = []
             for entry in data["gold_mentions"]:
                 try:
-                    gold_mentions.append((_integer(entry["s"]), _integer(entry["start"]),
-                                          _integer(entry["end"])))
+                    s = entry["s"]
+                    s = s if type(s) is int else _integer(s)
+                    start = entry["start"]
+                    start = start if type(start) is int else _integer(start)
+                    end = entry["end"]
+                    end = end if type(end) is int else _integer(end)
+                    gold_mentions.append((s, start, end))
                 except (KeyError, TypeError, ValueError) as err:
                     raise DocumentError(doc_id, f"bad gold mention {entry!r}: {err}") from None
         gold_clusters = None

@@ -97,11 +97,18 @@ class MentionIndex:
         # positions of the mentions that have it
         self.keys_at = [nominal_keys(m) for m in self.mentions]
         self.by_nominal_key: dict[tuple[str, str], list[int]] = {}
+        # whether the mention at each position is the first with each of its
+        # keys, so that ``nominal_matches_before`` yields nothing for it
+        self.opens_keys: list[bool] = []
         for i, m in enumerate(self.mentions):
             self.by_node.setdefault(m.node.node_id, []).append(i)
             self.by_head.setdefault(m.head.node_id, m)
+            opens = True
             for key in self.keys_at[i]:
-                self.by_nominal_key.setdefault(key, []).append(i)
+                run = self.by_nominal_key.setdefault(key, [])
+                opens = opens and not run
+                run.append(i)
+            self.opens_keys.append(opens)
 
     def before(self, m: Mention) -> Iterator[Mention]:
         """Every mention before ``m`` in document order, most recent first."""
@@ -332,11 +339,20 @@ def is_second_person(m: Mention) -> bool:
 def pronoun_acceptor(m: Mention, cfg: ResolveConfig) -> Callable[[Mention], bool]:
     """The test a candidate antecedent of pronoun ``m`` must pass: it is
     rejected when it violates a syntactic constraint, clashes on type, or
-    falls under the pro-pro policy. Never accepts anything outright."""
-    subject_head = reflexive_subject(m)
-    adjuncts = initial_adjuncts(m)
+    falls under the pro-pro policy. Never accepts anything outright.
+
+    The syntactic constraints (i-within-i, the reflexive subject, the
+    initial adjuncts) relate nodes of one tree, so they can only reject a
+    candidate of ``m``'s own sentence, and only such a candidate is put to
+    them. ``reflexive_subject(m)`` and ``initial_adjuncts(m)`` are found on
+    the first one that i-within-i does not reject, and kept for the later
+    ones; a search that reaches no candidate of ``m``'s sentence never
+    computes them."""
+    sentence = m.sentence_index
+    constraints: Optional[tuple[Optional[SyntaxNode], list[SyntaxNode]]] = None
 
     def accepts(cand: Mention) -> bool:
+        nonlocal constraints
         if not cfg.allow_pro_pro_match and cand.kind is _PRONOUN:
             return False
         if (cfg.check_grammatical_person
@@ -344,12 +360,16 @@ def pronoun_acceptor(m: Mention, cfg: ResolveConfig) -> Callable[[Mention], bool
                 and m.pronoun is not None and cand.pronoun is not None
                 and m.pronoun.grammatical_person is not cand.pronoun.grammatical_person):
             return False
-        if dominates(cand.node, m.node):  # i-within-i
-            return False
-        if cand.head is subject_head:
-            return False
-        if adjuncts and any(dominates(adjunct, cand.node) for adjunct in adjuncts):
-            return False
+        if cand.sentence_index == sentence:
+            if dominates(cand.node, m.node):  # i-within-i
+                return False
+            if constraints is None:
+                constraints = reflexive_subject(m), initial_adjuncts(m)
+            subject_head, adjuncts = constraints
+            if cand.head is subject_head:
+                return False
+            if adjuncts and any(dominates(adjunct, cand.node) for adjunct in adjuncts):
+                return False
         return not (m.profile and cand.profile
                     and not type_compatible(m.profile, cand.profile, cfg))
 
@@ -449,26 +469,37 @@ def _closer_ancestor(m: Mention, last: int, best_distance: int,
     return None
 
 
-def _resolve_one(m: Mention, index: MentionIndex, lex: Lexicon,
+def _resolve_one(m: Mention, position: int, index: MentionIndex, lex: Lexicon,
                  cfg: ResolveConfig,
                  candidate_log: Optional[dict[int, frozenset[int]]]) -> Decision:
+    """The decision for ``m``, the mention at ``position`` of ``index``.
+
+    Decisions are built with ``tuple.__new__``, skipping NamedTuple's
+    generated Python ``__new__``, as the reader builds nodes with
+    ``object.__new__``: on Python 3.11 that is about 320 ns against 560 ns.
+    """
     antecedent = detect_appositive(m, index)
     if antecedent is not None:
-        return Decision(m.mention_id, antecedent.mention_id, _APPOSITIVE)
+        return tuple.__new__(Decision, (m.mention_id, antecedent.mention_id, _APPOSITIVE))
     antecedent = detect_role_appositive(m, index, cfg)
     if antecedent is not None:
-        return Decision(m.mention_id, antecedent.mention_id, _ROLE_APPOSITIVE)
+        return tuple.__new__(Decision, (m.mention_id, antecedent.mention_id, _ROLE_APPOSITIVE))
     antecedent = detect_pred_nom(m, index, lex, cfg)
     if antecedent is not None:
-        return Decision(m.mention_id, antecedent.mention_id, _PRED_NOM)
+        return tuple.__new__(Decision, (m.mention_id, antecedent.mention_id, _PRED_NOM))
 
     if m.kind is _PRONOUN:
         if not cfg.resolve_pronouns:
-            return Decision(m.mention_id, None, _NULL_RESOLVE)
+            return tuple.__new__(Decision, (m.mention_id, None, _NULL_RESOLVE))
         if is_second_person(m) and not cfg.resolve_second_person:
-            return Decision(m.mention_id, None, _NULL_RESOLVE)
+            return tuple.__new__(Decision, (m.mention_id, None, _NULL_RESOLVE))
         candidates, accepts = index.before(m), pronoun_acceptor(m, cfg)
         admits, rule = accepts, _PRONOUN_RESOLVE
+    elif index.opens_keys[position]:
+        # No earlier mention shares a nominal key: nothing to search.
+        if candidate_log is not None:
+            candidate_log[m.mention_id] = frozenset()
+        return tuple.__new__(Decision, (m.mention_id, None, _NULL_RESOLVE))
     else:
         candidates, accepts = index.nominal_matches_before(m), None
         admits, rule = partial(index.shares_nominal_key, m), _NOMINAL_RESOLVE
@@ -480,8 +511,8 @@ def _resolve_one(m: Mention, index: MentionIndex, lex: Lexicon,
         accepts = None
     chosen = _nearest_acceptable(m, candidates, accepts, admits, index)
     if chosen is None:
-        return Decision(m.mention_id, None, _NULL_RESOLVE)
-    return Decision(m.mention_id, chosen.mention_id, rule)
+        return tuple.__new__(Decision, (m.mention_id, None, _NULL_RESOLVE))
+    return tuple.__new__(Decision, (m.mention_id, chosen.mention_id, rule))
 
 
 def resolve_document(doc: DocumentTree, mentions: Sequence[Mention],
@@ -496,11 +527,19 @@ def resolve_document(doc: DocumentTree, mentions: Sequence[Mention],
     proper mention those that share a nominal key with it, and the one
     closest by tree path distance wins; a tie goes to the most recent in
     document order. ``mentions`` must be in document order.
+
+    Work whose result is known is skipped: a nominal or proper mention
+    that no earlier mention shares a key with (``MentionIndex.opens_keys``)
+    takes NullResolve without a search, and a pronoun's syntactic
+    constraints are only put to candidates of its own sentence (see
+    ``pronoun_acceptor``).
+
     ``candidate_log``, when given, records the filtered candidate id set per
-    mention that reached filtering; that filters every earlier candidate,
-    but the distance search still stops early.
+    mention that reached filtering (empty for a mention with no key-sharer);
+    that filters every earlier candidate, but the distance search still
+    stops early.
     """
     cfg = cfg or ResolveConfig()
     index = MentionIndex(doc, mentions)
-    return [_resolve_one(m, index, lex, cfg, candidate_log)
-            for m in index.mentions]
+    return [_resolve_one(m, i, index, lex, cfg, candidate_log)
+            for i, m in enumerate(index.mentions)]

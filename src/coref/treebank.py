@@ -487,9 +487,10 @@ def path_distance(a: SyntaxNode, b: SyntaxNode, doc: DocumentTree) -> int:
     O(1); same-sentence pairs climb to their common ancestor. Raises
     ValueError when a node is not part of ``doc``.
     """
-    for name, node in (("first", a), ("second", b)):
-        if node.doc is not doc.key:
-            raise ValueError(f"{name} node {node!r} is not in this document")
+    key = doc.key
+    if a.doc is not key or b.doc is not key:
+        name, node = ("first", a) if a.doc is not key else ("second", b)
+        raise ValueError(f"{name} node {node!r} is not in this document")
     i, j = a.sentence_index, b.sentence_index
     if i != j:
         return a.depth + b.depth - 2 * min(i, j)

@@ -18,8 +18,10 @@ from operator import length_hint
 from pathlib import Path
 
 import coref
-from coref import (Clustering, DocumentInput, Mention, PipelineResult, ResolveConfig,
-                   SyntaxNode, extract_mentions, link_document, read_ptb, run_pipeline)
+from coref import (Clustering, DocumentInput, Mention, MentionKind, PipelineResult,
+                   ResolveConfig, SyntaxNode, dominates, extract_mentions,
+                   initial_adjuncts, link_document, read_ptb, reflexive_subject,
+                   run_pipeline, type_compatible)
 from coref.cli import _ABLATION_FLAGS, load_documents, main
 from coref.cluster import from_entities
 from coref.treebank import PtbParseError, _head_index
@@ -364,6 +366,34 @@ def write_corpus(tmp_path, docs):
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def eager_pronoun_acceptor(m: Mention, cfg: ResolveConfig):
+    """``coref.resolve.pronoun_acceptor`` as it was before it went lazy: it
+    finds ``reflexive_subject(m)`` and ``initial_adjuncts(m)`` up front and
+    puts every candidate, of any sentence, to every syntactic constraint.
+    The reference that the lazy acceptor's verdicts are checked against."""
+    subject_head = reflexive_subject(m)
+    adjuncts = initial_adjuncts(m)
+
+    def accepts(cand: Mention) -> bool:
+        if not cfg.allow_pro_pro_match and cand.kind is MentionKind.PRONOUN:
+            return False
+        if (cfg.check_grammatical_person
+                and cand.kind is MentionKind.PRONOUN
+                and m.pronoun is not None and cand.pronoun is not None
+                and m.pronoun.grammatical_person is not cand.pronoun.grammatical_person):
+            return False
+        if dominates(cand.node, m.node):  # i-within-i
+            return False
+        if cand.head is subject_head:
+            return False
+        if adjuncts and any(dominates(adjunct, cand.node) for adjunct in adjuncts):
+            return False
+        return not (m.profile and cand.profile
+                    and not type_compatible(m.profile, cand.profile, cfg))
+
+    return accepts
 
 
 def golden_documents() -> list[DocumentInput]:

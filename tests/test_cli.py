@@ -13,9 +13,10 @@ import pytest
 
 import coref.pipeline
 from coref import (Decision, DocumentError, DocumentInput, Mention, MentionKind,
-                   PairCounts, ResolveConfig, Rule, SyntaxNode, TraceReport,
-                   b_cubed_doc, default_lexicon, gold_clustering, pairwise_counts,
-                   render_brackets, run_pipeline, score_corpus, trace_report)
+                   PairCounts, ResolveConfig, Rule, SyntaxNode, TokenAnnotation,
+                   TraceReport, b_cubed_doc, default_lexicon, gold_clustering,
+                   pairwise_counts, render_brackets, run_pipeline, score_corpus,
+                   trace_report)
 from coref.cluster import from_entities
 from coref.cli import build_config, build_parser, load_documents, main
 from helpers import (EXAMPLE1_GOLD, EXAMPLE1_SENTENCES, ablation_corpus,
@@ -744,6 +745,43 @@ def test_cli_integral_numbers_are_still_accepted(tmp_path, capsys):
     path.write_text(json.dumps(document))
     assert main(["resolve", str(path)]) == 0
     assert capsys.readouterr().out == "good\t0\t0\t1\t1\n"
+
+
+@pytest.mark.parametrize("key, entry, message", [
+    ("annotations", {"s": "x"}, "invalid literal for int() with base 10: 'x'"),
+    ("annotations", {"s": True, "t": 0}, "not an integer: True"),
+    ("annotations", {"s": 0, "t": 1.5}, "not an integer: 1.5"),
+    ("annotations", [0, 1], "list indices must be integers or slices, not str"),
+    ("annotations", {"s": 0, "t": 0, "ner": 5}, "supersense and ner must be strings"),
+    ("annotations", {"s": 0, "t": 0, "supersense": ["x"]},
+     "supersense and ner must be strings"),
+    ("gold_mentions", {"s": "x", "end": 1}, "invalid literal for int() with base 10: 'x'"),
+    ("gold_mentions", {"s": 0, "start": False, "end": 1}, "not an integer: False"),
+    ("gold_mentions", {"s": 0, "start": 0, "end": 2.5}, "not an integer: 2.5"),
+    ("gold_mentions", [0, 0, 1], "list indices must be integers or slices, not str"),
+], ids=["bad-s-no-t", "bool", "fraction", "list", "ner", "supersense",
+        "gold-bad-s-no-start", "gold-bool", "gold-fraction", "gold-list"])
+def test_from_dict_reports_the_first_bad_field_of_an_entry(key, entry, message):
+    """Fields are read and checked in order, so an entry missing a later
+    field still reports its bad earlier one."""
+    kind = {"annotations": "annotation", "gold_mentions": "gold mention"}[key]
+    with pytest.raises(DocumentError) as caught:
+        DocumentInput.from_dict({"id": "b", "sentences": [_SENTENCE], key: [entry]})
+    assert str(caught.value) == f"document 'b': bad {kind} {entry!r}: {message}"
+
+
+def test_from_dict_reads_numeric_strings_and_integral_floats():
+    document = DocumentInput.from_dict({
+        "id": "good", "sentences": [_SENTENCE],
+        "annotations": [{"s": "0", "t": 0.0, "supersense": "noun.person", "ner": None},
+                        {"s": 0, "t": 0}],
+        "gold_mentions": [{"s": "0", "start": 0.0, "end": 1}]})
+    assert document.annotations == [TokenAnnotation(0, 0, "noun.person", None),
+                                    TokenAnnotation(0, 0)]
+    assert all(type(ann) is TokenAnnotation for ann in document.annotations)
+    assert all(type(value) is int for ann in document.annotations for value in ann[:2])
+    assert document.gold_mentions == [(0, 0, 1)]
+    assert all(type(value) is int for value in document.gold_mentions[0])
 
 
 @pytest.mark.parametrize("name, content, message", [

@@ -21,8 +21,8 @@ from coref.mention import PRONOUN_TAGS, _PROFILES, _kind_of_tag, document_order_
 from coref.resolve import (_nearest_acceptable, _union_latest_first, is_second_person,
                            pronoun_acceptor)
 from helpers import (EXAMPLE1_SENTENCES, decision_for, doc_with_mentions,
-                     golden_documents, mention_with_head, parse_doc, pipeline,
-                     single_flag_configs)
+                     eager_pronoun_acceptor, golden_documents, mention_with_head,
+                     parse_doc, pipeline, single_flag_configs)
 
 TRIBE = ("(S (NP (NP (NNP Lawrence) (NNP Tribe)) (, ,) (NP (DT the)"
          " (NNP Harvard) (NNP Law) (NNP School) (NN Professor)) (, ,))"
@@ -777,7 +777,7 @@ def _exhaustive(doc, mentions, lex, cfg):
                                             and not cfg.resolve_second_person):
                 decisions.append(Decision(m.mention_id, None, Rule.NULL))
                 continue
-            accepts = pronoun_acceptor(m, cfg)
+            accepts = eager_pronoun_acceptor(m, cfg)
             kept, rule = [cand for cand in pool if accepts(cand)], Rule.PRONOUN
         else:
             kept, rule = [cand for cand in pool if _nominal_match(m, cand)], Rule.NOMINAL
@@ -813,6 +813,102 @@ def test_search_matches_exhaustive_reference_on_random_documents(lex):
             log = {}
             assert resolve_document(doc, mentions, lex, cfg, log) == expected
             assert log == expected_log
+
+
+def test_lazy_pronoun_acceptor_agrees_with_the_eager_oracle(lex):
+    """For every pronoun and every earlier mention of the golden corpora and
+    the random documents, under the default config and each single ablation
+    flag, ``pronoun_acceptor`` gives the eager oracle's verdict, whether the
+    pool is drawn most recent first, as the search draws it, or oldest
+    first."""
+    results = []
+    for cfg in single_flag_configs():
+        for document in golden_documents():
+            try:
+                results.append((cfg, run_pipeline(document, cfg, lex)))
+            except DocumentError:
+                continue
+        results += [(cfg, pipeline(sentences, annotations=annotations,
+                                   gold_mentions=gold, cfg=cfg, lex=lex))
+                    for sentences, annotations, gold in _random_documents(20261020, 24)]
+    rejected_in_sentence = accepted_across = 0
+    for cfg, result in results:
+        mentions = result.mentions
+        for i, m in enumerate(mentions):
+            if m.kind is not MentionKind.PRONOUN:
+                continue
+            oracle = eager_pronoun_acceptor(m, cfg)
+            expected = [oracle(cand) for cand in mentions[:i]]
+            latest_first = pronoun_acceptor(m, cfg)
+            assert [latest_first(cand) for cand in reversed(mentions[:i])] == expected[::-1]
+            oldest_first = pronoun_acceptor(m, cfg)
+            assert [oldest_first(cand) for cand in mentions[:i]] == expected
+            for cand, verdict in zip(mentions, expected):
+                same = cand.sentence_index == m.sentence_index
+                rejected_in_sentence += same and not verdict
+                accepted_across += not same and verdict
+    assert rejected_in_sentence > 0 and accepted_across > 0
+
+
+def _counting(monkeypatch, name):
+    """Replace ``coref.resolve.<name>`` with a wrapper that appends each
+    call's first argument to the list returned."""
+    calls = []
+    original = getattr(coref.resolve, name)
+
+    def counted(first, *args):
+        calls.append(first)
+        return original(first, *args)
+
+    monkeypatch.setattr(coref.resolve, name, counted)
+    return calls
+
+
+def test_mentions_no_earlier_mention_shares_a_key_with_are_not_searched(lex, monkeypatch):
+    """200 sentences of distinct noun heads: no nominal search runs, every
+    decision is NullResolve, and a ``candidate_log`` still records an empty
+    set for each mention."""
+    sentences = [f"(S (NP (DT the) (NN thing{k})) (VP (VBD ran)) (. .))" for k in range(200)]
+    searched = _counting(monkeypatch, "_nearest_acceptable")
+    result = pipeline(sentences, lex=lex)
+    assert len(result.mentions) == 200
+    assert all(d.rule is Rule.NULL for d in result.decisions)
+    log = {}
+    assert resolve_document(result.tree, result.mentions, lex, candidate_log=log) \
+        == result.decisions
+    assert log == {m.mention_id: frozenset() for m in result.mentions}
+    assert searched == []
+
+
+def test_a_mention_that_shares_one_of_its_two_keys_is_searched(lex):
+    """An NNP head of 4 or more characters has a head key and a prefix key.
+    "Bush" shares only the head key with the common noun "bush" before it,
+    and "Bushnell" only the prefix key with "Bush": each is searched and
+    resolved."""
+    result = pipeline(["(S (NP (DT The) (NN bush)) (VP (VBD burned)) (. .))",
+                       "(S (NP (NNP Bush)) (VP (VBD left)) (. .))",
+                       "(S (NP (NNP Bushnell)) (VP (VBD stayed)) (. .))"], lex=lex)
+    assert result.decisions == [Decision(0, None, Rule.NULL), Decision(1, 0, Rule.NOMINAL),
+                                Decision(2, 1, Rule.NOMINAL)]
+
+
+def test_pronoun_constraints_are_found_only_for_a_same_sentence_candidate(lex, monkeypatch):
+    """"John ran." and "He ran." alternating: no search reaches a candidate
+    in its pronoun's sentence, so neither constraint is computed. In "John
+    said he won." each is computed once per pronoun."""
+    subjects = _counting(monkeypatch, "reflexive_subject")
+    adjuncts = _counting(monkeypatch, "initial_adjuncts")
+    john = "(S (NP (NNP John)) (VP (VBD ran)) (. .))"
+    he = "(S (NP (PRP He)) (VP (VBD ran)) (. .))"
+    result = pipeline([john, he] * 50, lex=lex)
+    assert [d.rule for d in result.decisions].count(Rule.PRONOUN) == 50
+    assert subjects == [] and adjuncts == []
+    said = ("(S (NP (NNP John)) (VP (VBD said) (SBAR (S (NP (PRP he))"
+            " (VP (VBD won))))) (. .))")
+    result = pipeline([said] * 20, lex=lex)
+    pronouns = [m for m in result.mentions if m.kind is MentionKind.PRONOUN]
+    assert len(pronouns) == 20
+    assert subjects == pronouns and adjuncts == pronouns
 
 
 def test_index_scans_visit_each_pool_candidate_once_most_recent_first(lex):

@@ -727,10 +727,17 @@ def test_path_distance_trivial_cases():
 
 
 def test_path_distance_node_not_in_document():
+    """The error names the first node not in ``doc``, of another document
+    or of none (an unlinked tree)."""
     doc = parse_doc("(S (NN a))")
-    other = parse_doc("(S (NN b))")
-    with pytest.raises(ValueError, match="not in this document"):
-        path_distance(doc.sentence_roots[0], other.sentence_roots[0], doc)
+    mine = doc.sentence_roots[0]
+    (unlinked,) = read_ptb("(S (NN c))")
+    for foreign in (parse_doc("(S (NN b))").sentence_roots[0], unlinked):
+        for a, b, name in ((foreign, mine, "first"), (mine, foreign, "second"),
+                           (foreign, foreign, "first")):
+            message = f"{name} node {foreign!r} is not in this document"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                path_distance(a, b, doc)
 
 
 def test_path_distance_prefers_prior_subject_over_embedded_np():

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from functools import partial
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -80,19 +79,19 @@ class ResolveConfig(NamedTuple):
 
 
 class MentionIndex:
-    """Document-order positions and node/head lookup tables for one document.
-
-    ``mentions`` must be in document order, as ``extract_mentions`` and
-    ``map_gold_mentions`` return them.
+    """Node, head and nominal-key lookup tables over one document's
+    ``mentions``, which must be in document order (as ``extract_mentions``
+    and ``map_gold_mentions`` return them). Each table, method, detector and
+    search addresses a mention by its position in ``mentions``, not its id.
     """
 
     def __init__(self, doc: DocumentTree, mentions: Sequence[Mention]):
         self.doc = doc
         self.mentions = list(mentions)
-        self.position = {m.mention_id: i for i, m in enumerate(self.mentions)}
         # node id -> ascending positions of the mentions at that node
         self.by_node: dict[int, list[int]] = {}
-        self.by_head: dict[int, Mention] = {}
+        # head-leaf id -> position of the first mention with that head
+        self.by_head: dict[int, int] = {}
         # each position's nominal keys, and nominal key -> ascending
         # positions of the mentions that have it
         self.keys_at = [nominal_keys(m) for m in self.mentions]
@@ -102,7 +101,7 @@ class MentionIndex:
         self.opens_keys: list[bool] = []
         for i, m in enumerate(self.mentions):
             self.by_node.setdefault(m.node.node_id, []).append(i)
-            self.by_head.setdefault(m.head.node_id, m)
+            self.by_head.setdefault(m.head.node_id, i)
             opens = True
             for key in self.keys_at[i]:
                 run = self.by_nominal_key.setdefault(key, [])
@@ -110,57 +109,41 @@ class MentionIndex:
                 run.append(i)
             self.opens_keys.append(opens)
 
-    def before(self, m: Mention) -> Iterator[Mention]:
-        """Every mention before ``m`` in document order, most recent first."""
-        return map(self.mentions.__getitem__,
-                   range(self.position[m.mention_id] - 1, -1, -1))
-
-    def nominal_matches_before(self, m: Mention) -> Iterator[Mention]:
-        """The mentions before ``m`` that share a nominal key with it (see
-        ``nominal_keys``), most recent first."""
-        stop = self.position[m.mention_id]
-        keys = self.keys_at[stop]
+    def nominal_matches_before(self, i: int) -> Iterator[int]:
+        """The positions before ``i`` whose mentions share a nominal key with
+        the mention at ``i`` (see ``nominal_keys``), most recent first."""
+        keys = self.keys_at[i]
         run = self.by_nominal_key[keys[0]]
         # a one-key mention merges its run with an empty second one
         other = self.by_nominal_key[keys[1]] if len(keys) == 2 else ()
-        return _union_latest_first(self.mentions, run, bisect_left(run, stop),
-                                   other, bisect_left(other, stop))
+        return _union_latest_first(run, bisect_left(run, i), other, bisect_left(other, i))
 
-    def shares_nominal_key(self, m: Mention, cand: Mention) -> bool:
-        """Whether ``cand`` has one of ``m``'s nominal keys, so that
-        ``nominal_matches_before(m)`` yields it if it comes before ``m``."""
-        keys = self.keys_at[self.position[cand.mention_id]]
-        return any(key in keys for key in self.keys_at[self.position[m.mention_id]])
-
-    def mention_before(self, node: SyntaxNode, m: Mention) -> Optional[Mention]:
-        """The first mention at ``node``, else the one headed by ``node``'s
-        head leaf, if it comes before ``m`` in document order; otherwise
+    def mention_before(self, node: SyntaxNode, i: int) -> Optional[Mention]:
+        """The first mention at ``node``, else the first one headed by
+        ``node``'s head leaf, if its position is before ``i``; otherwise
         None."""
         positions = self.by_node.get(node.node_id)
-        found = (self.mentions[positions[0]] if positions
-                 else self.by_head.get(head_leaf(node).node_id))
-        if found is None or self.position[found.mention_id] >= self.position[m.mention_id]:
-            return None
-        return found
+        found = positions[0] if positions else self.by_head.get(head_leaf(node).node_id, i)
+        return self.mentions[found] if found < i else None
 
 
-def _union_latest_first(mentions: Sequence[Mention], a: Sequence[int], i: int,
-                        b: Sequence[int], j: int) -> Iterator[Mention]:
-    """The mentions at the positions in ``a[:i]`` or ``b[:j]``, two ascending
-    runs (either may be empty), latest first and each once. Reads each run
-    element at most once, and only as far back as the caller draws."""
+def _union_latest_first(a: Sequence[int], i: int,
+                        b: Sequence[int], j: int) -> Iterator[int]:
+    """The positions in ``a[:i]`` or ``b[:j]``, two ascending runs (either
+    may be empty), latest first and each once. Reads each run element at
+    most once, and only as far back as the caller draws."""
     x = a[i - 1] if i else -1  # positions are >= 0, so -1 marks an empty run
     y = b[j - 1] if j else -1
     while x >= 0 or y >= 0:
         if x >= y:
-            yield mentions[x]
+            yield x
             if x == y:  # in both runs
                 j -= 1
                 y = b[j - 1] if j else -1
             i -= 1
             x = a[i - 1] if i else -1
         else:
-            yield mentions[y]
+            yield y
             j -= 1
             y = b[j - 1] if j else -1
 
@@ -175,24 +158,24 @@ def _child_index(parent: SyntaxNode, node: SyntaxNode) -> int:
     return bisect_left(parent.children, node.span, key=_SPAN)
 
 
-def detect_appositive(m: Mention, index: MentionIndex) -> Optional[Mention]:
+def detect_appositive(m: Mention, i: int, index: MentionIndex) -> Optional[Mention]:
     """Right NP of (NP [NP] [,] [NP] ...) links to the mention headed by the
     left NP."""
     node, parent = m.node, m.node.parent
     if parent is None or parent.label != "NP" or node.label != "NP":
         return None
-    i = _child_index(parent, node)
-    if i < 2:
+    k = _child_index(parent, node)
+    if k < 2:
         return None
-    comma, left = parent.children[i - 1], parent.children[i - 2]
+    comma, left = parent.children[k - 1], parent.children[k - 2]
     if not (comma.is_leaf() and comma.label == ","):
         return None
     if left.label != "NP":
         return None
-    return index.mention_before(left, m)
+    return index.mention_before(left, i)
 
 
-def detect_role_appositive(m: Mention, index: MentionIndex,
+def detect_role_appositive(m: Mention, i: int, index: MentionIndex,
                            cfg: ResolveConfig) -> Optional[Mention]:
     """Proper person mention directly preceded by a sibling nominal NP,
     no comma between, e.g. "[Republican candidate] [George Bush]"."""
@@ -205,13 +188,13 @@ def detect_role_appositive(m: Mention, index: MentionIndex,
     node, parent = m.node, m.node.parent
     if parent is None or node.label != "NP":
         return None
-    i = _child_index(parent, node)
-    if i < 1:
+    k = _child_index(parent, node)
+    if k < 1:
         return None
-    left = parent.children[i - 1]
+    left = parent.children[k - 1]
     if left.label != "NP":
         return None
-    antecedent = index.mention_before(left, m)
+    antecedent = index.mention_before(left, i)
     if antecedent is None or antecedent.kind is not _NOMINAL:
         return None
     if antecedent.profile is not None and \
@@ -249,7 +232,7 @@ def _verb_group_modal(vp: SyntaxNode) -> Optional[SyntaxNode]:
     return None
 
 
-def detect_pred_nom(m: Mention, index: MentionIndex, lex: Lexicon,
+def detect_pred_nom(m: Mention, i: int, index: MentionIndex, lex: Lexicon,
                     cfg: ResolveConfig) -> Optional[Mention]:
     """Copular complement links to the clause subject:
     "[Lameu] was the first NHL [player] ..."."""
@@ -268,7 +251,7 @@ def detect_pred_nom(m: Mention, index: MentionIndex, lex: Lexicon,
         modal = _verb_group_modal(vp)
         if modal is not None and modal.span[0] < verb.span[0]:
             return None
-    return index.mention_before(subject, m)
+    return index.mention_before(subject, i)
 
 
 def reflexive_subject(pron: Mention) -> Optional[SyntaxNode]:
@@ -387,15 +370,14 @@ def nominal_keys(m: Mention) -> tuple[tuple[str, str], ...]:
     return (("head", head),)
 
 
-def _nearest_acceptable(m: Mention, candidates: Iterable[Mention],
+def _nearest_acceptable(i: int, candidates: Iterable[int],
                         accepts: Optional[Callable[[Mention], bool]],
-                        admits: Callable[[Mention], bool],
                         index: MentionIndex) -> Optional[Mention]:
-    """Among the ``candidates`` that ``accepts`` admits (all of them when it
-    is None), given most recent first, the one closest to ``m`` by tree
-    path distance; a tie goes to the larger document-order key, and among
-    equal keys to the earlier mention. None when no candidate is admitted.
-    ``admits`` tells whether a mention before ``m`` is one of those.
+    """Among the mentions at the ``candidates`` positions, given most recent
+    first, that ``accepts`` passes (all of them when it is None), the one
+    closest to the mention ``m`` at position ``i`` by tree path distance; a
+    tie goes to the larger document-order key, and among equal keys to the
+    earlier mention. None when no candidate is admitted.
 
     In ``m``'s sentence, mention order is preorder except between nodes of
     equal span. So for a candidate that is not an ancestor of ``m``, the
@@ -407,9 +389,11 @@ def _nearest_acceptable(m: Mention, candidates: Iterable[Mention],
     The scan stops at the first candidate whose bound reaches the best
     distance and whose span differs from the best one's: it and all earlier
     candidates that are not ancestors of ``m`` are no closer, and on a tie
-    they lose to the best, whose document-order key is larger. The
-    ancestors, at distance ``m.node.depth - depth``, are then looked up by
-    node (``_closer_ancestor``).
+    they lose to the best, whose document-order key is larger. Only the
+    ancestors, at distance ``m.node.depth - depth``, can then still win.
+    A pronoun takes none of them (i-within-i rejects them all), so its best
+    stands; a nominal's key-sharing ancestors are looked up by node
+    (``_closer_ancestor``).
 
     Past ``m``'s sentence the same bound holds with the LCA at depth s for
     a candidate of sentence s (``path_distance`` puts it at link s of its
@@ -417,6 +401,8 @@ def _nearest_acceptable(m: Mention, candidates: Iterable[Mention],
     candidate in a sentence before the best one's whose bound reaches the
     best distance.
     """
+    mentions = index.mentions
+    m = mentions[i]
     best = None
     best_distance = 0
     node = m.node
@@ -424,7 +410,8 @@ def _nearest_acceptable(m: Mention, candidates: Iterable[Mention],
     sentence = m.sentence_index
     lca = node
     doc = index.doc
-    for cand in candidates:
+    for p in candidates:
+        cand = mentions[p]
         c = cand.node
         s = cand.sentence_index
         if s == sentence:
@@ -432,8 +419,8 @@ def _nearest_acceptable(m: Mention, candidates: Iterable[Mention],
                 lca = lca.parent
             if (best is not None and depth - lca.depth + 1 >= best_distance
                     and cand.span != best.span):
-                return _closer_ancestor(m, index.position[cand.mention_id], best_distance,
-                                        admits, index) or best
+                return best if m.kind is _PRONOUN else (
+                    _closer_ancestor(i, p, best_distance, index) or best)
         elif (best is not None and s < best.sentence_index
                 and depth - s + 1 >= best_distance):
             break
@@ -449,70 +436,65 @@ def _nearest_acceptable(m: Mention, candidates: Iterable[Mention],
     return best
 
 
-def _closer_ancestor(m: Mention, last: int, best_distance: int,
-                     admits: Callable[[Mention], bool],
+def _closer_ancestor(i: int, last: int, best_distance: int,
                      index: MentionIndex) -> Optional[Mention]:
     """Among the mentions at position ``last`` or before (the scan has seen
-    the later ones) that ``admits`` takes, the earliest at the lowest
-    ancestor of ``m``'s node that is closer than ``best_distance``; None if
-    there is none. Mentions at one node tie on distance and document-order
-    key, so the earliest wins, as the scan's tie rule would pick it."""
-    depth = m.node.depth
-    node = m.node.parent
+    the later ones) that share a nominal key with the mention at position
+    ``i``, the earliest at the lowest ancestor of its node that is closer
+    than ``best_distance``; None if there is none. Mentions at one node tie
+    on distance and document-order key, so the earliest wins, as the scan's
+    tie rule would pick it."""
+    keys = index.keys_at[i]
+    node = index.mentions[i].node
+    depth = node.depth
+    node = node.parent
     while node is not None and depth - node.depth < best_distance:
-        for i in index.by_node.get(node.node_id, ()):
-            if i > last:
+        for p in index.by_node.get(node.node_id, ()):
+            if p > last:
                 break
-            if admits(index.mentions[i]):
-                return index.mentions[i]
+            if any(key in keys for key in index.keys_at[p]):
+                return index.mentions[p]
         node = node.parent
     return None
 
 
-def _resolve_one(m: Mention, position: int, index: MentionIndex, lex: Lexicon,
+def _resolve_one(m: Mention, i: int, index: MentionIndex, lex: Lexicon,
                  cfg: ResolveConfig,
-                 candidate_log: Optional[dict[int, frozenset[int]]]) -> Decision:
-    """The decision for ``m``, the mention at ``position`` of ``index``.
-
-    Decisions are built with ``tuple.__new__``, skipping NamedTuple's
-    generated Python ``__new__``, as the reader builds nodes with
-    ``object.__new__``: on Python 3.11 that is about 320 ns against 560 ns.
-    """
-    antecedent = detect_appositive(m, index)
+                 candidate_log: Optional[dict[int, frozenset[int]]]
+                 ) -> tuple[Optional[Mention], Rule]:
+    """The antecedent (or None) of ``m``, the mention at position ``i`` of
+    ``index``, and the rule that decided it."""
+    antecedent = detect_appositive(m, i, index)
     if antecedent is not None:
-        return tuple.__new__(Decision, (m.mention_id, antecedent.mention_id, _APPOSITIVE))
-    antecedent = detect_role_appositive(m, index, cfg)
+        return antecedent, _APPOSITIVE
+    antecedent = detect_role_appositive(m, i, index, cfg)
     if antecedent is not None:
-        return tuple.__new__(Decision, (m.mention_id, antecedent.mention_id, _ROLE_APPOSITIVE))
-    antecedent = detect_pred_nom(m, index, lex, cfg)
+        return antecedent, _ROLE_APPOSITIVE
+    antecedent = detect_pred_nom(m, i, index, lex, cfg)
     if antecedent is not None:
-        return tuple.__new__(Decision, (m.mention_id, antecedent.mention_id, _PRED_NOM))
+        return antecedent, _PRED_NOM
 
     if m.kind is _PRONOUN:
-        if not cfg.resolve_pronouns:
-            return tuple.__new__(Decision, (m.mention_id, None, _NULL_RESOLVE))
-        if is_second_person(m) and not cfg.resolve_second_person:
-            return tuple.__new__(Decision, (m.mention_id, None, _NULL_RESOLVE))
-        candidates, accepts = index.before(m), pronoun_acceptor(m, cfg)
-        admits, rule = accepts, _PRONOUN_RESOLVE
-    elif index.opens_keys[position]:
+        if not cfg.resolve_pronouns or (is_second_person(m) and not cfg.resolve_second_person):
+            return None, _NULL_RESOLVE
+        candidates, accepts = range(i - 1, -1, -1), pronoun_acceptor(m, cfg)
+        rule = _PRONOUN_RESOLVE
+    elif index.opens_keys[i]:
         # No earlier mention shares a nominal key: nothing to search.
         if candidate_log is not None:
             candidate_log[m.mention_id] = frozenset()
-        return tuple.__new__(Decision, (m.mention_id, None, _NULL_RESOLVE))
+        return None, _NULL_RESOLVE
     else:
-        candidates, accepts = index.nominal_matches_before(m), None
-        admits, rule = partial(index.shares_nominal_key, m), _NOMINAL_RESOLVE
+        candidates, accepts, rule = index.nominal_matches_before(i), None, _NOMINAL_RESOLVE
     if candidate_log is not None:
         # The log needs every accepted candidate; the search over them stops
         # where it would have stopped over all of them.
-        candidates = list(candidates if accepts is None else filter(accepts, candidates))
-        candidate_log[m.mention_id] = frozenset(c.mention_id for c in candidates)
+        mentions = index.mentions
+        candidates = [p for p in candidates if accepts is None or accepts(mentions[p])]
+        candidate_log[m.mention_id] = frozenset(mentions[p].mention_id for p in candidates)
         accepts = None
-    chosen = _nearest_acceptable(m, candidates, accepts, admits, index)
-    if chosen is None:
-        return tuple.__new__(Decision, (m.mention_id, None, _NULL_RESOLVE))
-    return tuple.__new__(Decision, (m.mention_id, chosen.mention_id, rule))
+    chosen = _nearest_acceptable(i, candidates, accepts, index)
+    return chosen, (_NULL_RESOLVE if chosen is None else rule)
 
 
 def resolve_document(doc: DocumentTree, mentions: Sequence[Mention],
@@ -526,13 +508,15 @@ def resolve_document(doc: DocumentTree, mentions: Sequence[Mention],
     pronoun takes those ``pronoun_acceptor`` accepts and a nominal or
     proper mention those that share a nominal key with it, and the one
     closest by tree path distance wins; a tie goes to the most recent in
-    document order. ``mentions`` must be in document order.
+    document order. ``mentions`` must be in document order; the resolver
+    addresses each by its position there (see ``MentionIndex``), and reads
+    mention ids only to write the decisions and the log.
 
     Work whose result is known is skipped: a nominal or proper mention
     that no earlier mention shares a key with (``MentionIndex.opens_keys``)
-    takes NullResolve without a search, and a pronoun's syntactic
-    constraints are only put to candidates of its own sentence (see
-    ``pronoun_acceptor``).
+    takes NullResolve without a search, a pronoun's syntactic constraints
+    are only put to candidates of its own sentence (see
+    ``pronoun_acceptor``), and its ancestors are never looked up.
 
     ``candidate_log``, when given, records the filtered candidate id set per
     mention that reached filtering (empty for a mention with no key-sharer);
@@ -541,5 +525,11 @@ def resolve_document(doc: DocumentTree, mentions: Sequence[Mention],
     """
     cfg = cfg or ResolveConfig()
     index = MentionIndex(doc, mentions)
-    return [_resolve_one(m, i, index, lex, cfg, candidate_log)
-            for i, m in enumerate(index.mentions)]
+    decisions = []
+    for i, m in enumerate(index.mentions):
+        antecedent, rule = _resolve_one(m, i, index, lex, cfg, candidate_log)
+        # tuple.__new__ skips NamedTuple's generated Python __new__, as the
+        # reader's object.__new__ does: about 320 ns against 560 ns on 3.11
+        decisions.append(tuple.__new__(Decision, (
+            m.mention_id, None if antecedent is None else antecedent.mention_id, rule)))
+    return decisions

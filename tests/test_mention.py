@@ -3,11 +3,11 @@ import random
 import pytest
 
 import coref.mention as mention_module
-from coref import (Gender, MentionKind, Number, Personhood, TokenAnnotation,
-                   annotation_index, attach_profiles, build_profile,
-                   dominates, extract_mentions, head_leaf, map_gold_mentions)
-from coref.mention import PRONOUN_TAGS, PROPER_TAGS
-from helpers import doc_with_mentions, mention_with_head, parse_doc
+from coref import (Gender, MentionKind, Number, Personhood, PtbParseError,
+                   TokenAnnotation, annotation_index, attach_profiles, build_profile,
+                   dominates, extract_mentions, head_leaf, map_gold_mentions, read_ptb)
+from coref.mention import PRONOUN_TAGS, PROPER_TAGS, _WordCues
+from helpers import doc_with_mentions, golden_documents, mention_with_head, parse_doc
 
 ACCOUNTING = ("(NP (NP (DT the) (JJ revised) (NN accounting))"
               " (PP (IN of) (NP (DT the) (NN incident))))")
@@ -161,6 +161,36 @@ def test_infer_personhood_from_gender(fixture_lex):
     _, mentions = doc_with_mentions("(S (NP (NNP Mary)))")
     (m,) = mentions
     assert build_profile(m, {}, fixture_lex).personhood is Personhood.PERSON
+
+
+def test_word_cues_mark_a_title_exactly_where_the_lexicon_finds_one(lex):
+    """``_WordCues`` folds a token and strips its trailing dots as
+    ``Lexicon.title_gender`` does: it marks a title, and a gendered one with
+    the same gender, at just the tokens ``title_gender`` finds one for. Over
+    every token of the golden corpora and every title, each also upper-,
+    lower- and capital-cased and with one or two trailing dots added."""
+    words = set(lex.titles) | {"MR", "Mrs.", "dr.."}
+    for document in golden_documents():
+        for sentence in document.sentences:
+            try:
+                words.update(token for tree in read_ptb(sentence) for token in tree.tokens())
+            except PtbParseError:
+                continue
+    tokens = sorted({variant for word in words
+                     for cased in (word, word.upper(), word.lower(), word.capitalize())
+                     for variant in (cased, cased + ".", cased + "..")})
+    titled, gendered = [], []
+    for k, token in enumerate(tokens):
+        gender = lex.title_gender(token)
+        if gender is not None:
+            titled.append(k)
+            if gender is not Gender.UNKNOWN:
+                gendered.append((k, gender))
+    cues = _WordCues(tokens, lex)
+    assert cues.titled_at == titled
+    assert list(zip(cues.gendered_at, cues.title_genders)) == gendered
+    assert len(titled) > len(gendered) > 0
+    assert {"MR", "Mrs.", "dr.."} <= {tokens[k] for k in titled}
 
 
 def test_infer_personhood_from_title(lex):

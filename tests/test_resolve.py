@@ -59,6 +59,11 @@ def _prepared(lex, *sentences, annotations=()):
     return doc, mentions, MentionIndex(doc, mentions)
 
 
+def _at(m, index):
+    """The position of mention ``m`` in ``index``."""
+    return index.mentions.index(m)
+
+
 # ---------------------------------------------------------------------------
 # Immediate patterns
 # ---------------------------------------------------------------------------
@@ -66,20 +71,20 @@ def _prepared(lex, *sentences, annotations=()):
 def test_mention_before_finds_only_earlier_mentions(fixture_lex):
     doc, mentions, index = _prepared(fixture_lex, TRIBE, BOIES)
     for a in mentions:
-        for b in mentions:
-            expected = a if mentions.index(a) < mentions.index(b) else None
-            assert index.mention_before(a.node, b) is expected
+        for j in range(len(mentions)):
+            expected = a if mentions.index(a) < j else None
+            assert index.mention_before(a.node, j) is expected
     # a node that is no mention's goes to the mention its head leaf heads
     boies = mention_with_head(mentions, "Boies")
     inner = boies.node.children[0]
     assert inner.label == "NP" and head_leaf(inner) is boies.head
-    assert index.mention_before(inner, mentions[-1]) is boies
-    assert index.mention_before(inner, mentions[0]) is None
+    assert index.mention_before(inner, len(mentions) - 1) is boies
+    assert index.mention_before(inner, 0) is None
 
 def test_appositive_lawrence_tribe(fixture_lex):
     doc, mentions, index = _prepared(fixture_lex, TRIBE)
     professor = mention_with_head(mentions, "Professor")
-    antecedent = detect_appositive(professor, index)
+    antecedent = detect_appositive(professor, _at(professor, index), index)
     assert antecedent is not None
     assert antecedent.head_word == "Tribe"
 
@@ -87,7 +92,7 @@ def test_appositive_lawrence_tribe(fixture_lex):
 def test_appositive_david_boies(fixture_lex):
     doc, mentions, index = _prepared(fixture_lex, BOIES)
     lawyer = mention_with_head(mentions, "lawyer")
-    antecedent = detect_appositive(lawyer, index)
+    antecedent = detect_appositive(lawyer, _at(lawyer, index), index)
     assert antecedent is not None
     assert antecedent.head_word == "Boies"
 
@@ -96,7 +101,7 @@ def test_appositive_requires_comma_sibling(fixture_lex):
     doc, mentions, index = _prepared(
         fixture_lex, "(S (NP (NP (NN salt)) (CC and) (NP (NN pepper))) (VP (VBD sat)) (. .))")
     pepper = mention_with_head(mentions, "pepper")
-    assert detect_appositive(pepper, index) is None
+    assert detect_appositive(pepper, _at(pepper, index), index) is None
     # a comma, but what precedes it is a pronoun leaf, not an NP
     doc, mentions, index = _prepared(
         fixture_lex,
@@ -104,13 +109,13 @@ def test_appositive_requires_comma_sibling(fixture_lex):
     john = mention_with_head(mentions, "John")
     assert mention_with_head(mentions, "he").node.label == "PRP"
     assert john.node.parent.label == "NP"
-    assert detect_appositive(john, index) is None
+    assert detect_appositive(john, _at(john, index), index) is None
 
 
 def test_role_appositive_links_person(fixture_lex):
     doc, mentions, index = _prepared(fixture_lex, ROLE_APPOS)
     bush = mention_with_head(mentions, "Bush")
-    antecedent = detect_role_appositive(bush, index, ResolveConfig())
+    antecedent = detect_role_appositive(bush, _at(bush, index), index, ResolveConfig())
     assert antecedent is not None
     assert antecedent.head_word == "candidate"
 
@@ -120,9 +125,9 @@ def test_role_appositive_declines_with_comma(fixture_lex):
                   " (NP (NNP George) (NNP Bush))) (VP (VBD won)) (. .))")
     doc, mentions, index = _prepared(fixture_lex, with_comma)
     bush = mention_with_head(mentions, "Bush")
-    assert detect_role_appositive(bush, index, ResolveConfig()) is None
+    assert detect_role_appositive(bush, _at(bush, index), index, ResolveConfig()) is None
     # the plain appositive pattern picks it up instead
-    assert detect_appositive(bush, index) is not None
+    assert detect_appositive(bush, _at(bush, index), index) is not None
 
 
 def test_role_appositive_declines_not_person_sibling(fixture_lex):
@@ -138,14 +143,14 @@ def test_role_appositive_declines_not_person_sibling(fixture_lex):
     assert varen.profile.personhood is Personhood.PERSON
     city = mention_with_head(mentions, "city")
     assert city.profile.personhood is Personhood.NOT_PERSON
-    assert detect_role_appositive(varen, index, ResolveConfig()) is None
+    assert detect_role_appositive(varen, _at(varen, index), index, ResolveConfig()) is None
 
 
 def test_role_appositive_flag_off(fixture_lex):
     doc, mentions, index = _prepared(fixture_lex, ROLE_APPOS)
     bush = mention_with_head(mentions, "Bush")
     cfg = ResolveConfig(enable_role_appositive=False)
-    assert detect_role_appositive(bush, index, cfg) is None
+    assert detect_role_appositive(bush, _at(bush, index), index, cfg) is None
 
 
 def test_role_appositive_stays_inside_its_sentence():
@@ -189,13 +194,15 @@ def test_role_appositive_declines_a_mention_that_is_not_an_np(fixture_lex):
                     fixture_lex)
     bush = mention_with_head(mentions, "Bush")
     assert bush.node.label == "NNP" and bush.profile.personhood is Personhood.PERSON
-    assert detect_role_appositive(bush, MentionIndex(doc, mentions), ResolveConfig()) is None
+    index = MentionIndex(doc, mentions)
+    assert detect_role_appositive(bush, _at(bush, index), index, ResolveConfig()) is None
 
 
 def test_pred_nom_gridiron(lex):
     doc, mentions, index = _prepared(lex, GRIDIRON)
     organization = mention_with_head(mentions, "organization")
-    antecedent = detect_pred_nom(organization, index, lex, ResolveConfig())
+    antecedent = detect_pred_nom(organization, _at(organization, index), index, lex,
+                                 ResolveConfig())
     assert antecedent is not None
     assert antecedent.head_word == "Club"
 
@@ -203,7 +210,7 @@ def test_pred_nom_gridiron(lex):
 def test_pred_nom_lameu(lex):
     doc, mentions, index = _prepared(lex, LAMEU)
     player = mention_with_head(mentions, "player")
-    antecedent = detect_pred_nom(player, index, lex, ResolveConfig())
+    antecedent = detect_pred_nom(player, _at(player, index), index, lex, ResolveConfig())
     assert antecedent is not None
     assert antecedent.head_word == "Lameu"
 
@@ -211,9 +218,9 @@ def test_pred_nom_lameu(lex):
 def test_pred_nom_modal_flag(lex):
     doc, mentions, index = _prepared(lex, KOETTER)
     choice = mention_with_head(mentions, "choice")
-    default = detect_pred_nom(choice, index, lex, ResolveConfig())
+    default = detect_pred_nom(choice, _at(choice, index), index, lex, ResolveConfig())
     assert default is not None and default.head_word == "Koetter"
-    strict = detect_pred_nom(choice, index, lex,
+    strict = detect_pred_nom(choice, _at(choice, index), index, lex,
                              ResolveConfig(pred_nom_exclude_modals=True))
     assert strict is None
 
@@ -222,7 +229,7 @@ def test_pred_nom_requires_copula(lex):
     doc, mentions, index = _prepared(
         lex, "(S (NP (NNP Lameu)) (VP (VBD bought) (NP (DT a) (NN team))) (. .))")
     team = mention_with_head(mentions, "team")
-    assert detect_pred_nom(team, index, lex, ResolveConfig()) is None
+    assert detect_pred_nom(team, _at(team, index), index, lex, ResolveConfig()) is None
 
 
 @pytest.mark.parametrize("sentence, head", [
@@ -237,7 +244,8 @@ def test_pred_nom_requires_copula(lex):
 ], ids=["complement-before-copula", "no-subject", "not-under-a-clause"])
 def test_pred_nom_declines_without_a_subject_before_the_copula(lex, sentence, head):
     doc, mentions, index = _prepared(lex, sentence)
-    assert detect_pred_nom(mention_with_head(mentions, head), index, lex, ResolveConfig()) is None
+    m = mention_with_head(mentions, head)
+    assert detect_pred_nom(m, _at(m, index), index, lex, ResolveConfig()) is None
 
 
 # ---------------------------------------------------------------------------
@@ -388,21 +396,37 @@ def test_strict_typecheck_rejects_unknown_candidate():
 def _accepted(m, index, cfg=ResolveConfig()):
     """The earlier mentions that pronoun ``m``'s search admits, most recent
     first."""
-    return list(filter(pronoun_acceptor(m, cfg), index.before(m)))
+    return list(filter(pronoun_acceptor(m, cfg), index.mentions[:_at(m, index)][::-1]))
 
 
-def test_candidate_pool(fixture_lex):
-    doc, mentions, index = _prepared(
-        fixture_lex,
-        "(S (NP (NNP John)) (VP (VBD saw) (NP (DT the) (NN dog))"
-        " (NP (DT a) (NN cat))) (. .))")
-    assert list(index.before(mentions[0])) == []
-    assert list(index.before(mentions[2])) == mentions[:2][::-1]
-    for i, m in enumerate(mentions):
-        pool = list(index.before(m))
-        assert m not in pool
-        assert all(index.position[c.mention_id] < index.position[m.mention_id]
-                   for c in pool)
+def _searched_pools(monkeypatch):
+    """Replace ``coref.resolve._nearest_acceptable`` with a wrapper that
+    records each search's position and its candidate positions, in the
+    order drawn, in the dict returned."""
+    pools = {}
+    original = coref.resolve._nearest_acceptable
+
+    def recorded(i, candidates, accepts, index):
+        pools[i] = list(candidates)
+        return original(i, pools[i], accepts, index)
+
+    monkeypatch.setattr(coref.resolve, "_nearest_acceptable", recorded)
+    return pools
+
+
+def test_candidate_pool(fixture_lex, monkeypatch):
+    """A pronoun's search is offered every earlier position, most recent
+    first."""
+    pools = _searched_pools(monkeypatch)
+    result = pipeline(["(S (NP (PRP He)) (VP (VBD saw) (NP (DT the) (NN dog))"
+                       " (NP (PRP it))) (. .))"], lex=fixture_lex)
+    assert [m.head_word for m in result.mentions] == ["He", "dog", "it"]
+    assert pools[0] == []
+    assert pools[2] == [1, 0]
+    assert sorted(pools) == [0, 2]
+    for i, pool in pools.items():
+        assert i not in pool
+        assert all(p < i for p in pool)
 
 
 def test_filter_pronoun_john_bought_himself(fixture_lex):
@@ -438,7 +462,7 @@ def test_filter_nominal_substring_rule(fixture_lex):
         "(S (NP (NNP Japan)) (VP (VBD exported) (NP (NNS cars))) (. .))",
         "(S (NP (DT the) (NNP Japanese)) (VP (VBD bought) (NP (NNS houses))) (. .))")
     japanese = mention_with_head(mentions, "Japanese")
-    kept = list(index.nominal_matches_before(japanese))
+    kept = [mentions[p] for p in index.nominal_matches_before(_at(japanese, index))]
     assert [m.head_word for m in kept] == ["Japan"]
 
 
@@ -447,8 +471,7 @@ def test_filter_nominal_exact_head_match_false_positive(fixture_lex):
         fixture_lex,
         "(S (NP (JJ Korean) (NNS officials)) (VP (VBD met)) (. .))",
         "(S (NP (JJ Iranian) (NNS officials)) (VP (VBD agreed)) (. .))")
-    second = mentions[1]
-    kept = list(index.nominal_matches_before(second))
+    kept = [mentions[p] for p in index.nominal_matches_before(1)]
     assert [m.head_word for m in kept] == ["officials"]
 
 
@@ -458,7 +481,7 @@ def test_filter_nominal_short_prefix_mismatch(fixture_lex):
         "(S (NP (NNP Iran)) (VP (VBD signed)) (. .))",
         "(S (NP (NNP Iraq)) (VP (VBD refused)) (. .))")
     iraq = mention_with_head(mentions, "Iraq")
-    assert list(index.nominal_matches_before(iraq)) == []
+    assert list(index.nominal_matches_before(_at(iraq, index))) == []
 
 
 def test_select_antecedent_empty_is_null(fixture_lex):
@@ -480,7 +503,7 @@ def test_select_antecedent_calverts(fixture_lex):
     kept = _accepted(they, index)
     assert calverts in kept and estates in kept
     decisions = resolve_document(doc, mentions, fixture_lex)
-    assert decisions[index.position[they.mention_id]] == Decision(
+    assert decisions[_at(they, index)] == Decision(
         they.mention_id, calverts.mention_id, Rule.PRONOUN)
 
 
@@ -494,8 +517,8 @@ def test_select_antecedent_tie_prefers_most_recent(fixture_lex):
     # both candidates are siblings of fox: equal distance 2
     assert _select_antecedent(fox, [cat, dog], doc) is dog
     assert _select_antecedent(fox, [dog, cat], doc) is dog
-    assert _nearest_acceptable(fox, index.before(fox), None, lambda cand: True,
-                               index) is dog
+    i = _at(fox, index)
+    assert _nearest_acceptable(i, range(i - 1, -1, -1), None, index) is dog
 
 
 # ---------------------------------------------------------------------------
@@ -762,16 +785,16 @@ def _exhaustive(doc, mentions, lex, cfg):
     every mention, then selecting over all survivors."""
     index = MentionIndex(doc, mentions)
     decisions, log = [], {}
-    for m in index.mentions:
-        immediate = [(Rule.APPOSITIVE, detect_appositive(m, index)),
-                     (Rule.ROLE_APPOSITIVE, detect_role_appositive(m, index, cfg)),
-                     (Rule.PRED_NOM, detect_pred_nom(m, index, lex, cfg))]
+    for i, m in enumerate(index.mentions):
+        immediate = [(Rule.APPOSITIVE, detect_appositive(m, i, index)),
+                     (Rule.ROLE_APPOSITIVE, detect_role_appositive(m, i, index, cfg)),
+                     (Rule.PRED_NOM, detect_pred_nom(m, i, index, lex, cfg))]
         rule, antecedent = next(((r, a) for r, a in immediate if a is not None),
                                 (None, None))
         if antecedent is not None:
             decisions.append(Decision(m.mention_id, antecedent.mention_id, rule))
             continue
-        pool = index.mentions[:index.position[m.mention_id]]
+        pool = index.mentions[:i]
         if m.kind is MentionKind.PRONOUN:
             if not cfg.resolve_pronouns or (is_second_person(m)
                                             and not cfg.resolve_second_person):
@@ -798,10 +821,15 @@ def test_search_matches_exhaustive_reference_on_random_documents(lex):
     docs += shapes
     every_np = [(doc, _every_np_mentions(doc, lex, random.Random(k)))
                 for k, doc in enumerate(parse_doc(*sentences) for sentences, _, _ in shapes)]
+    # gold documents whose mention ids are not their positions, so that a
+    # resolver reading an id as a position fails here
+    ids_not_positions = 0
     for cfg in _configs():
         for sentences, annotations, gold in docs:
             result = pipeline(sentences, annotations=annotations,
                               gold_mentions=gold, cfg=cfg, lex=lex)
+            ids_not_positions += gold is not None and any(
+                m.mention_id != i for i, m in enumerate(result.mentions))
             expected, expected_log = _exhaustive(result.tree, result.mentions, lex, cfg)
             assert result.decisions == expected
             log = {}
@@ -813,6 +841,7 @@ def test_search_matches_exhaustive_reference_on_random_documents(lex):
             log = {}
             assert resolve_document(doc, mentions, lex, cfg, log) == expected
             assert log == expected_log
+    assert ids_not_positions > 0
 
 
 def test_lazy_pronoun_acceptor_agrees_with_the_eager_oracle(lex):
@@ -848,6 +877,40 @@ def test_lazy_pronoun_acceptor_agrees_with_the_eager_oracle(lex):
                 rejected_in_sentence += same and not verdict
                 accepted_across += not same and verdict
     assert rejected_in_sentence > 0 and accepted_across > 0
+
+
+def test_pronoun_acceptor_rejects_every_mention_at_an_ancestor(lex):
+    """i-within-i holds under every config: for every pronoun of the golden
+    corpora and the random documents, under the default config and each
+    single ablation flag, ``pronoun_acceptor`` rejects each mention at a
+    proper ancestor of the pronoun's node. A pronoun's search relies on it
+    to skip the ancestor lookup a nominal's search makes."""
+    checked = 0
+    for cfg in single_flag_configs():
+        results = []
+        for document in golden_documents():
+            try:
+                results.append(run_pipeline(document, cfg, lex))
+            except DocumentError:
+                continue
+        results += [pipeline(sentences, annotations=annotations,
+                             gold_mentions=gold, cfg=cfg, lex=lex)
+                    for sentences, annotations, gold in _random_documents(20261021, 24)]
+        for result in results:
+            at_node = {}
+            for m in result.mentions:
+                at_node.setdefault(m.node.node_id, []).append(m)
+            for m in result.mentions:
+                if m.kind is not MentionKind.PRONOUN:
+                    continue
+                accepts = pronoun_acceptor(m, cfg)
+                node = m.node.parent
+                while node is not None:
+                    for cand in at_node.get(node.node_id, ()):
+                        assert not accepts(cand)
+                        checked += 1
+                    node = node.parent
+    assert checked > 0
 
 
 def _counting(monkeypatch, name):
@@ -911,16 +974,45 @@ def test_pronoun_constraints_are_found_only_for_a_same_sentence_candidate(lex, m
     assert subjects == pronouns and adjuncts == pronouns
 
 
-def test_index_scans_visit_each_pool_candidate_once_most_recent_first(lex):
+def test_index_scans_visit_each_pool_candidate_once_most_recent_first(lex, monkeypatch):
+    """Each search is offered its stream's positions most recent first,
+    each once: a pronoun every earlier one, a nominal or proper mention
+    those whose mention shares a nominal key with it."""
+    pools = _searched_pools(monkeypatch)
+    pronoun_searches = 0
     for sentences, annotations, gold in (_random_documents(1310, 12)
                                          + _same_sentence_documents(1310, 6)):
+        pools.clear()
         result = pipeline(sentences, annotations=annotations, gold_mentions=gold, lex=lex)
         index = MentionIndex(result.tree, result.mentions)
-        for m in index.mentions:
-            pool = index.mentions[:index.position[m.mention_id]]
-            assert list(index.before(m)) == pool[::-1]
-            assert list(index.nominal_matches_before(m)) == [
-                cand for cand in pool if _nominal_match(m, cand)][::-1]
+        for i, m in enumerate(index.mentions):
+            nominal = [p for p in range(i) if _nominal_match(m, index.mentions[p])][::-1]
+            assert list(index.nominal_matches_before(i)) == nominal
+            if i in pools:
+                pronoun = m.kind is MentionKind.PRONOUN
+                assert pools[i] == (list(range(i))[::-1] if pronoun else nominal)
+                pronoun_searches += pronoun
+    assert pronoun_searches > 0
+
+
+def test_mention_before_compares_positions_where_ids_are_not_positions(lex):
+    """On the random documents, gold ones included, ``mention_before(node,
+    j)`` gives the first mention at ``node``, else the first headed by its
+    head leaf, exactly when that mention's position is before ``j``."""
+    ids_not_positions = 0
+    for sentences, annotations, gold in _random_documents(1311, 12):
+        result = pipeline(sentences, annotations=annotations, gold_mentions=gold, lex=lex)
+        index = MentionIndex(result.tree, result.mentions)
+        mentions = index.mentions
+        ids_not_positions += any(m.mention_id != i for i, m in enumerate(mentions))
+        for node in {x for m in mentions for x in (m.node, m.node.parent, m.head) if x}:
+            at = ([p for p, m in enumerate(mentions) if m.node is node]
+                  or [p for p, m in enumerate(mentions) if m.head is head_leaf(node)])
+            first = at[0] if at else len(mentions)
+            for j in {0, first, first + 1, len(mentions)}:
+                expected = mentions[first] if at and first < j else None
+                assert index.mention_before(node, j) is expected
+    assert ids_not_positions > 0
 
 
 def _extract_mentions_by_sorting(doc):
@@ -999,7 +1091,6 @@ def test_key_runs_read_latest_first_as_a_set_and_only_as_far_as_drawn():
     for a one-key mention) gives ``sorted(set(a) | set(b), reverse=True)``;
     drawing k positions reads O(k) run elements, k + 1 from a lone run,
     never a whole run."""
-    positions = range(1000)  # stands in for the mentions: position i -> i
     rng = random.Random(2013)
     for trial in range(400):
         shared = rng.sample(range(300), rng.randint(0, 10))
@@ -1008,10 +1099,10 @@ def test_key_runs_read_latest_first_as_a_set_and_only_as_far_as_drawn():
                 for side in (3, 5))
         i, j = rng.randint(0, len(a)), rng.randint(0, len(b))
         expected = sorted(set(a[:i]) | set(b[:j]), reverse=True)
-        assert list(_union_latest_first(positions, a, i, b, j)) == expected
+        assert list(_union_latest_first(a, i, b, j)) == expected
         k = rng.randint(0, len(expected))
         ra, rb = _CountedRun(a), _CountedRun(b)
-        assert list(islice(_union_latest_first(positions, ra, i, rb, j), k)) == expected[:k]
+        assert list(islice(_union_latest_first(ra, i, rb, j), k)) == expected[:k]
         assert ra.reads + rb.reads <= 2 * k + 2
         if not b:
             assert ra.reads <= k + 1

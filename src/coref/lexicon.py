@@ -96,7 +96,7 @@ def _is_float(s: str) -> bool:
     return True
 
 
-def _content_lines(name: str, text: str) -> Iterable[tuple[int, str]]:
+def _content_lines(text: str) -> Iterable[tuple[int, str]]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -107,7 +107,7 @@ def _content_lines(name: str, text: str) -> Iterable[tuple[int, str]]:
 def _parse_names(name: str, text: str) -> frozenset[str]:
     """Accept one word per line or census columns (name freq cumfreq rank)."""
     names = set()
-    for lineno, line in _content_lines(name, text):
+    for lineno, line in _content_lines(text):
         fields = line.split()
         if len(fields) == 1:
             names.add(fields[0].casefold())
@@ -120,7 +120,7 @@ def _parse_names(name: str, text: str) -> frozenset[str]:
 
 def _parse_titles(name: str, text: str) -> dict[str, Gender]:
     titles: dict[str, Gender] = {}
-    for lineno, line in _content_lines(name, text):
+    for lineno, line in _content_lines(text):
         fields = line.split("\t")
         if len(fields) != 2:
             raise LexiconError(f"{name}, line {lineno}: expected 'title TAB gender'")
@@ -137,7 +137,7 @@ _BOOLS = {"true": True, "false": False}
 
 def _parse_pronouns(name: str, text: str) -> dict[str, PronounEntry]:
     pronouns: dict[str, PronounEntry] = {}
-    for lineno, line in _content_lines(name, text):
+    for lineno, line in _content_lines(text):
         fields = [f.strip() for f in line.split("\t")]
         if len(fields) != 7:
             raise LexiconError(f"{name}, line {lineno}: expected 7 tab-separated fields")
@@ -165,7 +165,7 @@ def _parse_pronouns(name: str, text: str) -> dict[str, PronounEntry]:
 
 def _parse_copulas(name: str, text: str) -> frozenset[str]:
     forms = set()
-    for lineno, line in _content_lines(name, text):
+    for lineno, line in _content_lines(text):
         if len(line.split()) != 1:
             raise LexiconError(f"{name}, line {lineno}: expected one form per line")
         forms.add(line.casefold())

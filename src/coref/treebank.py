@@ -34,13 +34,12 @@ class SyntaxNode:
 
     Leaves carry a ``token`` and have no children; interior nodes have one or
     more children and no token. ``span`` is a half-open token interval within
-    the node's sentence. The leaves that ``read_ptb`` and ``read_document``
-    build share one empty tuple as ``children``; every other node gets a
-    list.
+    the node's sentence. Only ``read_ptb`` and ``read_document`` make nodes:
+    the leaves share one empty tuple as ``children``, and each interior node
+    has a list.
 
-    An interior node gets its head leaf (see ``head_leaf``) when it is made:
-    from ``children`` here, or from its children as the reader closes it. So
-    its label and children must not change afterwards.
+    An interior node gets its head leaf (see ``head_leaf``) when the reader
+    closes it. So its label and children must not change afterwards.
 
     A node keeps its subtree alive, not its ancestors: ``parent`` is a weak
     reference, so the tree holds no reference cycle and a document is freed
@@ -51,23 +50,6 @@ class SyntaxNode:
     __slots__ = ("label", "token", "children", "_up", "sentence_index",
                  "span", "node_id", "depth", "doc", "_post", "_head",
                  "__weakref__")
-
-    def __init__(self, label: str, token: Optional[str] = None,
-                 children: Sequence["SyntaxNode"] = ()):
-        self.label = label
-        self.token = token
-        self.children: list[SyntaxNode] = list(children)
-        self._up: Optional[weakref.ref] = None
-        self.sentence_index = -1
-        self.span = (0, 0)
-        self.node_id = -1
-        self.depth = 0
-        self.doc: Optional[list[list[str]]] = None  # the owning DocumentTree's key
-        self._post = -1
-        self._head: Optional[SyntaxNode] = None  # the head leaf; None on leaves
-        if self.children:
-            child = self.children[_head_index(self)]
-            self._head = child._head or child
 
     @property
     def parent(self) -> Optional["SyntaxNode"]:
@@ -444,14 +426,11 @@ def link_document(trees: Sequence[SyntaxNode]) -> DocumentTree:
     another, and sets ``sentence_index`` and ``doc``. The trees become the
     document's nodes, and each tree's root loses its parent.
 
-    Raises ValueError naming the index of a tree the reader did not build
-    (a hand-made ``SyntaxNode``), or of one given twice, whole or as part of
-    another tree.
+    Raises ValueError naming the index of a tree given twice, whole or as
+    part of another tree.
     """
     def adopt(i, nodes, key, depth):
         root = trees[i]
-        if root._post < 0:
-            raise ValueError(f"tree {i} was not built by read_ptb")
         shift = len(nodes) - root.node_id
         lift = depth - root.depth
         root._up = None

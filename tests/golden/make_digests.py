@@ -21,6 +21,14 @@ names and pronouns, nested same-sentence NPs ("of" chains, appositives and
 coordinations inside one another), and gold mentions with duplicated spans
 and spans on unary NP chains.
 
+``filters.jsonl`` is written by hand so that each filter and rule that
+only some flag switches shows in the digests: "I left." / "You stayed."
+(grammatical person and the second-person switch), "John will be the
+winner." (a modal before the copula), "Mary has been the leader." (a chain
+of VPs with no modal), and "Mary waited for Bill." / "To call John, he
+left." (a sentence-initial non-finite adjunct: John is nearer to "he" by
+tree path than Bill, so only the adjunct rule sends "he" to Bill).
+
 ``surrogate.jsonl`` is written by hand for documents that cannot be
 written out: good documents a and b around s (a lone ``"\\ud800"`` escape in
 a token), t (one in the id) and r (an id holding a tab). Each of the three

@@ -431,7 +431,8 @@ def cli_digests(tmp_path) -> dict[str, dict[str, object]]:
     ``flag_combinations``; ``golden/bad.jsonl`` (one document per kind of bad
     sentence, and one good document), ``golden/coord.jsonl`` (a wide
     coordination, nested same-sentence NPs, and gold mentions with duplicated
-    spans) and ``golden/surrogate.jsonl`` (good documents a and b around
+    spans), ``golden/filters.jsonl`` (a document for each filter or rule
+    that only some flag switches) and ``golden/surrogate.jsonl`` (good documents a and b around
     three that cannot be written: a lone surrogate escape in a token, one
     in the id, and an id holding a tab) run them under the default config
     and each single flag. The
@@ -449,6 +450,7 @@ def cli_digests(tmp_path) -> dict[str, dict[str, object]]:
             ("long", GOLDEN / "long.jsonl", every, sampled),
             ("bad", GOLDEN / "bad.jsonl", every, singles),
             ("coord", GOLDEN / "coord.jsonl", every, singles),
+            ("filters", GOLDEN / "filters.jsonl", every, singles),
             ("surrogate", GOLDEN / "surrogate.jsonl", every, singles),
             ("bench_news", GOLDEN / "bench_news.jsonl", every[:1], sampled),
             ("bench_long_doc", GOLDEN / "bench_long_doc.jsonl", every[:1], sampled),

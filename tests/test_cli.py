@@ -13,12 +13,11 @@ import pytest
 
 import coref.pipeline
 from coref import (Decision, DocumentError, DocumentInput, Mention, MentionKind,
-                   PairCounts, ResolveConfig, Rule, SyntaxNode, TokenAnnotation,
-                   TraceReport, b_cubed_doc, default_lexicon, gold_clustering,
-                   pairwise_counts, render_brackets, run_pipeline, score_corpus,
-                   trace_report)
+                   PairCounts, ResolveConfig, Rule, TokenAnnotation, TraceReport,
+                   b_cubed_doc, default_lexicon, gold_clustering, pairwise_counts,
+                   read_ptb, render_brackets, run_pipeline, score_corpus, trace_report)
 from coref.cluster import from_entities
-from coref.cli import build_config, build_parser, load_documents, main
+from coref.cli import _ABLATION_FLAGS, build_config, build_parser, load_documents, main
 from helpers import (EXAMPLE1_GOLD, EXAMPLE1_SENTENCES, ablation_corpus,
                      GOLDEN, cli_digests, golden_documents, pipeline, random_partition,
                      run_cli, run_cli_twice, single_flag_configs, write_corpus)
@@ -324,10 +323,10 @@ def _random_trace_case(rng, n, clustering):
     mentions = []
     for mid in ids:
         if rng.random() < 0.5:
-            leaf = SyntaxNode("PRP", token=rng.choice(["he", "He", "she", "it", "they"]))
+            (leaf,) = read_ptb(f"(PRP {rng.choice(['he', 'He', 'she', 'it', 'they'])})")
             mentions.append(Mention(mid, leaf, leaf, MentionKind.PRONOUN))
         else:
-            leaf = SyntaxNode("NN", token="dog")
+            (leaf,) = read_ptb("(NN dog)")
             mentions.append(Mention(mid, leaf, leaf, MentionKind.NOMINAL))
     universe = rng.sample(ids, n)
     gold = clustering(universe)
@@ -897,6 +896,21 @@ def test_cli_output_matches_digests_under_every_single_flag(tmp_path):
     actual = cli_digests(tmp_path)
     assert sorted(actual) == sorted(expected)
     assert [key for key in expected if actual[key] != expected[key]] == []
+
+
+def test_every_single_flag_changes_some_digested_stdout():
+    """Each ablation flag changes the stdout of at least one command on at
+    least one corpus from the default run's, so the digest table would see
+    a change that broke the filter or rule behind it."""
+    table = json.loads((GOLDEN / "digests.json").read_text(encoding="utf-8"))
+
+    def changes_stdout(key):
+        default = key.rsplit(" | ", 1)[0] + " | default"
+        return table[key]["stdout"] != table[default]["stdout"]
+
+    unseen = [flag for flag, _, _ in _ABLATION_FLAGS
+              if not any(changes_stdout(key) for key in table if key.endswith(f" | {flag}"))]
+    assert unseen == []
 
 
 _FUZZ_VALUES = [None, True, -1, 1.5, 10**30, float("inf"), float("nan"), "",

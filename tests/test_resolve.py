@@ -560,11 +560,10 @@ def test_single_mention_document_resolves_null(fixture_lex):
 def test_decision_list_length_equals_mention_count(fixture_lex):
     result = pipeline(EXAMPLE1_SENTENCES, lex=fixture_lex)
     assert len(result.decisions) == len(result.mentions)
+    position = {m.mention_id: i for i, m in enumerate(result.mentions)}
     for d, m in zip(result.decisions, result.mentions):
         assert d.mention_id == m.mention_id
         if d.antecedent is not None:
-            assert d.antecedent < d.mention_id or True  # ids follow order
-            position = {x.mention_id: i for i, x in enumerate(result.mentions)}
             assert position[d.antecedent] < position[d.mention_id]
 
 

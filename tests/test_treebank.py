@@ -5,7 +5,7 @@ import time
 import pytest
 
 import coref.treebank
-from coref import (DocumentError, DocumentInput, PtbParseError, SyntaxNode,
+from coref import (DocumentError, DocumentInput, PtbParseError,
                    collins_head_child, dominates, head_leaf, link_document,
                    path_distance, read_document, read_ptb, run_pipeline)
 from helpers import (bfs_distances, linked_tree, parse_doc, reference_read_ptb,
@@ -154,7 +154,7 @@ def _mutated(rng, text):
 def test_read_mutated_trees_parse_or_fail_with_an_offset():
     rng = random.Random(20261019)
     for _ in range(2000):
-        text = " ".join(to_ptb(_random_tree(rng)) for _ in range(rng.randint(1, 3)))
+        text = " ".join(_random_tree_text(rng) for _ in range(rng.randint(1, 3)))
         text = _mutated(rng, text)
         try:
             trees = read_ptb(text)
@@ -186,7 +186,7 @@ def test_read_matches_the_reference_reader_on_mutated_trees():
     rng = random.Random(20261024)
     errors = 0
     for case in range(2400):
-        text = " ".join(to_ptb(_random_tree(rng)) for _ in range(rng.randint(1, 3)))
+        text = " ".join(_random_tree_text(rng) for _ in range(rng.randint(1, 3)))
         if case % 3 == 1:  # every closer spaced from the one before: ") )"
             text = text.replace(")", ") ").rstrip()
         elif case % 3 == 2:  # some closers spaced, by any whitespace
@@ -220,9 +220,8 @@ def test_read_whitespace_runs_in_linear_time():
 def test_read_takes_one_token_per_node_of_a_serialized_tree():
     rng = random.Random(20261025)
     for _ in range(200):
-        tree = _random_tree(rng)
-        text = to_ptb(tree)
-        assert len(coref.treebank._PTB_TOKEN.findall(text)) == sum(1 for _ in tree.walk())
+        text = _random_tree_text(rng)
+        assert len(coref.treebank._PTB_TOKEN.findall(text)) == text.count("(")
 
 
 def test_read_error_offsets_are_bytes():
@@ -241,18 +240,21 @@ def test_serializer_round_trip_is_whitespace_normalization():
     assert to_ptb(tree) == "(S (NP (DT the) (NN dog)))"
 
 
-def _random_tree(rng, depth=0):
+def _random_tree_text(rng, depth=0):
+    """A random tree in the canonical bracketed form ``to_ptb`` writes. A
+    leaf draws its label before its token; an interior node draws its
+    children before its label."""
     if depth >= 4 or rng.random() < 0.35:
-        return SyntaxNode(rng.choice(["NN", "DT", "JJ", "VBD"]),
-                          token=rng.choice(["a", "bb", "ccc", ".", "café"]))
-    children = [_random_tree(rng, depth + 1) for _ in range(rng.randint(1, 4))]
-    return SyntaxNode(rng.choice(["S", "NP", "VP", "PP", "XYZ"]), children=children)
+        label = rng.choice(["NN", "DT", "JJ", "VBD"])
+        return f"({label} {rng.choice(['a', 'bb', 'ccc', '.', 'café'])})"
+    children = " ".join(_random_tree_text(rng, depth + 1) for _ in range(rng.randint(1, 4)))
+    return f"({rng.choice(['S', 'NP', 'VP', 'PP', 'XYZ'])} {children})"
 
 
 def test_round_trip_on_random_trees():
     rng = random.Random(20240817)
     for _ in range(200):
-        text = to_ptb(_random_tree(rng))
+        text = _random_tree_text(rng)
         (parsed,) = read_ptb(text)
         assert to_ptb(parsed) == text
 
@@ -335,7 +337,7 @@ def test_leaf_has_no_head_child():
 def test_head_leaf_dominated_by_node_on_random_trees():
     rng = random.Random(7)
     for _ in range(50):
-        text = to_ptb(_random_tree(rng))
+        text = _random_tree_text(rng)
         doc = link_document(read_ptb(text))
         for node in doc.nodes:
             assert dominates(node, head_leaf(node))
@@ -375,10 +377,6 @@ def test_builders_set_the_heads_a_walk_finds_on_random_documents():
                     assert node._head is None  # a leaf naming itself would be a cycle
         for root in read_ptb(" ".join(sentences)):
             assert all(head_leaf(node) is _walked_head(node) for node in root.walk())
-    rng = random.Random(20261023)
-    for _ in range(150):
-        hand_built = _random_tree(rng)
-        assert all(head_leaf(node) is _walked_head(node) for node in hand_built.walk())
 
 
 def test_a_document_of_seen_productions_computes_no_head_child(monkeypatch):
@@ -423,7 +421,6 @@ def test_leaves_of_a_read_document_share_one_children_tuple():
     assert leaves[0].children == ()
     assert len({id(node.children) for node in interior}) == len(interior)
     assert all(type(node.children) is list for node in interior)
-    assert SyntaxNode("NN", token="a").children == []
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +471,7 @@ def test_dominance_and_depth_follow_parent_chain_on_random_documents(build):
     walks of the built tree, for both builders."""
     rng = random.Random(20261018)
     for _ in range(25):
-        texts = [to_ptb(_random_tree(rng)) for _ in range(rng.randint(1, 5))]
+        texts = [_random_tree_text(rng) for _ in range(rng.randint(1, 5))]
         doc = build(texts)
         roots = doc.sentence_roots
         assert len(roots) == len(texts)
@@ -507,7 +504,7 @@ def test_sentence_roots_hang_from_nothing_at_their_link_chain_depths(build):
     linked tree."""
     rng = random.Random(20261101)
     for _ in range(40):
-        texts = [to_ptb(_random_tree(rng)) for _ in range(rng.randint(1, 7))]
+        texts = [_random_tree_text(rng) for _ in range(rng.randint(1, 7))]
         doc = build(texts)
         k = len(doc.sentence_roots)
         for i, root in enumerate(doc.sentence_roots):
@@ -592,7 +589,7 @@ def _render(node, rng):
 def _random_sentence(rng):
     if rng.random() < 0.15:  # a single-leaf sentence
         return rng.choice(["(NN a)", "(PRP he)", "( PRP\x1cshe )", "(NNP café)"])
-    return _render(_random_tree(rng), rng)
+    return _render(read_ptb(_random_tree_text(rng))[0], rng)
 
 
 def _facts(doc):
@@ -646,12 +643,6 @@ def test_link_document_rebases_trees_numbered_from_anywhere():
                              sentences)
 
 
-def test_link_document_rejects_a_tree_the_reader_did_not_build():
-    hand_built = SyntaxNode("S", children=[SyntaxNode("NN", token="a")])
-    with pytest.raises(ValueError, match="^tree 1 was not built by read_ptb$"):
-        link_document([read_ptb("(S (NN b))")[0], hand_built])
-
-
 @pytest.mark.parametrize("pick", [lambda first, second: [first, second, first],
                                   lambda first, second: [second, first.children[0], first],
                                   lambda first, second: [first, second, first.children[0]]],
@@ -681,7 +672,7 @@ def test_run_pipeline_reports_the_same_sentence_errors_on_mutated_documents():
     alphabet = "() \x1c\u00a0a\u00e9"
     failures = 0
     for case in range(2000):
-        sentences = [to_ptb(_random_tree(rng)) for _ in range(rng.randint(1, 4))]
+        sentences = [_random_tree_text(rng) for _ in range(rng.randint(1, 4))]
         for _ in range(rng.randint(1, 2)):
             s = rng.randrange(len(sentences))
             text = sentences[s]
@@ -696,9 +687,9 @@ def test_run_pipeline_reports_the_same_sentence_errors_on_mutated_documents():
             elif op == 3:
                 text = text[:i]
             elif op == 4:  # a second tree after a valid one
-                text += " " + to_ptb(_random_tree(rng))
+                text += " " + _random_tree_text(rng)
             elif op == 5:  # a malformed second tree
-                second = to_ptb(_random_tree(rng))
+                second = _random_tree_text(rng)
                 text += " " + second[:rng.randrange(len(second))]
             else:
                 text = rng.choice(["", "  \n", "(S)", "((NN b))", "(NN a) (NN b)"])
@@ -761,7 +752,7 @@ def test_path_distance_prefers_prior_subject_over_embedded_np():
 
 def test_path_distance_symmetry_and_triangle():
     rng = random.Random(99)
-    texts = [to_ptb(_random_tree(rng)) for _ in range(3)]
+    texts = [_random_tree_text(rng) for _ in range(3)]
     doc = link_document(read_ptb(" ".join(texts)))
     nodes = doc.nodes
     sample = rng.sample(nodes, min(12, len(nodes)))
@@ -778,7 +769,7 @@ def test_path_distance_matches_the_linked_tree_on_random_documents():
     search over the explicitly built linked tree."""
     rng = random.Random(1310)
     for _ in range(30):
-        texts = [to_ptb(_random_tree(rng)) for _ in range(rng.randint(1, 6))]
+        texts = [_random_tree_text(rng) for _ in range(rng.randint(1, 6))]
         doc = link_document(read_ptb(" ".join(texts)))
         adjacency, _ = linked_tree(doc)
         for a in doc.nodes:

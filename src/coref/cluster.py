@@ -18,10 +18,12 @@ class Clustering:
 
     Each mention's entity is one label, 1..E; the labels number the entities
     in order of first sight in ``universe``, and ``entities[label - 1]`` is
-    the entity's member set.
+    the entity's member set. ``label_of(mention_id)`` reads a mention's label
+    (KeyError for an id not in ``universe``); it is the label dict's own
+    ``__getitem__``, so a read makes no Python call.
     """
 
-    __slots__ = ("universe", "entities", "_label")
+    __slots__ = ("universe", "entities", "label_of")
 
     def __init__(self, universe: Sequence[int],
                  entities: Iterable[Iterable[int]]):
@@ -47,8 +49,8 @@ class Clustering:
             raise ValueError(f"mentions not covered by any entity: {missing}")
         # Disjoint, non-empty groups are equal only when they are one group.
         labels: dict[frozenset[int], int] = {}
-        self._label = {mid: labels.setdefault(owner[mid], len(labels) + 1)
-                       for mid in self.universe}
+        self.label_of = {mid: labels.setdefault(owner[mid], len(labels) + 1)
+                         for mid in self.universe}.__getitem__
         self.entities: tuple[frozenset[int], ...] = tuple(labels)
 
     @classmethod
@@ -89,17 +91,14 @@ class Clustering:
         self = cls.__new__(cls)
         self.universe = ids
         self.entities = tuple(map(frozenset, groups))
-        self._label = label
+        self.label_of = label.__getitem__
         return self
 
-    def label_of(self, mention_id: int) -> int:
-        return self._label[mention_id]
-
     def entity_of(self, mention_id: int) -> frozenset[int]:
-        return self.entities[self._label[mention_id] - 1]
+        return self.entities[self.label_of(mention_id) - 1]
 
     def same_entity(self, a: int, b: int) -> bool:
-        return self._label[a] == self._label[b]
+        return self.label_of(a) == self.label_of(b)
 
     def __len__(self) -> int:
         return len(self.entities)

@@ -8,13 +8,14 @@ headed by them, so determiners like "its" are resolved like other pronouns.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .lexicon import (Gender, Lexicon, Number, Personhood, PronounEntry,
                       pronoun_lookup)
 from .record import Record
-from .treebank import DocumentTree, SyntaxNode, head_leaf
+from .treebank import DocumentTree, SyntaxNode
 
 PRONOUN_TAGS = frozenset({"PRP", "PRP$"})
 PROPER_TAGS = frozenset({"NNP", "NNPS"})
@@ -140,58 +141,59 @@ def extract_mentions(doc: DocumentTree) -> list[Mention]:
     return list(by_head.values())
 
 
-def _span_end(node: SyntaxNode) -> int:
-    return node.span[1]
-
-
 def map_gold_mentions(doc: DocumentTree,
                       spans: Sequence[tuple[int, int, int]]) -> list[Mention]:
     """Map externally given (sentence, start, end) spans onto the parse.
 
     Each span becomes one mention whose node is the smallest covering NP (or
-    pronoun leaf); when no nominal node covers the span, the smallest covering
-    node of any label is used. Mention ids keep the input span order; the
-    returned list is in document order.
+    pronoun node; a pronoun node yields to the deepest NP of its own span);
+    when no nominal node covers the span, the smallest covering node of any
+    label is used. Mention ids keep the input span order; the returned list
+    is in document order.
 
     Every node covering [start, end) is an ancestor-or-self of token
-    ``start``, so each span descends from its sentence root, choosing the
-    child that holds ``start`` by bisecting the children's span ends:
-    O(depth x log fan-out) per span.
+    ``start``'s leaf, so each span climbs from that leaf: first to the
+    smallest node that reaches ``end``, then on to the nearest nominal node.
+    A span costs its height above its first token, plus one pass over the
+    document's nodes to list its leaves.
     """
-    if not doc.sentence_roots:
+    roots = doc.sentence_roots
+    if not roots:
         if spans:
             raise ValueError("gold mentions supplied for an empty document")
         return []
-    roots = doc.sentence_roots
+    leaves = [node for node in doc.nodes if not node.children]
+    firsts = list(accumulate(map(len, doc.key), initial=0))  # sentence -> its first leaf
     mentions = []
     for gold_id, (s, start, end) in enumerate(spans):
         if not 0 <= s < len(roots):
             raise ValueError(f"gold mention {gold_id}: no sentence {s}")
-        node = roots[s]
-        if not (0 <= start < end <= node.span[1]):
+        first = firsts[s]
+        if not (0 <= start < end <= firsts[s + 1] - first):
             raise ValueError(f"gold mention {gold_id}: span [{start},{end}) out of range")
-        # The covering nodes are the top of the path down to token ``start``,
-        # each no wider than the one above; the last is the smallest.
-        # Deeper wins among nominal nodes, except that a pronoun node does
-        # not replace an NP of the same span.
-        nominal = None
-        while True:
+        node = leaves[first + start]
+        while node.span[1] < end:
+            node = node._up()
+        covering = node
+        label = node.label
+        while label != "NP" and label not in PRONOUN_TAGS:
+            up = node._up
+            if up is None:  # no nominal node covers the span
+                node = covering
+                break
+            node = up()
             label = node.label
-            if label == "NP" or (label in PRONOUN_TAGS and (
-                    nominal is None or nominal.label != "NP" or nominal.span != node.span)):
-                nominal = node
-            children = node.children
-            if not children:
-                break
-            child = children[bisect_right(children, start, key=_span_end)]
-            if child.span[1] < end:
-                break
-            node = child
-        if nominal is not None:
-            node = nominal
-        leaf = head_leaf(node)
-        mentions.append(Mention(mention_id=gold_id, node=node, head=leaf,
-                                kind=_kind_of_tag(leaf.label)))
+        else:  # a pronoun node yields to the deepest NP of its own span
+            span, above = node.span, node
+            while label != "NP" and above._up is not None:
+                above = above._up()
+                if above.span != span:
+                    break
+                label = above.label
+                if label == "NP":
+                    node = above
+        leaf = node._head or node
+        mentions.append(Mention(gold_id, node, leaf, _kind_of_tag(leaf.label)))
     mentions.sort(key=document_order_key)
     return mentions
 

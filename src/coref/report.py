@@ -113,17 +113,18 @@ def trace_report(decisions: Sequence[Decision], mentions: Sequence[Mention],
     if gold is None:
         report.rules.update((decision.rule, None) for decision in decisions)
         return report
+    label_of = gold.label_of
     by_id = {m.mention_id: m for m in mentions}
     opener: dict[int, int] = {}  # gold label -> the entity's first mention
     for m in mentions:
-        opener.setdefault(gold.label_of(m.mention_id), m.mention_id)
+        opener.setdefault(label_of(m.mention_id), m.mention_id)
     rules, forms = [], []
     for decision in decisions:
         mid = decision.mention_id
         if decision.antecedent is not None:
-            correct = gold.same_entity(mid, decision.antecedent)
+            correct = label_of(mid) == label_of(decision.antecedent)
         else:  # correct iff the mention opens its gold entity
-            correct = opener[gold.label_of(mid)] == mid
+            correct = opener[label_of(mid)] == mid
         rules.append((decision.rule, correct))
         mention = by_id[mid]
         if mention.kind is _PRONOUN:

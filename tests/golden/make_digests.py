@@ -29,6 +29,15 @@ of VPs with no modal), and "Mary waited for Bill." / "To call John, he
 left." (a sentence-initial non-finite adjunct: John is nearer to "he" by
 tree path than Bill, so only the adjunct rule sends "he" to Bill).
 
+``gold_spans.jsonl`` holds three documents of gold spans for the mapping
+onto the parse: one sentence whose tree is 302 edges deep (100 nested "X said
+that ..." clauses) with spans on subjects at many depths, on verb phrases
+and clauses that no NP covers, on "that" leaves and across two levels;
+``(NP (PRP it))``, ``(NP (NP (PRP it)))``, ``(NP (NP (PRP$ its) (NN
+end)))`` and ``(NP (PRP (NP (PRP They))))`` same-span chains; and spans on
+unary chains (``(S (VP (VB Go)))``, ``(NP (NP (NP (NN dog))))``, ``(NP (S
+(VP (VBG running))))``) and spans only a clause covers.
+
 ``surrogate.jsonl`` is written by hand for documents that cannot be
 written out: good documents a and b around s (a lone ``"\\ud800"`` escape in
 a token), t (one in the id) and r (an id holding a tab). Each of the three

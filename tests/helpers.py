@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import weakref
+from bisect import bisect_right
 from collections import defaultdict, deque
 from itertools import islice
 from operator import length_hint
@@ -19,11 +20,12 @@ from pathlib import Path
 
 import coref
 from coref import (Clustering, DocumentInput, Mention, MentionKind, PipelineResult,
-                   ResolveConfig, SyntaxNode, dominates, extract_mentions,
+                   ResolveConfig, SyntaxNode, dominates, extract_mentions, head_leaf,
                    initial_adjuncts, link_document, read_ptb, reflexive_subject,
                    run_pipeline, type_compatible)
 from coref.cli import _ABLATION_FLAGS, load_documents, main
 from coref.cluster import from_entities
+from coref.mention import PRONOUN_TAGS, _kind_of_tag, document_order_key
 from coref.treebank import PtbParseError, _head_index
 
 # Three-sentence worked document: "John bought himself a book. Fred found out
@@ -60,11 +62,17 @@ def run_cli(args, cwd, hash_seed: str = "0",
     ``PYTHONHASHSEED`` is set explicitly to ``hash_seed``. Given ``stdin``
     bytes, the child reads them from a pipe.
     """
+    return subprocess.run([*program, *args], capture_output=True, cwd=cwd,
+                          env=cli_env(hash_seed), input=stdin)
+
+
+def cli_env(hash_seed: str = "0") -> dict[str, str]:
+    """The environment ``run_cli`` gives its child: ``coref`` imported from
+    the tree under test, and ``PYTHONHASHSEED`` set to ``hash_seed``."""
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(COREF_IMPORT_ROOT), env.get("PYTHONPATH")]))
-    return subprocess.run([*program, *args], capture_output=True, cwd=cwd,
-                          env=env, input=stdin)
+    return env
 
 
 def run_cli_twice(args, cwd) -> list[subprocess.CompletedProcess]:
@@ -267,6 +275,47 @@ def bfs_distances(adjacency, source):
     return distances
 
 
+def reference_map_gold_mentions(doc, spans) -> list[Mention]:
+    """``map_gold_mentions(doc, spans)``, by descending from each sentence
+    root: every node covering [start, end) is on the path down to token
+    ``start``, so each step bisects the children's span ends for the child
+    holding ``start`` and stops where that child no longer reaches ``end``.
+    Along the path, a deeper nominal node wins, except that a pronoun node
+    does not replace an NP of the same span."""
+    if not doc.sentence_roots:
+        if spans:
+            raise ValueError("gold mentions supplied for an empty document")
+        return []
+    roots = doc.sentence_roots
+    mentions = []
+    for gold_id, (s, start, end) in enumerate(spans):
+        if not 0 <= s < len(roots):
+            raise ValueError(f"gold mention {gold_id}: no sentence {s}")
+        node = roots[s]
+        if not (0 <= start < end <= node.span[1]):
+            raise ValueError(f"gold mention {gold_id}: span [{start},{end}) out of range")
+        nominal = None
+        while True:
+            label = node.label
+            if label == "NP" or (label in PRONOUN_TAGS and (
+                    nominal is None or nominal.label != "NP" or nominal.span != node.span)):
+                nominal = node
+            children = node.children
+            if not children:
+                break
+            child = children[bisect_right(children, start, key=lambda c: c.span[1])]
+            if child.span[1] < end:
+                break
+            node = child
+        if nominal is not None:
+            node = nominal
+        leaf = head_leaf(node)
+        mentions.append(Mention(mention_id=gold_id, node=node, head=leaf,
+                                kind=_kind_of_tag(leaf.label)))
+    mentions.sort(key=document_order_key)
+    return mentions
+
+
 def doc_with_mentions(*sentences):
     doc = parse_doc(*sentences)
     return doc, extract_mentions(doc)
@@ -432,7 +481,9 @@ def cli_digests(tmp_path) -> dict[str, dict[str, object]]:
     sentence, and one good document), ``golden/coord.jsonl`` (a wide
     coordination, nested same-sentence NPs, and gold mentions with duplicated
     spans), ``golden/filters.jsonl`` (a document for each filter or rule
-    that only some flag switches) and ``golden/surrogate.jsonl`` (good documents a and b around
+    that only some flag switches), ``golden/gold_spans.jsonl`` (gold spans
+    at many depths of a deep tree, on same-span chains and where no nominal
+    node covers them) and ``golden/surrogate.jsonl`` (good documents a and b around
     three that cannot be written: a lone surrogate escape in a token, one
     in the id, and an id holding a tab) run them under the default config
     and each single flag. The
@@ -451,6 +502,7 @@ def cli_digests(tmp_path) -> dict[str, dict[str, object]]:
             ("bad", GOLDEN / "bad.jsonl", every, singles),
             ("coord", GOLDEN / "coord.jsonl", every, singles),
             ("filters", GOLDEN / "filters.jsonl", every, singles),
+            ("gold_spans", GOLDEN / "gold_spans.jsonl", every, singles),
             ("surrogate", GOLDEN / "surrogate.jsonl", every, singles),
             ("bench_news", GOLDEN / "bench_news.jsonl", every[:1], sampled),
             ("bench_long_doc", GOLDEN / "bench_long_doc.jsonl", every[:1], sampled),

@@ -4,6 +4,7 @@ import os
 import random
 import re
 import shutil
+import subprocess
 import sys
 import threading
 import weakref
@@ -20,7 +21,7 @@ from coref.cluster import from_entities
 from coref.cli import _ABLATION_FLAGS, build_config, build_parser, load_documents, main
 from helpers import (EXAMPLE1_GOLD, EXAMPLE1_SENTENCES, ablation_corpus,
                      GOLDEN, cli_digests, golden_documents, pipeline, random_partition,
-                     run_cli, run_cli_twice, single_flag_configs, write_corpus)
+                     cli_env, run_cli, run_cli_twice, single_flag_configs, write_corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -1075,3 +1076,46 @@ def test_cli_byte_identical_runs(tmp_path):
         assert first.returncode == 0, first.stderr.decode()
         assert first.returncode == second.returncode
         assert first.stdout == second.stdout
+
+
+def _wide_rows_corpus(tmp_path):
+    """300 one-sentence documents with 2,000-character ids: ``resolve`` and
+    ``score --gold`` each print more than a megabyte of rows, far more than a
+    pipe holds, so a closed pipe fails a write while the run is printing."""
+    path = tmp_path / "wide.jsonl"
+    sentence = "(S (NP (NNP John)) (VP (VBD said) (SBAR (S (NP (PRP he)) (VP (VBD won))))))"
+    path.write_text("".join(
+        json.dumps({"id": f"{i:03d}" + "x" * 2000, "sentences": [sentence],
+                    "gold_clusters": [[0, 1]]}) + "\n" for i in range(300)),
+        encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("sink", ["closed-pipe", "full-device"])
+@pytest.mark.parametrize("argv", [["resolve"], ["score", "--gold"]], ids=["resolve", "score"])
+def test_cli_unwritable_stdout_is_one_error_line(tmp_path, argv, sink):
+    """Standard output that fails to take a write ends the run with exit 2
+    and the one ``error: <OSError>`` line on stderr, with no traceback: a
+    reader that takes one row and closes the pipe, as ``| head -1`` does, or
+    the full device ``/dev/full``."""
+    command = [sys.executable, "-m", "coref", *argv, str(_wide_rows_corpus(tmp_path))]
+    if sink == "closed-pipe":
+        run = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                               cwd=tmp_path, env=cli_env())
+        assert run.stdout.readline().endswith(b"\n")
+        run.stdout.close()
+        err = run.stderr.read()
+        run.stderr.close()
+        status = run.wait(timeout=120)
+        expected = b"error: [Errno 32] Broken pipe\n"
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "wb") as full:
+            run = subprocess.run(command, stdout=full, stderr=subprocess.PIPE,
+                                 cwd=tmp_path, env=cli_env(), timeout=120)
+        err, status = run.stderr, run.returncode
+        expected = b"error: [Errno 28] No space left on device\n"
+    assert b"Traceback" not in err, err.decode()
+    assert err == expected
+    assert status == 2

@@ -55,6 +55,18 @@ def test_unknown_mention_id_is_an_error():
         transitive_closure([_link(1, 9)], [0, 1])
 
 
+def test_label_of_an_unknown_id_raises_key_error():
+    """Under either constructor, ``label_of`` reads a known id's label and
+    raises KeyError, naming the id, for any other."""
+    for clustering, labels in (
+            (Clustering([3, 7], [[7], [3]]), [1, 2]),
+            (Clustering.from_decisions([_link(3, None), _link(7, 3)], [3, 7]), [1, 1])):
+        assert [clustering.label_of(mid) for mid in (3, 7)] == labels
+        with pytest.raises(KeyError) as raised:
+            clustering.label_of(5)
+        assert raised.value.args == (5,)
+
+
 def _random_decisions(rng, n):
     decisions = []
     for mid in range(1, n):

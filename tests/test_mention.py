@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-import coref.mention as mention_module
 from coref import (Gender, MentionKind, Number, Personhood, PtbParseError,
                    TokenAnnotation, annotation_index, attach_profiles, build_profile,
-                   dominates, extract_mentions, head_leaf, map_gold_mentions, read_ptb)
+                   dominates, extract_mentions, head_leaf, map_gold_mentions, read_document,
+                   read_ptb)
 from coref.mention import PRONOUN_TAGS, PROPER_TAGS, _WordCues
-from helpers import doc_with_mentions, golden_documents, mention_with_head, parse_doc
+from helpers import (doc_with_mentions, golden_documents, mention_with_head, parse_doc,
+                     reference_map_gold_mentions)
 
 ACCOUNTING = ("(NP (NP (DT the) (JJ revised) (NN accounting))"
               " (PP (IN of) (NP (DT the) (NN incident))))")
@@ -337,26 +338,104 @@ def test_gold_mapping_matches_exhaustive_scan_on_random_trees():
                               else MentionKind.NOMINAL)
 
 
-def test_gold_mapping_bisects_children_on_a_flat_sentence(monkeypatch):
+def _every_span(doc):
+    return [(s, start, end)
+            for s, row in enumerate(doc.key)
+            for start in range(len(row))
+            for end in range(start + 1, len(row) + 1)]
+
+
+def _same_mapping(got, want):
+    return ([(m.mention_id, m.node, m.head, m.kind) for m in got]
+            == [(m.mention_id, m.node, m.head, m.kind) for m in want])
+
+
+def test_gold_mapping_matches_the_descent_on_every_golden_span():
+    """Every (start, end) of every sentence of the golden corpora maps to the
+    node the root-down descent of ``reference_map_gold_mentions`` finds."""
+    checked = 0
+    for document in golden_documents():
+        try:
+            doc = read_document(document.sentences)
+        except ValueError:
+            continue
+        spans = _every_span(doc)
+        assert _same_mapping(map_gold_mentions(doc, spans),
+                             reference_map_gold_mentions(doc, spans)), document.doc_id
+        checked += len(spans)
+    assert checked > 87_000
+
+
+def test_gold_mapping_matches_the_descent_on_random_documents():
+    """Random documents with equal-span unary chains, pronouns under NPs and
+    NPs under pronoun tags: 300 spans of each, or all it has, in random
+    order, map as the descent maps them."""
+    rng = random.Random(20261020)
+    yielded = 0  # pronoun nodes passed over for an NP of their span
+    for _ in range(80):
+        doc = parse_doc(*(_random_subtree(rng, rng.randint(1, 5))
+                          for _ in range(rng.randint(1, 4))))
+        spans = _every_span(doc)
+        spans = rng.sample(spans, min(len(spans), 300))
+        mentions = map_gold_mentions(doc, spans)
+        assert _same_mapping(mentions, reference_map_gold_mentions(doc, spans))
+        yielded += sum(m.node.label == "NP" and any(
+            n.label in PRONOUN_TAGS and n.span == m.span for n in m.node.walk())
+            for m in mentions)
+    assert yielded > 100
+
+
+def _count_parent_reads(doc):
+    """Make every node's parent link count its reads; returns the counter."""
+    reads = [0]
+    for node in doc.nodes:
+        up = node._up
+        if up is not None:
+            def counted(up=up):
+                reads[0] += 1
+                return up()
+            node._up = counted
+    return reads
+
+
+def test_gold_mapping_reads_two_parents_per_span_on_a_flat_sentence():
     """One sentence of n one-word NPs under one NP, a gold mention on each
-    word. The descent bisects each node's children: at most floor(log2 k) + 1
-    span-end lookups at a node with k children, so 2 at S, 11 at the NP of
-    2,000 and 1 at each one-word NP. A scan of the sentence's nodes per span
-    would make about n * n / 2."""
+    word: each span climbs from its word's leaf to the NP above it, without
+    reading the NP of 2,000 children or the sentence root."""
     n = 2000
     doc = parse_doc("(S (NP " + " ".join(f"(NP (NN w{i}))" for i in range(n))
                     + ") (VP (VBD ran)) (. .))")
-    calls = 0
-    span_end = mention_module._span_end
-
-    def counted(node):
-        nonlocal calls
-        calls += 1
-        return span_end(node)
-
-    monkeypatch.setattr(mention_module, "_span_end", counted)
+    reads = _count_parent_reads(doc)
     mentions = map_gold_mentions(doc, [(0, i, i + 1) for i in range(n)])
-    assert calls <= n * (2 + (n.bit_length() - 1) + 1 + 1)
+    assert reads[0] <= 2 * n
     outer = doc.sentence_roots[0].children[0]
     assert [m.node for m in mentions] == outer.children
     assert [m.head_word for m in mentions] == [f"w{i}" for i in range(n)]
+
+
+def _right_branching(depth):
+    """(S (NP (NN w0) (NP (NN w1) ... (NP (NN wk) (VP (VBD ran)))))): an NP
+    spine ``depth`` deep, each NP one word and the rest of the sentence."""
+    text = "(VP (VBD ran))"
+    for k in reversed(range(depth)):
+        text = f"(NP (NN w{k}) {text})"
+    return parse_doc(f"(S {text})")
+
+
+def test_gold_mapping_reads_per_span_do_not_grow_with_depth():
+    """On a right-branching spine, a span's covering nodes sit just above its
+    first word however deep that word is, so the parents a span reads stay
+    the same from 1,000 to 2,000 levels; the descent from the root would
+    walk down every level above."""
+    per_span = []
+    for depth in (1000, 2000):
+        doc = _right_branching(depth)
+        n = depth + 1
+        spans = [(0, k, end) for k in range(0, depth, 7)
+                 for end in (k + 1, k + 2, min(k + 9, n), n)]
+        reads = _count_parent_reads(doc)
+        mentions = map_gold_mentions(doc, spans)
+        assert max(node.depth for node in doc.nodes) >= depth
+        assert _same_mapping(mentions, reference_map_gold_mentions(doc, spans))
+        per_span.append(reads[0] / len(spans))
+    assert per_span[0] == per_span[1] <= 2

@@ -14,15 +14,15 @@ from coref import (Decision, DocumentError, Gender, Mention, MentionIndex,
                    build_profile, collins_head_child,
                    detect_appositive, detect_pred_nom,
                    detect_role_appositive, dominates, extract_mentions,
-                   head_leaf, initial_adjuncts, map_gold_mentions, path_distance,
+                   head_leaf, initial_adjuncts, map_gold_mentions,
                    read_ptb, reflexive_subject, resolve_document, run_pipeline,
                    type_compatible)
 from coref.mention import PRONOUN_TAGS, _PROFILES, _kind_of_tag, document_order_key
 from coref.resolve import (_nearest_acceptable, _union_latest_first, is_second_person,
                            pronoun_acceptor)
-from helpers import (EXAMPLE1_SENTENCES, decision_for, doc_with_mentions,
-                     eager_pronoun_acceptor, golden_documents, mention_with_head,
-                     parse_doc, pipeline, single_flag_configs)
+from helpers import (EXAMPLE1_SENTENCES, bfs_distances, decision_for, doc_with_mentions,
+                     eager_pronoun_acceptor, golden_documents, linked_tree,
+                     mention_with_head, parse_doc, pipeline, single_flag_configs)
 
 TRIBE = ("(S (NP (NP (NNP Lawrence) (NNP Tribe)) (, ,) (NP (DT the)"
          " (NNP Harvard) (NNP Law) (NNP School) (NN Professor)) (, ,))"
@@ -515,8 +515,9 @@ def test_select_antecedent_tie_prefers_most_recent(fixture_lex):
     cat = mention_with_head(mentions, "cat")
     dog = mention_with_head(mentions, "dog")
     # both candidates are siblings of fox: equal distance 2
-    assert _select_antecedent(fox, [cat, dog], doc) is dog
-    assert _select_antecedent(fox, [dog, cat], doc) is dog
+    adjacency, _ = linked_tree(doc)
+    assert _select_antecedent(fox, [cat, dog], adjacency) is dog
+    assert _select_antecedent(fox, [dog, cat], adjacency) is dog
     i = _at(fox, index)
     assert _nearest_acceptable(i, range(i - 1, -1, -1), None, index) is dog
 
@@ -765,13 +766,18 @@ def _nominal_match(m, cand):
                       and len(x) >= 4 and len(y) >= 4 and x[:4] == y[:4])
 
 
-def _select_antecedent(m, candidates, doc):
-    """The candidate closest by tree path distance; ties go to the most
-    recent mention in document order. No candidates resolve to None."""
+def _select_antecedent(m, candidates, adjacency):
+    """The candidate closest by tree path distance, counted by one
+    breadth-first search from ``m`` over ``adjacency``, the document's
+    ``linked_tree``; ties go to the most recent mention in document order.
+    No candidates resolve to None."""
+    if not candidates:
+        return None
+    distances = bfs_distances(adjacency, m.node)
     best = None
     best_distance = None
     for cand in candidates:
-        distance = path_distance(m.node, cand.node, doc)
+        distance = distances[cand.node]
         if (best is None or distance < best_distance
                 or (distance == best_distance
                     and document_order_key(cand) > document_order_key(best))):
@@ -783,6 +789,7 @@ def _exhaustive(doc, mentions, lex, cfg):
     """Decisions and candidate log by filtering the whole candidate pool of
     every mention, then selecting over all survivors."""
     index = MentionIndex(doc, mentions)
+    adjacency, _ = linked_tree(doc)
     decisions, log = [], {}
     for i, m in enumerate(index.mentions):
         immediate = [(Rule.APPOSITIVE, detect_appositive(m, i, index)),
@@ -804,20 +811,32 @@ def _exhaustive(doc, mentions, lex, cfg):
         else:
             kept, rule = [cand for cand in pool if _nominal_match(m, cand)], Rule.NOMINAL
         log[m.mention_id] = frozenset(c.mention_id for c in kept)
-        chosen = _select_antecedent(m, kept, doc)
+        chosen = _select_antecedent(m, kept, adjacency)
         decisions.append(Decision(m.mention_id, None, Rule.NULL) if chosen is None
                          else Decision(m.mention_id, chosen.mention_id, rule))
     return decisions, log
 
 
+# "he" is 7 edges from John, across the sentence boundary, and 8 from "the
+# king", its nearest acceptable mention in its own sentence: a cross-sentence
+# distance one edge off sends "he" to the king.
+_PREVIOUS_SENTENCE_NEARER = [
+    "(S (NP (NNP John)) (VP (VBD left)) (. .))",
+    "(S (NP (NP (NNP Mary)) (VP (VBN seen) (PP (IN by) (NP (DT the) (NN king)))))"
+    " (VP (VBD said) (SBAR (IN that) (S (NP (PRP he)) (VP (VBD won))))) (. .))",
+]
+
+
 def test_search_matches_exhaustive_reference_on_random_documents(lex):
     """Also over the same-sentence shapes, with extracted, gold and every-NP
     mentions: the last two put duplicated spans at one node, and unary
-    chains put equal spans at different nodes."""
+    chains put equal spans at different nodes; and over a document where a
+    pronoun's nearest candidate lies one sentence back, by one edge."""
     docs = _random_documents(20261018, 24)
     assert sum(gold is not None for _, _, gold in docs) == 8
     shapes = _same_sentence_documents(1975, 8)
     docs += shapes
+    docs.append((_PREVIOUS_SENTENCE_NEARER, [], None))
     every_np = [(doc, _every_np_mentions(doc, lex, random.Random(k)))
                 for k, doc in enumerate(parse_doc(*sentences) for sentences, _, _ in shapes)]
     # gold documents whose mention ids are not their positions, so that a
@@ -1146,6 +1165,63 @@ def test_path_distance_calls_per_mention_stay_flat_on_a_long_document(lex, monke
         == result.decisions
     assert sum(map(len, log.values())) > 4 * len(result.mentions)
     assert calls <= 4 * len(result.mentions)
+
+
+# Two-sentence shapes whose pronouns reject every other sentence's mention
+# when pronoun-pronoun matches are off: by gender or number, or by being a
+# pronoun themselves.
+_ALTERNATING_SHAPES = {
+    "John-She": ("(S (NP (NNP John)) (VP (VBD ran)) (. .))",
+                 "(S (NP (PRP She)) (VP (VBD ran)) (. .))"),
+    "cars-it": ("(S (NP (NNS cars)) (VP (VBD ran)) (. .))",
+                "(S (NP (PRP it)) (VP (VBD ran)) (. .))"),
+    "I-you": ("(S (NP (PRP I)) (VP (VBD ran)) (. .))",
+              "(S (NP (PRP you)) (VP (VBD ran)) (. .))"),
+}
+
+
+def _single_flag_cases():
+    cases = []
+    for cfg in single_flag_configs():
+        changed = [name for name in cfg._fields
+                   if getattr(cfg, name) != getattr(ResolveConfig(), name)]
+        name = changed[0] if changed else "default"
+        marks = ()
+        if name == "allow_pro_pro_match":
+            marks = pytest.mark.xfail(strict=True, reason=(
+                "ROADMAP item 2: with pronoun-pronoun matches off, every earlier "
+                "mention is rejected and the search is quadratic"))
+        cases.append(pytest.param(cfg, id=name, marks=marks))
+    return cases
+
+
+@pytest.mark.parametrize("cfg", _single_flag_cases())
+def test_pronoun_acceptor_calls_per_pronoun_stay_flat_on_alternating_sentences(
+        lex, monkeypatch, cfg):
+    """On each alternating shape, the candidates a pronoun's search puts to
+    its acceptor stay about the same, per pronoun, from 200 to 400
+    sentences: under the default config each pronoun tries about 2."""
+    calls = 0
+    acceptor = coref.resolve.pronoun_acceptor
+
+    def counting_acceptor(m, config):
+        accepts = acceptor(m, config)
+
+        def counted(cand):
+            nonlocal calls
+            calls += 1
+            return accepts(cand)
+        return counted
+
+    monkeypatch.setattr(coref.resolve, "pronoun_acceptor", counting_acceptor)
+    for shape in _ALTERNATING_SHAPES.values():
+        per_pronoun = []
+        for n in (200, 400):
+            calls = 0
+            result = pipeline([shape[i % 2] for i in range(n)], cfg=cfg, lex=lex)
+            pronouns = sum(m.kind is MentionKind.PRONOUN for m in result.mentions)
+            per_pronoun.append(calls / pronouns)
+        assert per_pronoun[1] <= 1.1 * per_pronoun[0] + 0.05, (shape, per_pronoun)
 
 
 @pytest.mark.parametrize("n", [200, 400])

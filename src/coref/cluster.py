@@ -94,12 +94,6 @@ class Clustering:
         self.label_of = label.__getitem__
         return self
 
-    def entity_of(self, mention_id: int) -> frozenset[int]:
-        return self.entities[self.label_of(mention_id) - 1]
-
-    def same_entity(self, a: int, b: int) -> bool:
-        return self.label_of(a) == self.label_of(b)
-
     def __len__(self) -> int:
         return len(self.entities)
 

@@ -72,28 +72,30 @@ class Mention(Record):
     for bare possessives); ``profile`` and ``pronoun`` are attached by
     ``attach_profiles`` once a lexicon is available.
 
-    ``sentence_index``, ``span``, ``head_word`` (``head.token or ""``) and
-    ``head_tag`` are copied from ``node`` and ``head`` when it is made. So a
-    mention made before ``link_document`` re-bases its tree's sentence
-    indices keeps the old one; the package and the benchmark link first.
+    ``head`` is ``node``'s head leaf and ``kind`` follows the head's tag, so
+    mentions at one node agree on both. ``sentence_index``, ``span``,
+    ``head_word`` and ``head_tag`` are copied from ``node`` and ``head`` when
+    it is made. So a mention made before ``link_document`` re-bases its
+    tree's sentence indices keeps the old one; the package and the benchmark
+    link first.
     """
 
     __slots__ = ("mention_id", "node", "head", "kind", "profile", "pronoun",
                  "sentence_index", "span", "head_word", "head_tag")
 
-    def __init__(self, mention_id: int, node: SyntaxNode, head: SyntaxNode,
-                 kind: MentionKind, profile: Optional[TypeProfile] = None,
-                 pronoun: Optional[PronounEntry] = None):
+    def __init__(self, mention_id: int, node: SyntaxNode):
         self.mention_id = mention_id
         self.node = node
-        self.head = head
-        self.kind = kind
-        self.profile = profile
-        self.pronoun = pronoun
+        self.head = head = node._head or node
+        tag = head.label
+        self.kind = (_PRONOUN if tag in PRONOUN_TAGS
+                     else _PROPER if tag in PROPER_TAGS else _NOMINAL)
+        self.profile: Optional[TypeProfile] = None
+        self.pronoun: Optional[PronounEntry] = None
         self.sentence_index = node.sentence_index
         self.span = node.span
-        self.head_word = head.token or ""
-        self.head_tag = head.label
+        self.head_word = head.token
+        self.head_tag = tag
 
     def tokens(self) -> list[str]:
         return self.node.tokens()
@@ -101,14 +103,6 @@ class Mention(Record):
     def __repr__(self) -> str:
         return (f"<Mention {self.mention_id} {self.kind.value} "
                 f"{self.head_word!r} s{self.sentence_index}:{self.span[0]}-{self.span[1]}>")
-
-
-def _kind_of_tag(tag: str) -> MentionKind:
-    if tag in PRONOUN_TAGS:
-        return _PRONOUN
-    if tag in PROPER_TAGS:
-        return _PROPER
-    return _NOMINAL
 
 
 def document_order_key(m: Mention) -> tuple[int, int, int]:
@@ -137,7 +131,7 @@ def extract_mentions(doc: DocumentTree) -> list[Mention]:
         else:
             continue
         if leaf not in by_head:
-            by_head[leaf] = Mention(len(by_head), node, leaf, _kind_of_tag(leaf.label))
+            by_head[leaf] = Mention(len(by_head), node)
     return list(by_head.values())
 
 
@@ -192,8 +186,7 @@ def map_gold_mentions(doc: DocumentTree,
                 label = above.label
                 if label == "NP":
                     node = above
-        leaf = node._head or node
-        mentions.append(Mention(gold_id, node, leaf, _kind_of_tag(leaf.label)))
+        mentions.append(Mention(gold_id, node))
     mentions.sort(key=document_order_key)
     return mentions
 

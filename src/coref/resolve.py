@@ -88,8 +88,9 @@ class MentionIndex:
     def __init__(self, doc: DocumentTree, mentions: Sequence[Mention]):
         self.doc = doc
         self.mentions = list(mentions)
-        # node id -> ascending positions of the mentions at that node
-        self.by_node: dict[int, list[int]] = {}
+        # node id -> position of the first mention at that node (mentions
+        # at one node share a head, so they share their nominal keys)
+        self.by_node: dict[int, int] = {}
         # head-leaf id -> position of the first mention with that head
         self.by_head: dict[int, int] = {}
         # each position's nominal keys, and nominal key -> ascending
@@ -100,7 +101,7 @@ class MentionIndex:
         # keys, so that ``nominal_matches_before`` yields nothing for it
         self.opens_keys: list[bool] = []
         for i, m in enumerate(self.mentions):
-            self.by_node.setdefault(m.node.node_id, []).append(i)
+            self.by_node.setdefault(m.node.node_id, i)
             self.by_head.setdefault(m.head.node_id, i)
             opens = True
             for key in self.keys_at[i]:
@@ -122,8 +123,7 @@ class MentionIndex:
         """The first mention at ``node``, else the first one headed by
         ``node``'s head leaf, if its position is before ``i``; otherwise
         None."""
-        positions = self.by_node.get(node.node_id)
-        found = positions[0] if positions else self.by_head.get(head_leaf(node).node_id, i)
+        found = self.by_node.get(node.node_id, self.by_head.get(head_leaf(node).node_id, i))
         return self.mentions[found] if found < i else None
 
 
@@ -441,19 +441,17 @@ def _closer_ancestor(i: int, last: int, best_distance: int,
     """Among the mentions at position ``last`` or before (the scan has seen
     the later ones) that share a nominal key with the mention at position
     ``i``, the earliest at the lowest ancestor of its node that is closer
-    than ``best_distance``; None if there is none. Mentions at one node tie
-    on distance and document-order key, so the earliest wins, as the scan's
-    tie rule would pick it."""
+    than ``best_distance``; None if there is none. Mentions at one node share
+    their keys and tie on distance and document-order key, so the first one,
+    which ``by_node`` holds, wins, as the scan's tie rule would pick it."""
     keys = index.keys_at[i]
     node = index.mentions[i].node
     depth = node.depth
     node = node.parent
     while node is not None and depth - node.depth < best_distance:
-        for p in index.by_node.get(node.node_id, ()):
-            if p > last:
-                break
-            if any(key in keys for key in index.keys_at[p]):
-                return index.mentions[p]
+        p = index.by_node.get(node.node_id, last + 1)
+        if p <= last and any(key in keys for key in index.keys_at[p]):
+            return index.mentions[p]
         node = node.parent
     return None
 

@@ -19,13 +19,13 @@ from operator import length_hint
 from pathlib import Path
 
 import coref
-from coref import (Clustering, DocumentInput, Mention, MentionKind, PipelineResult,
-                   ResolveConfig, SyntaxNode, dominates, extract_mentions, head_leaf,
-                   initial_adjuncts, link_document, read_ptb, reflexive_subject,
-                   run_pipeline, type_compatible)
+from coref import (Clustering, DocumentInput, Gender, Mention, MentionKind, Number,
+                   Personhood, PipelineResult, ResolveConfig, SyntaxNode, dominates,
+                   extract_mentions, initial_adjuncts, link_document, read_ptb,
+                   reflexive_subject, run_pipeline)
 from coref.cli import _ABLATION_FLAGS, load_documents, main
 from coref.cluster import from_entities
-from coref.mention import PRONOUN_TAGS, _kind_of_tag, document_order_key
+from coref.mention import PRONOUN_TAGS, document_order_key
 from coref.treebank import PtbParseError, _head_index
 
 # Three-sentence worked document: "John bought himself a book. Fred found out
@@ -309,9 +309,7 @@ def reference_map_gold_mentions(doc, spans) -> list[Mention]:
             node = child
         if nominal is not None:
             node = nominal
-        leaf = head_leaf(node)
-        mentions.append(Mention(mention_id=gold_id, node=node, head=leaf,
-                                kind=_kind_of_tag(leaf.label)))
+        mentions.append(Mention(mention_id=gold_id, node=node))
     mentions.sort(key=document_order_key)
     return mentions
 
@@ -417,6 +415,22 @@ def write_corpus(tmp_path, docs):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+def type_clash(p, c, cfg: ResolveConfig) -> bool:
+    """Whether pronoun profile ``p`` and candidate profile ``c`` clash, as
+    the README defines it: for each of gender, personhood and number whose
+    check is on, a definite pronoun value clashes with a different definite
+    candidate value, and also with an unknown one under ``strict_typecheck``."""
+    for check, mine, theirs, unknown in (
+            (cfg.check_gender, p.gender, c.gender, Gender.UNKNOWN),
+            (cfg.check_personhood, p.personhood, c.personhood, Personhood.UNKNOWN),
+            (cfg.check_number, p.number, c.number, Number.UNKNOWN)):
+        if check and mine is not unknown and (
+                theirs is unknown and cfg.strict_typecheck
+                or theirs is not unknown and theirs is not mine):
+            return True
+    return False
+
+
 def eager_pronoun_acceptor(m: Mention, cfg: ResolveConfig):
     """``coref.resolve.pronoun_acceptor`` as it was before it went lazy: it
     finds ``reflexive_subject(m)`` and ``initial_adjuncts(m)`` up front and
@@ -440,7 +454,7 @@ def eager_pronoun_acceptor(m: Mention, cfg: ResolveConfig):
         if adjuncts and any(dominates(adjunct, cand.node) for adjunct in adjuncts):
             return False
         return not (m.profile and cand.profile
-                    and not type_compatible(m.profile, cand.profile, cfg))
+                    and type_clash(m.profile, cand.profile, cfg))
 
     return accepts
 
@@ -453,9 +467,13 @@ def golden_documents() -> list[DocumentInput]:
 
 
 def single_flag_configs() -> list[ResolveConfig]:
-    """The default config, then one per ablation flag with that flag set."""
-    return [ResolveConfig()] + [ResolveConfig()._replace(**{field: value})
-                                for _, field, value in _ABLATION_FLAGS]
+    """The default config, then one per ablation flag with that flag set:
+    one per ``ResolveConfig`` field, in order, each the default flipped."""
+    default = ResolveConfig()
+    assert [(field, value) for _, field, value in _ABLATION_FLAGS] == [
+        (field, not getattr(default, field)) for field in ResolveConfig._fields]
+    return [default] + [default._replace(**{field: value})
+                        for _, field, value in _ABLATION_FLAGS]
 
 
 def _sha256(text: str) -> str:

@@ -305,7 +305,7 @@ def trace_oracle(decisions, mentions, gold):
             report.rules[decision.rule, None] += 1
             continue
         mid = decision.mention_id
-        entity = gold.entity_of(mid)
+        entity = gold.entities[gold.label_of(mid) - 1]
         if decision.antecedent is not None:
             correct = decision.antecedent in entity
         else:
@@ -325,10 +325,10 @@ def _random_trace_case(rng, n, clustering):
     for mid in ids:
         if rng.random() < 0.5:
             (leaf,) = read_ptb(f"(PRP {rng.choice(['he', 'He', 'she', 'it', 'they'])})")
-            mentions.append(Mention(mid, leaf, leaf, MentionKind.PRONOUN))
+            mentions.append(Mention(mid, leaf))
         else:
             (leaf,) = read_ptb("(NN dog)")
-            mentions.append(Mention(mid, leaf, leaf, MentionKind.NOMINAL))
+            mentions.append(Mention(mid, leaf))
     universe = rng.sample(ids, n)
     gold = clustering(universe)
     decisions = []

@@ -34,8 +34,8 @@ def test_example_shape_five_entities():
                  _link(9, 7), _link(8, 4)]
     clustering = transitive_closure(decisions, universe)
     assert len(clustering) == 5
-    assert clustering.entity_of(5) == frozenset({0, 1, 4, 5, 8})
-    assert clustering.entity_of(9) == frozenset({3, 7, 9})
+    assert clustering.entities[clustering.label_of(5) - 1] == frozenset({0, 1, 4, 5, 8})
+    assert clustering.entities[clustering.label_of(9) - 1] == frozenset({3, 7, 9})
     assert [clustering.label_of(m) for m in (0, 2, 3, 6, 10)] == [1, 2, 3, 4, 5]
 
 
@@ -161,7 +161,7 @@ def test_singleton_preservation():
         named |= {d.antecedent for d in decisions if d.antecedent is not None}
         for mid in range(n):
             if mid not in named:
-                assert clustering.entity_of(mid) == frozenset({mid})
+                assert clustering.entities[clustering.label_of(mid) - 1] == frozenset({mid})
 
 
 def _built_four_ways(rng, universe):
@@ -196,11 +196,11 @@ def test_every_constructor_keeps_one_label_per_mention():
                     seen.append(label)
             assert len(seen) == len(clustering.entities)
             for mid, label in zip(universe, labels):
-                assert mid in clustering.entity_of(mid)
-                assert clustering.entity_of(mid) == clustering.entities[label - 1]
+                assert [k for k, entity in enumerate(clustering.entities, 1)
+                        if mid in entity] == [label]
             for a, label_a in zip(universe, labels):
                 for b, label_b in zip(universe, labels):
-                    assert clustering.same_entity(a, b) == (label_a == label_b)
+                    assert (b in clustering.entities[label_a - 1]) == (label_a == label_b)
 
 
 def test_clustering_rejects_bad_partitions():
@@ -214,8 +214,8 @@ def test_clustering_rejects_bad_partitions():
 
 def test_from_entities_fills_singletons():
     clustering = from_entities([0, 1, 2, 3], [[0, 2]])
-    assert clustering.entity_of(0) == frozenset({0, 2})
-    assert clustering.entity_of(1) == frozenset({1})
+    assert clustering.entities[clustering.label_of(0) - 1] == frozenset({0, 2})
+    assert clustering.entities[clustering.label_of(1) - 1] == frozenset({1})
     assert len(clustering) == 3
 
 
@@ -231,7 +231,8 @@ def _assert_same_clustering(got, want):
     assert got.entities == want.entities
     assert [got.label_of(mid) for mid in got.universe] == \
         [want.label_of(mid) for mid in want.universe]
-    assert all(got.entity_of(mid) == want.entity_of(mid) for mid in got.universe)
+    assert all(got.entities[got.label_of(mid) - 1] == want.entities[want.label_of(mid) - 1]
+               for mid in got.universe)
 
 
 def test_forward_clustering_equals_the_closure_on_random_forward_decisions():

@@ -114,6 +114,51 @@ def test_enum_member_read_check_flags_reads_and_passes_iteration():
 
 
 # ---------------------------------------------------------------------------
+# Definitions with no caller
+# ---------------------------------------------------------------------------
+
+_REPO = Path(__file__).resolve().parents[1]
+
+#: Definitions in ``src/coref`` that nothing in the package or the benchmark
+#: refers to, each with the reason it stays.
+_UNREFERENCED = {
+    # ``Lexicon.title_gender`` is the reference that tests/test_mention.py
+    # checks ``_WordCues``' inline title lookup against.
+    "title_gender",
+}
+
+
+def _definitions_and_references(paths):
+    """The function, method and class names defined in ``paths``, less
+    dunders, and the names they refer to: ``ast.Name`` ids, ``ast.Attribute``
+    attributes and import aliases (so ``coref/__init__.py``'s exports count)."""
+    defined, referenced = set(), set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.add((path, node.name))
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return defined, referenced
+
+
+def test_every_package_definition_has_a_caller_in_the_package_or_the_benchmark():
+    """A function, method or class of ``coref`` that neither the package nor
+    the benchmark names is a hook kept only for tests; remove it, or add it
+    to ``_UNREFERENCED`` with its reason."""
+    package = sorted((_REPO / "src" / "coref").glob("*.py"))
+    defined, referenced = _definitions_and_references(
+        package + sorted((_REPO / "bench").glob("*.py")))
+    assert {name for path, name in defined
+            if path in package and name not in referenced} == _UNREFERENCED
+
+
+# ---------------------------------------------------------------------------
 # Record contract
 # ---------------------------------------------------------------------------
 
@@ -150,8 +195,7 @@ def _mutable_records():
     result = run_pipeline(document)
     leaf = read_ptb("(NP (PRP he))")[0].children[0]
     return [
-        (Mention, dict(mention_id=0, node=leaf, head=leaf, kind=MentionKind.PRONOUN),
-         dict(profile=None, pronoun=None), {"mention_id": 1}),
+        (Mention, dict(mention_id=0, node=leaf), {}, {"mention_id": 1}),
         (DocumentInput, dict(doc_id="d", sentences=list(document.sentences)),
          dict(annotations=[], gold_mentions=None, gold_clusters=None),
          {"gold_clusters": [[0]]}),
@@ -197,6 +241,8 @@ def test_frozen_record_contract(cls, required, defaults, other):
 def test_mutable_record_contract(case):
     cls, required, defaults, other = _mutable_records()[case]
     record, changed = _check_construction_and_equality(cls, required, defaults, other)
+    if cls is Mention:  # attach_profiles sets these later
+        assert record.profile is None and record.pronoun is None
     name, value = next(iter(other.items()))
     setattr(record, name, value)
     assert getattr(record, name) == value and record == changed

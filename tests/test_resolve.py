@@ -17,7 +17,7 @@ from coref import (Decision, DocumentError, Gender, Mention, MentionIndex,
                    head_leaf, initial_adjuncts, map_gold_mentions,
                    read_ptb, reflexive_subject, resolve_document, run_pipeline,
                    type_compatible)
-from coref.mention import PRONOUN_TAGS, _PROFILES, _kind_of_tag, document_order_key
+from coref.mention import PRONOUN_TAGS, PROPER_TAGS, _PROFILES, document_order_key
 from coref.resolve import (_nearest_acceptable, _union_latest_first, is_second_person,
                            pronoun_acceptor)
 from helpers import (EXAMPLE1_SENTENCES, bfs_distances, decision_for, doc_with_mentions,
@@ -742,20 +742,12 @@ def _every_np_mentions(doc, lex, rng):
     the highest NP per head, a unary NP chain gives mentions at each node,
     so mentions of equal span sit at different nodes as well as at one."""
     nodes = [node for node in doc.nodes if node.label in ("NP", "PRP", "PRP$")]
-    mentions = [Mention(-1, node, head_leaf(node), _kind_of_tag(head_leaf(node).label))
-                for node in nodes for _ in range(rng.randint(1, 2))]
+    mentions = [Mention(-1, node) for node in nodes for _ in range(rng.randint(1, 2))]
     mentions.sort(key=lambda m: (document_order_key(m), rng.random()))
     for i, m in enumerate(mentions):
         m.mention_id = i
     attach_profiles(mentions, {}, lex)
     return mentions
-
-
-def _configs():
-    """The default config and every single-flag ablation."""
-    default = ResolveConfig()
-    return [default] + [ResolveConfig(**{name: not getattr(default, name)})
-                        for name in ResolveConfig._fields]
 
 
 def _nominal_match(m, cand):
@@ -842,7 +834,7 @@ def test_search_matches_exhaustive_reference_on_random_documents(lex):
     # gold documents whose mention ids are not their positions, so that a
     # resolver reading an id as a position fails here
     ids_not_positions = 0
-    for cfg in _configs():
+    for cfg in single_flag_configs():
         for sentences, annotations, gold in docs:
             result = pipeline(sentences, annotations=annotations,
                               gold_mentions=gold, cfg=cfg, lex=lex)
@@ -1049,8 +1041,7 @@ def _extract_mentions_by_sorting(doc):
             pronoun_leaves.append(node)
     for leaf in pronoun_leaves:
         highest_for_head.setdefault(leaf, leaf)
-    mentions = [Mention(-1, node, leaf, _kind_of_tag(leaf.label))
-                for leaf, node in highest_for_head.items()]
+    mentions = [Mention(-1, node) for node in highest_for_head.values()]
     mentions.sort(key=document_order_key)
     for i, m in enumerate(mentions):
         m.mention_id = i
@@ -1090,8 +1081,12 @@ def test_mention_fields_are_copies_of_node_and_head_facts():
         for m in mentions:
             assert m.sentence_index == m.node.sentence_index
             assert m.span == m.node.span
-            assert m.head_word == (m.head.token or "")
+            assert m.head is head_leaf(m.node)
+            assert m.head_word == m.head.token
             assert m.head_tag == m.head.label
+            assert m.kind is (MentionKind.PRONOUN if m.head_tag in PRONOUN_TAGS
+                              else MentionKind.PROPER if m.head_tag in PROPER_TAGS
+                              else MentionKind.NOMINAL)
 
 
 class _CountedRun(list):
@@ -1281,8 +1276,8 @@ def test_linked_node_facts_match_their_walks_on_random_documents(lex, fixture_le
             offset = node.node_id - doc.sentence_roots[node.sentence_index].node_id
             return copies[node.sentence_index][offset]
 
-        here = [(m, Mention(m.mention_id, unlinked(m.node), unlinked(m.head), m.kind))
-                for m in result.mentions]
+        here = [(m, Mention(m.mention_id, unlinked(m.node))) for m in result.mentions]
+        assert all(copy.head is unlinked(m.head) and copy.kind is m.kind for m, copy in here)
         index = annotation_index(annotations)
         for lexicon in (lex, fixture_lex):
             for use_word_lists in (True, False):

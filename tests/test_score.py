@@ -29,8 +29,8 @@ def brute_force_pairs(sys, gold):
     universe = sorted(sys.universe)
     tp = fp = fn = 0
     for a, b in itertools.combinations(universe, 2):
-        in_sys = sys.same_entity(a, b)
-        in_gold = gold.same_entity(a, b)
+        in_sys = sys.label_of(a) == sys.label_of(b)
+        in_gold = gold.label_of(a) == gold.label_of(b)
         tp += in_sys and in_gold
         fp += in_sys and not in_gold
         fn += in_gold and not in_sys
@@ -40,10 +40,10 @@ def brute_force_pairs(sys, gold):
 def brute_force_b_cubed(sys, gold):
     """Exact rational evaluation of the per-mention overlap sums."""
     n = len(sys.universe)
-    p = sum(Fraction(len(sys.entity_of(i) & gold.entity_of(i)),
-                     len(sys.entity_of(i))) for i in sys.universe) / n
-    r = sum(Fraction(len(sys.entity_of(i) & gold.entity_of(i)),
-                     len(gold.entity_of(i))) for i in sys.universe) / n
+    s = {i: sys.entities[sys.label_of(i) - 1] for i in sys.universe}
+    g = {i: gold.entities[gold.label_of(i) - 1] for i in sys.universe}
+    p = sum(Fraction(len(s[i] & g[i]), len(s[i])) for i in sys.universe) / n
+    r = sum(Fraction(len(s[i] & g[i]), len(g[i])) for i in sys.universe) / n
     return p, r
 
 
@@ -51,10 +51,10 @@ def per_mention_b_cubed(sys, gold):
     """B-cubed as a scan of each mention's |S∩G|, summed with fsum: the same
     floats as ``b_cubed_doc``, not only close ones."""
     n = len(sys.universe)
-    p_terms = [len(sys.entity_of(i) & gold.entity_of(i)) / len(sys.entity_of(i))
-               for i in sys.universe]
-    r_terms = [len(sys.entity_of(i) & gold.entity_of(i)) / len(gold.entity_of(i))
-               for i in sys.universe]
+    s = {i: sys.entities[sys.label_of(i) - 1] for i in sys.universe}
+    g = {i: gold.entities[gold.label_of(i) - 1] for i in sys.universe}
+    p_terms = [len(s[i] & g[i]) / len(s[i]) for i in sys.universe]
+    r_terms = [len(s[i] & g[i]) / len(g[i]) for i in sys.universe]
     return math.fsum(p_terms) / n, math.fsum(r_terms) / n
 
 

@@ -12,8 +12,8 @@ from .lexicon import (Gender, GrammaticalPerson, Lexicon, LexiconError,
                       Number, Personhood, PronounEntry, default_lexicon,
                       load_lexicon, pronoun_lookup)
 from .mention import (Mention, MentionKind, TokenAnnotation, TypeProfile,
-                      annotation_index, attach_profiles, build_profile,
-                      extract_mentions, map_gold_mentions)
+                      annotation_index, attach_profiles, extract_mentions,
+                      map_gold_mentions)
 from .pipeline import (DocumentError, DocumentInput, PipelineResult,
                        gold_clustering, run_pipeline)
 from .report import TraceReport, render_brackets, score_corpus, trace_report

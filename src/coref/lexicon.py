@@ -77,9 +77,6 @@ class Lexicon(NamedTuple):
     #: a name on both lists (or neither) is absent, so its gender is unknown.
     first_names: dict[str, Gender]
 
-    def title_gender(self, word: str) -> Optional[Gender]:
-        return self.titles.get(_normalize_title(word))
-
     def is_copula(self, word: str) -> bool:
         return word.casefold() in self.copulas
 

@@ -97,9 +97,6 @@ class Mention(Record):
         self.head_word = head.token
         self.head_tag = tag
 
-    def tokens(self) -> list[str]:
-        return self.node.tokens()
-
     def __repr__(self) -> str:
         return (f"<Mention {self.mention_id} {self.kind.value} "
                 f"{self.head_word!r} s{self.sentence_index}:{self.span[0]}-{self.span[1]}>")
@@ -195,20 +192,20 @@ class _WordCues:
     """Where the gendered titles, unambiguous first names and titles fall in
     one token list, so that the first of each inside a span is one bisect.
 
-    Each token costs a casefold and two dict lookups: the title lookup of
-    ``Lexicon.title_gender`` (casefold, then strip trailing dots) and
-    ``Lexicon.first_names``.
+    Each token costs a casefold and two dict lookups: ``Lexicon.titles``,
+    keyed as the loader's ``_normalize_title`` keys them (casefold, then
+    strip trailing dots), and ``Lexicon.first_names``.
     """
 
-    __slots__ = ("titled_at", "gendered_at", "title_genders", "named_at", "name_genders")
+    __slots__ = ("titled_at", "gendered_at", "gendered_as", "named_at", "named_as")
 
     def __init__(self, tokens: Sequence[str], lex: Lexicon):
         titles, first_names = lex.titles.get, lex.first_names.get
         self.titled_at: list[int] = []
         self.gendered_at: list[int] = []
-        self.title_genders: list[Gender] = []
+        self.gendered_as: list[Gender] = []
         self.named_at: list[int] = []
-        self.name_genders: list[Gender] = []
+        self.named_as: list[Gender] = []
         for i, token in enumerate(tokens):
             folded = token.casefold()
             title = titles(folded.rstrip("."))
@@ -216,17 +213,17 @@ class _WordCues:
                 self.titled_at.append(i)
                 if title is not _UNKNOWN_GENDER:
                     self.gendered_at.append(i)
-                    self.title_genders.append(title)
+                    self.gendered_as.append(title)
             gender = first_names(folded)
             if gender is not None:
                 self.named_at.append(i)
-                self.name_genders.append(gender)
+                self.named_as.append(gender)
 
     def gender(self, start: int, end: int) -> Gender:
         """The first gendered title in tokens [start, end), else the first
         unambiguous first name, else unknown."""
-        for at, genders in ((self.gendered_at, self.title_genders),
-                            (self.named_at, self.name_genders)):
+        for at, genders in ((self.gendered_at, self.gendered_as),
+                            (self.named_at, self.named_as)):
             k = bisect_left(at, start)
             if k < len(at) and at[k] < end:
                 return genders[k]
@@ -265,9 +262,10 @@ def _pronoun_profile(entry: Optional[PronounEntry]) -> TypeProfile:
 
 
 def _nominal_profile(m: Mention, annotations: AnnotationIndex,
-                     cues: Optional[_WordCues], start: int, end: int) -> TypeProfile:
-    """The profile of a non-pronoun mention whose tokens are [start, end) of
-    the tokens ``cues`` was built from (None: word lists are off)."""
+                     cues: Optional[_WordCues]) -> TypeProfile:
+    """The profile of a non-pronoun mention, from the cues of the tokens of
+    its sentence (None: word lists are off)."""
+    start, end = m.span
     gender = _UNKNOWN_GENDER if cues is None else cues.gender(start, end)
     personhood = _annotation_personhood(annotations.get((m.sentence_index, m.head.span[0])))
     if personhood is not _PERSON and (
@@ -276,9 +274,10 @@ def _nominal_profile(m: Mention, annotations: AnnotationIndex,
     return _PROFILES[gender, personhood, _TAG_NUMBER.get(m.head_tag, _UNKNOWN_NUMBER)]
 
 
-def build_profile(m: Mention, annotations: AnnotationIndex, lex: Lexicon, *,
-                  use_word_lists: bool = True) -> TypeProfile:
-    """The gender, personhood and number of ``m``.
+def attach_profiles(mentions: Iterable[Mention], annotations: AnnotationIndex,
+                    lex: Lexicon, *, use_word_lists: bool = True) -> None:
+    """Fill ``profile`` (gender, personhood and number) and ``pronoun`` on
+    every mention in place.
 
     A pronoun takes all three from the pronoun table, or unknown when its
     word is not there. Any other mention takes the gender of its first
@@ -287,39 +286,28 @@ def build_profile(m: Mention, annotations: AnnotationIndex, lex: Lexicon, *,
     head is annotated as one, its gender is known or a title occurs in it,
     and not a person only from an explicit non-person label. NN/NNP heads
     are singular, NNS/NNPS plural, other heads unknown.
-    """
-    if m.kind is _PRONOUN:
-        return _pronoun_profile(pronoun_lookup(m.head_word, lex))
-    if not use_word_lists:
-        return _nominal_profile(m, annotations, None, 0, 0)
-    tokens = m.tokens()
-    return _nominal_profile(m, annotations, _WordCues(tokens, lex), 0, len(tokens))
-
-
-def attach_profiles(mentions: Iterable[Mention], annotations: AnnotationIndex,
-                    lex: Lexicon, *, use_word_lists: bool = True) -> None:
-    """Fill ``profile`` and ``pronoun`` on every mention in place, with the
-    profile ``build_profile`` gives.
 
     The word-list cues of a sentence are found once, in one pass over its
-    tokens, so a mention of a ``DocumentTree`` costs O(log n) in the length
-    of its sentence rather than O(its own length).
+    tokens, so a mention costs O(log n) in the length of its sentence rather
+    than O(its own length). They are read from the tokens of a
+    ``DocumentTree``: with word lists on, a non-pronoun mention whose node
+    belongs to no document raises ValueError.
     """
-    doc = None
+    doc: Optional[list[list[str]]] = []  # no node's doc: the first nominal switches to its own
     cues: dict[int, _WordCues] = {}
     for m in mentions:
-        node = m.node
         if m.kind is _PRONOUN:
             m.pronoun = pronoun_lookup(m.head_word, lex)
             m.profile = _pronoun_profile(m.pronoun)
-        elif not use_word_lists or node.doc is None:
-            # no cues wanted, or no sentence token list to find them in
-            m.profile = build_profile(m, annotations, lex, use_word_lists=use_word_lists)
+        elif not use_word_lists:
+            m.profile = _nominal_profile(m, annotations, None)
         else:
-            if node.doc is not doc:
-                doc, cues = node.doc, {}
+            if m.node.doc is not doc:
+                doc, cues = m.node.doc, {}
+                if doc is None:
+                    raise ValueError(f"{m!r} is in no document: link its tree first")
             s = m.sentence_index
             sentence = cues.get(s)
             if sentence is None:
                 sentence = cues[s] = _WordCues(doc[s], lex)
-            m.profile = _nominal_profile(m, annotations, sentence, *m.span)
+            m.profile = _nominal_profile(m, annotations, sentence)

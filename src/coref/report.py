@@ -34,7 +34,7 @@ def render_brackets(doc: DocumentTree, mentions: Sequence[Mention],
         prefix = [""] * len(tokens)
         suffix = [""] * len(tokens)
         here = per_sentence.get(s, [])
-        for m in sorted(here, key=lambda m: (m.span[0], -m.span[1])):
+        for m in here:
             prefix[m.span[0]] += "["
         for m in sorted(here, key=lambda m: (-m.span[0], m.span[1])):
             suffix[m.span[1] - 1] += f"]_{clustering.label_of(m.mention_id)}"

@@ -20,9 +20,9 @@ from pathlib import Path
 
 import coref
 from coref import (Clustering, DocumentInput, Gender, Mention, MentionKind, Number,
-                   Personhood, PipelineResult, ResolveConfig, SyntaxNode, dominates,
-                   extract_mentions, initial_adjuncts, link_document, read_ptb,
-                   reflexive_subject, run_pipeline)
+                   Personhood, PipelineResult, ResolveConfig, SyntaxNode, TypeProfile,
+                   attach_profiles, dominates, extract_mentions, initial_adjuncts,
+                   link_document, read_ptb, reflexive_subject, run_pipeline)
 from coref.cli import _ABLATION_FLAGS, load_documents, main
 from coref.cluster import from_entities
 from coref.mention import PRONOUN_TAGS, document_order_key
@@ -329,6 +329,61 @@ def pipeline(sentences, annotations=None, gold_mentions=None, gold_clusters=None
     if gold_clusters is not None:
         document.gold_clusters = [list(c) for c in gold_clusters]
     return run_pipeline(document, cfg or ResolveConfig(), lex)
+
+
+def profile_of(m: Mention, annotations, lex, *, use_word_lists=True) -> TypeProfile:
+    """The profile ``attach_profiles`` gives ``m`` on its own."""
+    attach_profiles([m], annotations, lex, use_word_lists=use_word_lists)
+    return m.profile
+
+
+def reference_profile(m: Mention, annotations, lex, *, use_word_lists=True) -> TypeProfile:
+    """The profile of ``m`` by the rules in ``attach_profiles``' docstring,
+    restated one token at a time from ``lex.titles``, ``lex.first_names``
+    and ``lex.pronouns`` alone; of ``coref.mention`` it reads only the
+    fields of ``m``. ``annotations`` maps (sentence, token) to a
+    ``TokenAnnotation``.
+
+    A pronoun takes its table entry's three values, or unknown ones. Any
+    other mention takes the gender of its first token that is a gendered
+    title (titles are keyed casefolded, trailing dots stripped), else of its
+    first token that is a census first name, else unknown. Its head's
+    supersense decides personhood (``noun.person`` or not), else its NER
+    label (PERSON or PER, else not a person unless the label is empty, O or
+    MISC); a known gender or any title makes it a person. Its head tag
+    decides number."""
+    if m.kind is MentionKind.PRONOUN:
+        entry = lex.pronouns.get(m.head_word.casefold())
+        if entry is None:
+            return TypeProfile(Gender.UNKNOWN, Personhood.UNKNOWN, Number.UNKNOWN)
+        return TypeProfile(entry.gender, entry.personhood, entry.number)
+    gender, titled = Gender.UNKNOWN, False
+    if use_word_lists:
+        words = [leaf.token.casefold() for leaf in m.node.leaves()]
+        for word in words:
+            title = lex.titles.get(word.rstrip("."))
+            titled = titled or title is not None
+            if gender is Gender.UNKNOWN and title not in (None, Gender.UNKNOWN):
+                gender = title
+        for word in words:
+            if gender is Gender.UNKNOWN and word in lex.first_names:
+                gender = lex.first_names[word]
+    personhood = Personhood.UNKNOWN
+    note = annotations.get((m.sentence_index, m.head.span[0]))
+    if note is not None and note.supersense:
+        personhood = (Personhood.PERSON if note.supersense.casefold() == "noun.person"
+                      else Personhood.NOT_PERSON)
+    elif note is not None and note.ner:
+        label = note.ner.casefold()
+        if label in ("person", "per"):
+            personhood = Personhood.PERSON
+        elif label not in ("o", "misc"):
+            personhood = Personhood.NOT_PERSON
+    if gender is not Gender.UNKNOWN or titled:
+        personhood = Personhood.PERSON
+    number = {"NN": Number.SINGULAR, "NNP": Number.SINGULAR,
+              "NNS": Number.PLURAL, "NNPS": Number.PLURAL}.get(m.head_tag, Number.UNKNOWN)
+    return TypeProfile(gender, personhood, number)
 
 
 def mention_with_head(mentions, head_word, occurrence=0) -> Mention:

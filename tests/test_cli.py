@@ -57,7 +57,7 @@ def test_dropped_result_frees_its_document_at_once(fixture_lex):
         assert tree() is None
         assert root() is None
         assert kept.node.parent is None
-        assert kept.tokens() == ["John"]
+        assert kept.node.tokens() == ["John"]
     finally:
         if enabled:
             gc.enable()

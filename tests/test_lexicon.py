@@ -182,11 +182,13 @@ def test_pronoun_lookup_absent_is_none(lex):
 
 
 def test_titles(lex):
-    assert lex.title_gender("Mr.") is Gender.MALE
-    assert lex.title_gender("mrs") is Gender.FEMALE
-    assert lex.title_gender("Dr.") is Gender.UNKNOWN
-    assert lex.title_gender("Prof.") is not None
-    assert lex.title_gender("banana") is None
+    """Titles are keyed casefolded, with trailing dots stripped."""
+    assert lex.titles["mr"] is Gender.MALE
+    assert lex.titles["mrs"] is Gender.FEMALE
+    assert lex.titles["dr"] is Gender.UNKNOWN
+    assert "prof" in lex.titles
+    assert "banana" not in lex.titles
+    assert all(key == key.casefold().rstrip(".") for key in lex.titles)
 
 
 def test_copulas(lex):

@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from coref import (Gender, MentionKind, Number, Personhood, PtbParseError,
-                   TokenAnnotation, annotation_index, attach_profiles, build_profile,
-                   dominates, extract_mentions, head_leaf, map_gold_mentions, read_document,
-                   read_ptb)
+from coref import (Gender, Mention, MentionKind, Number, Personhood, PtbParseError,
+                   TokenAnnotation, annotation_index, attach_profiles, dominates,
+                   extract_mentions, head_leaf, map_gold_mentions, read_document, read_ptb)
 from coref.mention import PRONOUN_TAGS, PROPER_TAGS, _WordCues
 from helpers import (doc_with_mentions, golden_documents, mention_with_head, parse_doc,
-                     reference_map_gold_mentions)
+                     profile_of, reference_map_gold_mentions)
 
 ACCOUNTING = ("(NP (NP (DT the) (JJ revised) (NN accounting))"
               " (PP (IN of) (NP (DT the) (NN incident))))")
@@ -116,7 +115,7 @@ def test_infer_number(lex):
     _, mentions = doc_with_mentions(
         "(S (NP (NNS dogs)) (VP (VBD chased) (NP (NN cat)) (NP (CD 12))"
         " (NP (PRP they))) (. .))")
-    numbers = {m.head_word: build_profile(m, {}, lex).number for m in mentions}
+    numbers = {m.head_word: profile_of(m, {}, lex).number for m in mentions}
     assert numbers["dogs"] is Number.PLURAL
     assert numbers["cat"] is Number.SINGULAR
     assert numbers["12"] is Number.UNKNOWN
@@ -127,7 +126,7 @@ def test_infer_gender_titles_and_names(fixture_lex):
     _, mentions = doc_with_mentions(
         "(S (NP (NNP Mrs.) (NNP Stone)) (VP (VBD met) (NP (NNP Mr.) (NNP Reed))"
         " (NP (NNP Mary)) (NP (DT the) (NN door))) (. .))")
-    genders = {m.head_word: build_profile(m, {}, fixture_lex).gender for m in mentions}
+    genders = {m.head_word: profile_of(m, {}, fixture_lex).gender for m in mentions}
     assert genders["Stone"] is Gender.FEMALE
     assert genders["Reed"] is Gender.MALE
     assert genders["Mary"] is Gender.FEMALE
@@ -137,37 +136,38 @@ def test_infer_gender_titles_and_names(fixture_lex):
 def test_gendered_title_beats_census_name(fixture_lex):
     _, mentions = doc_with_mentions("(S (NP (NNP Mr.) (NNP Mary) (NNP Smith)))")
     (m,) = mentions
-    assert build_profile(m, {}, fixture_lex).gender is Gender.MALE
+    assert profile_of(m, {}, fixture_lex).gender is Gender.MALE
 
 
 def test_infer_gender_without_word_lists(fixture_lex):
     _, mentions = doc_with_mentions("(S (NP (NNP Mary)))")
     (m,) = mentions
-    assert build_profile(m, {}, fixture_lex, use_word_lists=False).gender is Gender.UNKNOWN
+    assert profile_of(m, {}, fixture_lex, use_word_lists=False).gender is Gender.UNKNOWN
 
 
 def test_pronoun_gender_from_table(lex):
     _, mentions = doc_with_mentions("(S (NP (PRP she)))")
-    assert build_profile(mentions[0], {}, lex).gender is Gender.FEMALE
+    assert profile_of(mentions[0], {}, lex).gender is Gender.FEMALE
 
 
 def test_infer_personhood_supersense(lex):
     _, mentions = doc_with_mentions("(S (NP (DT the) (NN teacher)))")
     (m,) = mentions
     anns = annotation_index([TokenAnnotation(0, 1, supersense="noun.person")])
-    assert build_profile(m, anns, lex).personhood is Personhood.PERSON
+    assert profile_of(m, anns, lex).personhood is Personhood.PERSON
 
 
 def test_infer_personhood_from_gender(fixture_lex):
     _, mentions = doc_with_mentions("(S (NP (NNP Mary)))")
     (m,) = mentions
-    assert build_profile(m, {}, fixture_lex).personhood is Personhood.PERSON
+    assert profile_of(m, {}, fixture_lex).personhood is Personhood.PERSON
 
 
 def test_word_cues_mark_a_title_exactly_where_the_lexicon_finds_one(lex):
-    """``_WordCues`` folds a token and strips its trailing dots as
-    ``Lexicon.title_gender`` does: it marks a title, and a gendered one with
-    the same gender, at just the tokens ``title_gender`` finds one for. Over
+    """``_WordCues`` folds a token and strips its trailing dots as the
+    loader keys ``Lexicon.titles``: it marks a title, and a gendered one with
+    the same gender, at just the tokens whose folded, stripped form is a
+    key. Over
     every token of the golden corpora and every title, each also upper-,
     lower- and capital-cased and with one or two trailing dots added."""
     words = set(lex.titles) | {"MR", "Mrs.", "dr.."}
@@ -182,14 +182,14 @@ def test_word_cues_mark_a_title_exactly_where_the_lexicon_finds_one(lex):
                      for variant in (cased, cased + ".", cased + "..")})
     titled, gendered = [], []
     for k, token in enumerate(tokens):
-        gender = lex.title_gender(token)
+        gender = lex.titles.get(token.casefold().rstrip("."))
         if gender is not None:
             titled.append(k)
             if gender is not Gender.UNKNOWN:
                 gendered.append((k, gender))
     cues = _WordCues(tokens, lex)
     assert cues.titled_at == titled
-    assert list(zip(cues.gendered_at, cues.title_genders)) == gendered
+    assert list(zip(cues.gendered_at, cues.gendered_as)) == gendered
     assert len(titled) > len(gendered) > 0
     assert {"MR", "Mrs.", "dr.."} <= {tokens[k] for k in titled}
 
@@ -197,14 +197,14 @@ def test_word_cues_mark_a_title_exactly_where_the_lexicon_finds_one(lex):
 def test_infer_personhood_from_title(lex):
     _, mentions = doc_with_mentions("(S (NP (NNP Dr.) (NNP Quartz)))")
     (m,) = mentions
-    assert build_profile(m, {}, lex).personhood is Personhood.PERSON
+    assert profile_of(m, {}, lex).personhood is Personhood.PERSON
 
 
 def test_infer_personhood_location_annotation(lex):
     _, mentions = doc_with_mentions("(S (NP (NNP Gabon)))")
     (m,) = mentions
     anns = annotation_index([TokenAnnotation(0, 0, supersense="noun.location")])
-    assert build_profile(m, anns, lex).personhood is Personhood.NOT_PERSON
+    assert profile_of(m, anns, lex).personhood is Personhood.NOT_PERSON
 
 
 def test_infer_personhood_ner_labels(lex):
@@ -212,14 +212,44 @@ def test_infer_personhood_ner_labels(lex):
     (m,) = mentions
     person = annotation_index([TokenAnnotation(0, 0, ner="PERSON")])
     org = annotation_index([TokenAnnotation(0, 0, ner="ORGANIZATION")])
-    assert build_profile(m, person, lex).personhood is Personhood.PERSON
-    assert build_profile(m, org, lex).personhood is Personhood.NOT_PERSON
+    assert profile_of(m, person, lex).personhood is Personhood.PERSON
+    assert profile_of(m, org, lex).personhood is Personhood.NOT_PERSON
 
 
 def test_personhood_defaults_to_unknown(lex):
     _, mentions = doc_with_mentions("(S (NP (DT the) (NN table)))")
     (m,) = mentions
-    assert build_profile(m, {}, lex).personhood is Personhood.UNKNOWN
+    assert profile_of(m, {}, lex).personhood is Personhood.UNKNOWN
+
+
+def test_uninformative_ner_labels_leave_personhood_to_other_evidence(lex):
+    """An empty, O or MISC NER label, in any case, says nothing about
+    personhood; a supersense on the same token decides over any NER label."""
+    _, mentions = doc_with_mentions("(S (NP (NNP Quon)))")
+    (m,) = mentions
+    for label in ("", "O", "o", "MISC", "misc", "Misc"):
+        anns = annotation_index([TokenAnnotation(0, 0, ner=label)])
+        assert profile_of(m, anns, lex).personhood is Personhood.UNKNOWN, label
+    for supersense, ner, personhood in (("noun.person", "ORGANIZATION", Personhood.PERSON),
+                                        ("noun.location", "PERSON", Personhood.NOT_PERSON),
+                                        ("noun.location", "MISC", Personhood.NOT_PERSON)):
+        anns = annotation_index([TokenAnnotation(0, 0, supersense, ner)])
+        assert profile_of(m, anns, lex).personhood is personhood, (supersense, ner)
+
+
+def test_word_list_cues_need_a_linked_tree(lex):
+    """With word lists on, a non-pronoun mention of a tree linked into no
+    document has no sentence tokens to find cues in: ValueError, also after
+    a linked mention. A pronoun, and any mention without word lists, types."""
+    (root,) = read_ptb("(S (NP (NNP Mary)) (VP (VBD saw) (NP (PRP her))))")
+    mary, her = Mention(0, root.children[0]), Mention(1, root.children[1].children[1])
+    (linked,) = doc_with_mentions("(S (NP (NNP Anne)))")[1]
+    for batch in ([mary], [her, mary], [linked, mary]):
+        with pytest.raises(ValueError, match="in no document"):
+            attach_profiles(batch, {}, lex)
+    assert profile_of(her, {}, lex) == (Gender.FEMALE, Personhood.PERSON, Number.SINGULAR)
+    assert profile_of(mary, {}, lex, use_word_lists=False) == (
+        Gender.UNKNOWN, Personhood.UNKNOWN, Number.SINGULAR)
 
 
 def test_pronoun_profile_equals_table_entry(lex):
@@ -233,9 +263,9 @@ def test_pronoun_profile_equals_table_entry(lex):
     assert it.pronoun is not None and it.pronoun.surface == "it"
 
 
-def test_build_profile_composes(fixture_lex):
+def test_profile_composes(fixture_lex):
     _, mentions = doc_with_mentions("(S (NP (NNP Mrs.) (NNP Stone)))")
-    profile = build_profile(mentions[0], {}, fixture_lex)
+    profile = profile_of(mentions[0], {}, fixture_lex)
     assert profile.gender is Gender.FEMALE
     assert profile.personhood is Personhood.PERSON
     assert profile.number is Number.SINGULAR

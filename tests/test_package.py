@@ -121,11 +121,7 @@ _REPO = Path(__file__).resolve().parents[1]
 
 #: Definitions in ``src/coref`` that nothing in the package or the benchmark
 #: refers to, each with the reason it stays.
-_UNREFERENCED = {
-    # ``Lexicon.title_gender`` is the reference that tests/test_mention.py
-    # checks ``_WordCues``' inline title lookup against.
-    "title_gender",
-}
+_UNREFERENCED: set[str] = set()
 
 
 def _definitions_and_references(paths):
@@ -156,6 +152,28 @@ def test_every_package_definition_has_a_caller_in_the_package_or_the_benchmark()
         package + sorted((_REPO / "bench").glob("*.py")))
     assert {name for path, name in defined
             if path in package and name not in referenced} == _UNREFERENCED
+
+
+def test_reference_profile_reads_only_data_types_of_coref_mention():
+    """``helpers.reference_profile`` is an oracle for the typing rules, so it
+    names no function, class or table of ``coref.mention`` beyond the data
+    types it is handed and returns."""
+    mention = (_REPO / "src" / "coref" / "mention.py").read_text(encoding="utf-8")
+    own = set()  # the names mention.py defines at module level
+    for node in ast.parse(mention).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            own.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            own.update(name.id for target in targets for name in ast.walk(target)
+                       if isinstance(name, ast.Name))
+    helpers = ast.parse((_REPO / "tests" / "helpers.py").read_text(encoding="utf-8"))
+    (oracle,) = (node for node in helpers.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "reference_profile")
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(oracle) if isinstance(node, (ast.Name, ast.Attribute))}
+    assert "attach_profiles" in own and "_TAG_NUMBER" in own
+    assert names & own == {"Mention", "MentionKind", "TypeProfile"}
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from coref import (Decision, DocumentError, Gender, Mention, MentionIndex,
                    MentionKind, Number,
                    Personhood, ResolveConfig, Rule, TokenAnnotation,
                    TypeProfile, annotation_index, attach_profiles,
-                   build_profile, collins_head_child,
+                   collins_head_child,
                    detect_appositive, detect_pred_nom,
                    detect_role_appositive, dominates, extract_mentions,
                    head_leaf, initial_adjuncts, map_gold_mentions,
@@ -22,7 +22,8 @@ from coref.resolve import (_nearest_acceptable, _union_latest_first, is_second_p
                            pronoun_acceptor)
 from helpers import (EXAMPLE1_SENTENCES, bfs_distances, decision_for, doc_with_mentions,
                      eager_pronoun_acceptor, golden_documents, linked_tree,
-                     mention_with_head, parse_doc, pipeline, single_flag_configs)
+                     mention_with_head, parse_doc, pipeline, reference_profile,
+                     single_flag_configs)
 
 TRIBE = ("(S (NP (NP (NNP Lawrence) (NNP Tribe)) (, ,) (NP (DT the)"
          " (NNP Harvard) (NNP Law) (NNP School) (NN Professor)) (, ,))"
@@ -1252,8 +1253,8 @@ def test_path_distance_calls_per_mention_stay_flat_on_a_wide_coordination(lex, m
 
 def test_linked_node_facts_match_their_walks_on_random_documents(lex, fixture_lex):
     """Build-time heads, sliced tokens and per-sentence profile cues give what
-    walking each node, and profiling each mention on its own over an
-    unlinked copy of its sentence, give."""
+    walking each node, and ``reference_profile`` over an unlinked copy of
+    each mention's sentence, give."""
     documents = _random_documents(20261018, 24) + [(_EXTRA_SENTENCES, [], None)]
     pairs = []  # (mention, its unlinked copy) of every document
     for sentences, annotations, gold in documents:
@@ -1284,14 +1285,14 @@ def test_linked_node_facts_match_their_walks_on_random_documents(lex, fixture_le
                 attach_profiles(result.mentions, index, lexicon,
                                 use_word_lists=use_word_lists)
                 for m, copy in here:
-                    assert copy.node.doc is None and copy.tokens() == m.tokens()
-                    assert m.profile == build_profile(copy, index, lexicon,
-                                                      use_word_lists=use_word_lists)
+                    assert copy.node.doc is None and copy.node.tokens() == m.node.tokens()
+                    assert m.profile == reference_profile(copy, index, lexicon,
+                                                          use_word_lists=use_word_lists)
                     assert m.profile is _PROFILES[m.profile]  # shared, not built
         pairs += here
     # One call over the mentions of many documents.
     attach_profiles([m for m, _ in pairs], {}, lex)
-    assert all(m.profile == build_profile(copy, {}, lex) for m, copy in pairs)
+    assert all(m.profile == reference_profile(copy, {}, lex) for m, copy in pairs)
 
 
 def _np_nest(depth):

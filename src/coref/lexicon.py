@@ -23,8 +23,8 @@ class Gender(enum.Enum):
 
     # Members are singletons, so identity hashing is exact, and it runs in C
     # where Enum's own __hash__ is a Python call per profile lookup.
-    # Reading a member is slow too: on Python 3.10 and 3.11 ``EnumType``
-    # defines ``__getattr__``, which sends every class attribute read, such as
+    # Reading a member is slow too: on Python 3.11 ``EnumType`` defines
+    # ``__getattr__``, which sends every class attribute read, such as
     # ``Gender.UNKNOWN``, through a slow hook (about 130 ns, against 8 for a
     # module global). So resolve.py, mention.py and report.py read the
     # members their per-mention code needs through module-level aliases

@@ -12,7 +12,7 @@ import re
 import weakref
 from itertools import islice
 from operator import length_hint
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 #: Clause categories used for subject/object detection downstream.
 CLAUSE_LABELS = frozenset({"S", "SINV", "SQ"})
@@ -35,8 +35,8 @@ class SyntaxNode:
     Leaves carry a ``token`` and have no children; interior nodes have one or
     more children and no token. ``span`` is a half-open token interval within
     the node's sentence. Only ``read_ptb`` and ``read_document`` make nodes:
-    the leaves share one empty tuple as ``children``, and each interior node
-    has a list.
+    the leaves share one empty tuple as ``children``, and the leaves at one
+    position share one ``span``; each interior node has a list.
 
     An interior node gets its head leaf (see ``head_leaf``) when the reader
     closes it. So its label and children must not change afterwards.
@@ -96,7 +96,7 @@ class DocumentTree:
 
     ``read_document`` and ``link_document`` build it; both set every node's
     ``node_id`` (its preorder index in ``nodes``, sentence after sentence),
-    ``depth`` (as ``_join`` rules), ``_post`` and ``sentence_index``, and
+    ``depth`` (see ``path_distance``), ``_post`` and ``sentence_index``, and
     set its ``doc`` to ``key``: the list of each sentence's tokens. A
     sentence root has no parent. Nodes refer to the key, not to the tree,
     so that no reference cycle keeps a dropped document alive.
@@ -121,13 +121,20 @@ class DocumentTree:
 #: whitespace (``\s`` matches exactly what ``str.isspace`` does). A token
 #: takes the whitespace after it and none before: a leading ``\s*`` would
 #: retry each position of a whitespace run that no token follows, taking
-#: quadratic time.
+#: quadratic time. No match needs to give back what a quantifier took, so
+#: each is possessive, and the engine saves no state to backtrack to.
 _PTB_TOKEN = re.compile(
-    r"(?:\(\s*([^\s()]+)(?:\s+([^\s()]+)\s*\))?|(?=\)))(\)*)\s*|(\(|[^\s()]+)\s*")
+    r"(?:\(\s*+([^\s()]++)(?:\s++([^\s()]++)\s*+\))?+|(?=\)))(\)*+)\s*+|(\(|[^\s()]++)\s*+")
 
 
 #: The ``children`` of every leaf the reader builds.
 _NO_CHILDREN: tuple[SyntaxNode, ...] = ()
+
+#: ``_LEAF_SPANS[i]`` is ``(i, i + 1)``, the span every leaf at position i of
+#: its sentence shares. Growing replaces it, so another thread's copy stays
+#: whole. It keeps at most the cap; past it, a document makes its own spans.
+_LEAF_SPANS: tuple[tuple[int, int], ...] = ()
+_LEAF_SPANS_CAP = 1024
 
 
 def _error_at(message: str, text: str, tokens: list[tuple[str, str, str, str]],
@@ -142,120 +149,137 @@ def _error_at(message: str, text: str, tokens: list[tuple[str, str, str, str]],
     return PtbParseError(message, len(text[:offset].encode("utf-8")))
 
 
-def _read_trees(text: str, nodes: list[SyntaxNode], doc: Optional[list[list[str]]] = None,
-                sentence_index: int = -1, depth: int = 0
-                ) -> tuple[list[SyntaxNode], list[list[str]]]:
-    """Every tree in ``text`` and the tokens of each, in one pass.
+def _read_trees(texts: Sequence[str], doc: Optional[list[list[str]]] = None
+                ) -> tuple[list[SyntaxNode], list[SyntaxNode]]:
+    """The trees of ``texts`` and all their nodes, in preorder, in one pass.
 
-    Each node gets all of its facts as it opens or closes: it is appended to
-    ``nodes`` in preorder (``node_id`` is its index there, ``_post`` the
-    length when it closes), its ``depth`` counts from ``depth`` at a root,
-    and it takes ``doc`` and ``sentence_index``. A root has no parent.
-    Spans number the leaves of each tree from 0. An open node gathers its
-    production (its label and its children's) as children attach, and
-    closing it looks the head child up by that in ``_HEAD_TABLE``. Raises
-    PtbParseError as ``read_ptb`` documents.
+    Each node gets all of its facts as it opens or closes: ``node_id`` is
+    its preorder index, ``_post`` the node count when it closes, and it
+    takes ``doc``. A root has no parent. Spans number each tree's leaves
+    from 0. An open node gathers its production (its label and its
+    children's) as children attach, and closing it looks the head child up
+    by that in ``_HEAD_TABLE``. Without ``doc``, ``texts`` is ``read_ptb``'s
+    one text. With it, text i is sentence i: its tokens are appended to
+    ``doc``, its root sits at depth i + 1 (the last at i), and it raises as
+    ``read_document`` documents.
     """
+    global _LEAF_SPANS
     ref = weakref.ref
     new = object.__new__  # every slot is set below, so skip __init__'s defaults
+    nodes: list[SyntaxNode] = []
     append = nodes.append
     head_table = _HEAD_TABLE
-    count = len(nodes)
+    spans = _LEAF_SPANS
+    count = 0
     trees: list[SyntaxNode] = []
-    rows: list[list[str]] = []
+    rows = [] if doc is None else doc
     row: list[str] = []  # the tokens of the current tree
     stack: list[tuple[SyntaxNode, list[str]]] = []  # the open nodes above parent
     parent: Optional[SyntaxNode] = None  # the innermost open node, if any
     labels: list[str] = []  # parent's production, gathered so far
     up: Optional[weakref.ref] = None  # the weak reference to parent
-    tokens = _PTB_TOKEN.findall(text)
-    rest = iter(tokens)
-    for label, word, closers, other in rest:
-        if label:
-            node = new(SyntaxNode)
-            node.label = label
-            node._up = up
-            node.sentence_index = sentence_index
-            node.node_id = count
-            node.depth = depth
-            node.doc = doc
-            node._head = None
-            append(node)
-            count += 1
-            if word:
-                node.children = _NO_CHILDREN
-                node.token = word
-                start = len(row)
-                node.span = (start, start + 1)
-                row.append(word)
-                node._post = count
-                if parent is None:
-                    trees.append(node)
-                    rows.append(row)
-                    row = []
-                elif parent.token is not None:
-                    raise _error_at("mixed token and children under one node",
-                                    text, tokens, rest, -1)
-                else:
-                    parent.children.append(node)
-                    labels.append(label)
-            else:
-                node.children = []
-                node.token = None
-                if parent is not None:
-                    stack.append((parent, labels))
-                parent = node
-                labels = [label]
-                up = ref(node)
-                depth += 1
-        elif other == "(":
-            raise _error_at("empty node label", text, tokens, rest)
-        elif other:
-            # A word on its own: valid trees have none, as every leaf reads
-            # as one preterminal token, so this only finds the error.
-            if parent is None:
-                raise _error_at(f"unexpected token {other!r} outside brackets",
-                                text, tokens, rest)
-            if parent.children:
-                raise _error_at("mixed token and children under one node",
-                                text, tokens, rest)
-            if parent.token is not None:
-                raise _error_at("multiple tokens under one node", text, tokens, rest)
-            parent.token = other
-        if not closers:
-            continue
-        for k in range(len(closers)):
-            node = parent
-            if node is None:
-                raise _error_at("unbalanced ')'", text, tokens, rest, k)
-            children = node.children
-            if not children:
-                raise _error_at(f"node ({node.label} has neither token nor children",
-                                text, tokens, rest, k)
-            node.span = (children[0].span[0], children[-1].span[1])
-            node._post = count
-            index = head_table.get(tuple(labels))
-            child = children[_head_index(node) if index is None else index]
-            node._head = child._head or child
-            depth -= 1
-            up = node._up
-            if stack:
-                parent, labels = stack.pop()
-                if parent.token is not None:
-                    raise _error_at("mixed token and children under one node",
-                                    text, tokens, rest, k)
-                parent.children.append(node)
-                labels.append(node.label)
-            else:
-                parent = None
-                trees.append(node)
-                rows.append(row)
-                row = []
-    if parent is not None:
-        raise PtbParseError("unbalanced '(' at end of input", len(text.encode("utf-8")))
-    if not trees:
-        raise PtbParseError("empty input", 0)
-    return trees, rows
+    last = len(texts) - 1
+    try:  # each text that reads leaves no node open, so the state above carries over
+        for i, text in enumerate(texts):
+            sentence_index, depth = (-1, 0) if doc is None else (i, i + (i < last))
+            tokens = _PTB_TOKEN.findall(text)
+            if len(tokens) > len(spans):  # no text has more leaves than tokens
+                spans += tuple((j, j + 1) for j in range(len(spans), len(tokens)))
+                _LEAF_SPANS = spans[:_LEAF_SPANS_CAP]
+            rest = iter(tokens)
+            for label, word, closers, other in rest:
+                if label:
+                    node = new(SyntaxNode)
+                    node.label = label
+                    node._up = up
+                    node.sentence_index = sentence_index
+                    node.node_id = count
+                    node.depth = depth
+                    node.doc = doc
+                    node._head = None
+                    append(node)
+                    count += 1
+                    if word:
+                        node.children = _NO_CHILDREN
+                        node.token = word
+                        node.span = spans[len(row)]
+                        row.append(word)
+                        node._post = count
+                        if parent is None:
+                            trees.append(node)
+                            rows.append(row)
+                            row = []
+                        elif parent.token is not None:
+                            raise _error_at("mixed token and children under one node",
+                                            text, tokens, rest, -1)
+                        else:
+                            parent.children.append(node)
+                            labels.append(label)
+                    else:
+                        node.children = []
+                        node.token = None
+                        if parent is not None:
+                            stack.append((parent, labels))
+                        parent = node
+                        labels = [label]
+                        up = ref(node)
+                        depth += 1
+                elif other == "(":
+                    raise _error_at("empty node label", text, tokens, rest)
+                elif other:
+                    # A word on its own: valid trees have none, as every leaf
+                    # reads as one preterminal token, so this only finds the error.
+                    if parent is None:
+                        raise _error_at(f"unexpected token {other!r} outside brackets",
+                                        text, tokens, rest)
+                    if parent.children:
+                        raise _error_at("mixed token and children under one node",
+                                        text, tokens, rest)
+                    if parent.token is not None:
+                        raise _error_at("multiple tokens under one node",
+                                        text, tokens, rest)
+                    parent.token = other
+                if not closers:
+                    continue
+                for k in range(len(closers)):
+                    node = parent
+                    if node is None:
+                        raise _error_at("unbalanced ')'", text, tokens, rest, k)
+                    children = node.children
+                    if not children:
+                        raise _error_at(f"node ({node.label} has neither token nor children",
+                                        text, tokens, rest, k)
+                    node.span = (children[0].span[0], children[-1].span[1])
+                    node._post = count
+                    index = head_table.get(tuple(labels))
+                    child = children[_head_index(node) if index is None else index]
+                    node._head = child._head or child
+                    depth -= 1
+                    up = node._up
+                    if stack:
+                        parent, labels = stack.pop()
+                        if parent.token is not None:
+                            raise _error_at("mixed token and children under one node",
+                                            text, tokens, rest, k)
+                        parent.children.append(node)
+                        labels.append(node.label)
+                    else:
+                        parent = None
+                        trees.append(node)
+                        rows.append(row)
+                        row = []
+            if parent is not None:
+                raise PtbParseError("unbalanced '(' at end of input",
+                                    len(text.encode("utf-8")))
+            if len(trees) == i:  # every earlier text read as one tree
+                raise PtbParseError("empty input", 0)
+            if len(trees) > i + 1 and doc is not None:
+                raise ValueError(f"sentence {i}: expected one tree, found {len(trees) - i}")
+    except PtbParseError as err:
+        if doc is None:
+            raise
+        raise ValueError(f"sentence {i}: {err}") from err
+    return trees, nodes
 
 
 def read_ptb(text: str) -> list[SyntaxNode]:
@@ -275,49 +299,23 @@ def read_ptb(text: str) -> list[SyntaxNode]:
     root, and its head leaf. The trees belong to no document (``doc`` is
     None) until ``link_document`` re-bases them into one.
     """
-    return _read_trees(text, [])[0]
-
-
-def _join(count: int, read_one: Callable[..., tuple[SyntaxNode, list[str]]]) -> DocumentTree:
-    """Number ``count`` sentence trees as one document.
-
-    ``read_one(i, nodes, key, depth)`` returns sentence i's root and its
-    tokens, having appended the sentence's nodes to ``nodes`` in preorder
-    with every fact set: the root at ``depth``, with no parent, and ``doc``
-    set to ``key``. Sentence i's root sits at depth i + 1, the last one's
-    at ``count - 1``: its depth under the link chain ``path_distance``
-    models.
-    """
-    key: list[list[str]] = []
-    nodes: list[SyntaxNode] = []
-    roots: list[SyntaxNode] = []
-    for i in range(count):
-        root, row = read_one(i, nodes, key, i + (i < count - 1))
-        roots.append(root)
-        key.append(row)
-    return DocumentTree(tuple(roots), key, nodes)
+    return _read_trees((text,))[0]
 
 
 def read_document(sentences: Sequence[str]) -> DocumentTree:
     """Read one bracketed tree per sentence into a document tree.
 
     The result equals ``link_document([read_ptb(s)[0] for s in sentences])``
-    node for node, but each node is built once, with all of its document
-    facts, as the sentence is read.
+    node for node, but all sentences are read in one loop, and each node is
+    built once, with all of its document facts.
 
     Raises ValueError on the first sentence that is not exactly one tree:
     ``sentence i: <PtbParseError text>``, or, when the whole sentence
     reads, ``sentence i: expected one tree, found N``.
     """
-    def read_one(i, nodes, key, depth):
-        try:
-            trees, rows = _read_trees(sentences[i], nodes, key, i, depth)
-        except PtbParseError as err:
-            raise ValueError(f"sentence {i}: {err}") from err
-        if len(trees) != 1:
-            raise ValueError(f"sentence {i}: expected one tree, found {len(trees)}")
-        return trees[0], rows[0]
-    return _join(len(sentences), read_one)
+    key: list[list[str]] = []
+    roots, nodes = _read_trees(sentences, key)
+    return DocumentTree(tuple(roots), key, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +427,12 @@ def link_document(trees: Sequence[SyntaxNode]) -> DocumentTree:
     Raises ValueError naming the index of a tree given twice, whole or as
     part of another tree.
     """
-    def adopt(i, nodes, key, depth):
-        root = trees[i]
+    key: list[list[str]] = []
+    nodes: list[SyntaxNode] = []
+    last = len(trees) - 1
+    for i, root in enumerate(trees):
         shift = len(nodes) - root.node_id
-        lift = depth - root.depth
+        lift = i + (i < last) - root.depth
         root._up = None
         row: list[str] = []
         stack = [root]
@@ -450,8 +450,8 @@ def link_document(trees: Sequence[SyntaxNode]) -> DocumentTree:
                 stack.extend(reversed(node.children))
             else:
                 row.append(node.token)
-        return root, row
-    return _join(len(trees), adopt)
+        key.append(row)
+    return DocumentTree(tuple(trees), key, nodes)
 
 
 def path_distance(a: SyntaxNode, b: SyntaxNode, doc: DocumentTree) -> int:
@@ -460,8 +460,8 @@ def path_distance(a: SyntaxNode, b: SyntaxNode, doc: DocumentTree) -> int:
     Across sentences the path runs through a right-branching chain of
     k - 1 link nodes that is a model, not a tree that is built: link i sits
     at depth i, with sentence i's root as its left child and link i + 1, or
-    the last sentence's root, as its right child. ``_join`` sets every
-    depth on that model. So for nodes of sentences i != j the lowest common
+    the last sentence's root, as its right child. ``read_document`` and
+    ``link_document`` set every depth on that model. So for nodes of sentences i != j the lowest common
     ancestor is link min(i, j), at depth min(i, j), and that case takes
     O(1); same-sentence pairs climb to their common ancestor. Raises
     ValueError when a node is not part of ``doc``.

@@ -120,6 +120,13 @@ def to_ptb(node: SyntaxNode) -> str:
     return "".join(out)
 
 
+# ``coref.treebank._PTB_TOKEN`` with greedy quantifiers in place of its
+# possessive ones (which need Python 3.11): the pattern the reader used before
+# them, kept to check that no match of the reader's pattern differs from it.
+BACKTRACKING_PTB_TOKEN = re.compile(
+    r"(?:\(\s*([^\s()]+)(?:\s+([^\s()]+)\s*\))?|(?=\)))(\)*)\s*|(\(|[^\s()]+)\s*")
+
+
 # The reader ``read_ptb`` is checked against: one token per bracket, except
 # that a whole ``(TAG word)`` is one, and each closing node's production
 # rebuilt from its children. It raises the same messages at the same offsets.

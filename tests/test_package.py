@@ -90,9 +90,9 @@ def _enum_member_reads(source: str, namespace) -> list[tuple[int, str]]:
 
 @pytest.mark.parametrize("name", ["resolve", "mention", "report"])
 def test_per_mention_code_reads_no_enum_member_through_its_class(name):
-    """On Python 3.10 and 3.11 every ``Gender.UNKNOWN``-style read takes a
-    slow hook (see the note on ``Gender`` in lexicon.py), so these modules
-    read members through module-level aliases."""
+    """On Python 3.11 every ``Gender.UNKNOWN``-style read takes a slow hook
+    (see the note on ``Gender`` in lexicon.py), so these modules read
+    members through module-level aliases."""
     module = importlib.import_module(f"coref.{name}")
     source = Path(module.__file__).read_text(encoding="utf-8")
     assert _enum_member_reads(source, module) == []

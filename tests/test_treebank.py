@@ -8,8 +8,8 @@ import coref.treebank
 from coref import (DocumentError, DocumentInput, PtbParseError,
                    collins_head_child, dominates, head_leaf, link_document,
                    path_distance, read_document, read_ptb, run_pipeline)
-from helpers import (bfs_distances, linked_tree, parse_doc, reference_read_ptb,
-                     to_ptb)
+from helpers import (BACKTRACKING_PTB_TOKEN, bfs_distances, linked_tree, parse_doc,
+                     reference_read_ptb, to_ptb)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +182,26 @@ def _read_facts(read, text):
              for node in tree.walk()] for tree in trees]
 
 
+def _token_matches(pattern, text):
+    """Each match of ``pattern`` in ``text``: where it lies and its groups,
+    so ``findall``'s tokens and the offsets errors are counted from."""
+    return [(match.span(), match.groups()) for match in pattern.finditer(text)]
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "(", ")", ")(", "((", "))", "( S", "(S", "( S )", "(S(NP(NN a)))",
+    "(X a b)", "(X a b c)", "(NN a", "(NN a ", "(NN  a  )", "(NN a)b", "a(NN b)",
+    "( (NN a) )", "(S (NN a)) )", "(S (NN a) ) ) (", "(NN a)(NN b)", "a b c",
+    "\x1c" * 40, "\u00a0" * 40, " \x1c\u00a0\u3000" * 10 + "(NN a)",
+    "(S" + "\x1c" * 30 + "(NN" + "\u00a0" * 30 + "a" + "\x1c" * 30 + ")" * 2,
+    "(" + "\u00a0" * 30 + "NN" + "\u00a0" * 30 + ")", ")" + "\x1c )" * 20,
+    "(NN a" + "\u00a0" * 30 + "b" + "\u00a0" * 30 + ")",
+])
+def test_token_pattern_matches_as_the_backtracking_one(text):
+    assert (_token_matches(coref.treebank._PTB_TOKEN, text)
+            == _token_matches(BACKTRACKING_PTB_TOKEN, text))
+
+
 def test_read_matches_the_reference_reader_on_mutated_trees():
     rng = random.Random(20261024)
     errors = 0
@@ -193,6 +213,8 @@ def test_read_matches_the_reference_reader_on_mutated_trees():
             text = "".join(c + rng.choice(["", "", " ", "\x1c", "\u00a0 "]) * (c == ")")
                            for c in text)
         text = _mutated(rng, text)
+        assert (_token_matches(coref.treebank._PTB_TOKEN, text)
+                == _token_matches(BACKTRACKING_PTB_TOKEN, text)), text
         expected = _read_facts(reference_read_ptb, text)
         assert _read_facts(read_ptb, text) == expected, text
         errors += type(expected) is tuple
@@ -421,6 +443,42 @@ def test_leaves_of_a_read_document_share_one_children_tuple():
     assert leaves[0].children == ()
     assert len({id(node.children) for node in interior}) == len(interior)
     assert all(type(node.children) is list for node in interior)
+
+
+def test_leaves_at_one_sentence_position_share_one_span(monkeypatch):
+    """Across sentences and documents, and across the growth of the shared
+    spans, which starts from none and follows the longest sentence read."""
+    monkeypatch.setattr(coref.treebank, "_LEAF_SPANS", ())
+    short = read_document(["(S (NN a) (NN b))", "(NN c)"])
+    assert len(coref.treebank._LEAF_SPANS) == 3  # the first sentence's tokens
+    sentences = _random_document(random.Random(6)) + [
+        "(S (NP (DT the) (NN a)) (VP (VBD b) (NP (NN c) (NNS d))) (. .))"]
+    longer = read_document(sentences)
+    shared: dict[int, tuple[int, int]] = {}
+    for doc in (short, longer):
+        for leaf in doc.nodes:
+            if leaf.is_leaf():
+                assert leaf.span is shared.setdefault(leaf.span[0], leaf.span)
+                assert leaf.span == (leaf.span[0], leaf.span[0] + 1)
+    kept = coref.treebank._LEAF_SPANS
+    assert max(shared) >= 3  # the second document grew the spans
+    assert max(shared) < len(kept) <= max(len(coref.treebank._PTB_TOKEN.findall(s))
+                                          for s in sentences)
+    assert all(kept[i] is span for i, span in shared.items())
+
+
+def test_a_sentence_longer_than_the_leaf_span_cap_reads_spans_past_it():
+    cap = coref.treebank._LEAF_SPANS_CAP
+    n = cap + 10
+    text = ("".join(f"(X (NN w{i}) " for i in range(n - 1)) + f"(NN w{n - 1})"
+            + ")" * (n - 1))
+    assert _read_facts(read_ptb, text) == _read_facts(reference_read_ptb, text)
+    doc = read_document(["(NN a)", text, "(S (NN b) (NN c))"])
+    leaves = [node for node in doc.nodes if node.sentence_index == 1 and node.is_leaf()]
+    assert [leaf.span for leaf in leaves] == [(i, i + 1) for i in range(n)]
+    kept = coref.treebank._LEAF_SPANS
+    assert len(kept) == cap
+    assert all(leaf.span is kept[i] for i, leaf in enumerate(leaves[:cap]))
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,13 @@ from pathlib import Path
 import coref
 from coref import (Clustering, DocumentInput, Gender, Mention, MentionKind, Number,
                    Personhood, PipelineResult, ResolveConfig, SyntaxNode, TypeProfile,
-                   attach_profiles, dominates, extract_mentions, initial_adjuncts,
-                   link_document, read_ptb, reflexive_subject, run_pipeline)
+                   attach_profiles, extract_mentions, link_document, read_ptb,
+                   run_pipeline)
 from coref.cli import _ABLATION_FLAGS, load_documents, main
 from coref.cluster import from_entities
 from coref.mention import PRONOUN_TAGS, document_order_key
-from coref.treebank import PtbParseError, _head_index
+from coref.resolve import initial_adjuncts, reflexive_subject
+from coref.treebank import PtbParseError, _head_index, dominates
 
 # Three-sentence worked document: "John bought himself a book. Fred found out
 # that John had also bought himself a computer. Next, he found out that John

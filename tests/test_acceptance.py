@@ -17,7 +17,7 @@ from coref.cluster import from_entities
 from coref.resolve import Decision
 from helpers import (EXAMPLE1_GOLD, EXAMPLE1_SENTENCES, ablation_corpus,
                      decision_for, doc_with_mentions, mention_with_head,
-                     pipeline, run_cli_twice)
+                     pipeline, random_partition, run_cli_twice)
 
 
 @contextmanager
@@ -166,7 +166,8 @@ def test_constraint_example_suite(fixture_lex):
 
 def test_head_rule_cases():
     with criterion("head-rules"):
-        from coref import collins_head_child, read_ptb
+        from coref import read_ptb
+        from coref.treebank import collins_head_child
 
         doc, mentions = doc_with_mentions(
             "(NP (NP (DT the) (JJ revised) (NN accounting))"
@@ -237,23 +238,13 @@ def test_substring_rule(fixture_lex):
 # 6. Scorer oracle equivalence
 # ---------------------------------------------------------------------------
 
-def _random_partition(rng, universe):
-    entities = []
-    for mid in universe:
-        if entities and rng.random() < 0.6:
-            rng.choice(entities).append(mid)
-        else:
-            entities.append([mid])
-    return from_entities(universe, entities)
-
-
 def test_scorer_oracle_equivalence():
     with criterion("scorer-oracle-equivalence"):
         rng = random.Random(190390)
         for _ in range(1000):
             universe = list(range(rng.randint(1, 8)))
-            sys_c = _random_partition(rng, universe)
-            gold_c = _random_partition(rng, universe)
+            sys_c = random_partition(rng, universe)
+            gold_c = random_partition(rng, universe)
 
             tp = fp = fn = 0
             for a, b in itertools.combinations(universe, 2):

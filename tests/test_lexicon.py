@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 
 from coref import (Gender, GrammaticalPerson, LexiconError, Number, Personhood,
-                   default_lexicon, load_lexicon, pronoun_lookup)
+                   default_lexicon, load_lexicon)
 from coref.cli import main
+from coref.lexicon import pronoun_lookup
 
 _RESOURCE_FILES = ("male_names.txt", "female_names.txt", "titles.tsv", "pronouns.tsv",
                    "copulas.txt")

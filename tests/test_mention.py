@@ -3,9 +3,10 @@ import random
 import pytest
 
 from coref import (Gender, Mention, MentionKind, Number, Personhood, PtbParseError,
-                   TokenAnnotation, annotation_index, attach_profiles, dominates,
-                   extract_mentions, head_leaf, map_gold_mentions, read_document, read_ptb)
+                   TokenAnnotation, annotation_index, attach_profiles, extract_mentions,
+                   map_gold_mentions, read_document, read_ptb)
 from coref.mention import PRONOUN_TAGS, PROPER_TAGS, _WordCues
+from coref.treebank import dominates, head_leaf
 from helpers import (doc_with_mentions, golden_documents, mention_with_head, parse_doc,
                      profile_of, reference_map_gold_mentions)
 

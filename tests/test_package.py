@@ -1,5 +1,5 @@
-"""The package as a whole: what importing it loads, and the record types'
-construction, equality, mutability and hashing."""
+"""The package as a whole: what importing it loads, the names it exports,
+and the record types' construction, equality, mutability and hashing."""
 
 import ast
 import enum
@@ -8,7 +8,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import pytest
 
@@ -66,6 +66,38 @@ def test_cli_still_offers_the_pipeline_and_report_names():
     for name in ("DocumentError", "DocumentInput", "run_pipeline", "gold_clustering",
                  "TraceReport", "trace_report", "score_corpus", "render_brackets"):
         assert getattr(coref.cli, name) is getattr(coref, name)
+
+
+# ---------------------------------------------------------------------------
+# Public surface
+# ---------------------------------------------------------------------------
+
+#: Resolver, treebank and lexicon internals that live in their modules and
+#: are not exported from ``coref``, by module.
+_INTERNALS = {
+    "coref.resolve": ("MentionIndex", "detect_appositive", "detect_role_appositive",
+                      "detect_pred_nom", "reflexive_subject", "initial_adjuncts",
+                      "type_compatible"),
+    "coref.treebank": ("collins_head_child", "dominates", "head_leaf"),
+    "coref.lexicon": ("pronoun_lookup",),
+}
+
+
+def test_all_lists_exactly_the_public_names():
+    """``__all__`` is the public surface: the names of ``dir(coref)`` that are
+    neither underscored nor modules, the count CI's "Line totals" step
+    reports."""
+    public = sorted(name for name in dir(coref) if not name.startswith("_")
+                    and not isinstance(getattr(coref, name), ModuleType))
+    assert sorted(coref.__all__) == public
+    assert len(coref.__all__) == len(set(coref.__all__)) == 45
+
+
+@pytest.mark.parametrize("module, name", [(module, name) for module, names in _INTERNALS.items()
+                                          for name in names])
+def test_internals_are_importable_from_their_module_only(module, name):
+    assert not hasattr(coref, name)
+    assert callable(getattr(importlib.import_module(module), name))
 
 
 # ---------------------------------------------------------------------------

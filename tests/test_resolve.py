@@ -7,19 +7,16 @@ import pytest
 
 import coref.resolve
 import coref.treebank
-from coref import (Decision, DocumentError, Gender, Mention, MentionIndex,
-                   MentionKind, Number,
-                   Personhood, ResolveConfig, Rule, TokenAnnotation,
-                   TypeProfile, annotation_index, attach_profiles,
-                   collins_head_child,
-                   detect_appositive, detect_pred_nom,
-                   detect_role_appositive, dominates, extract_mentions,
-                   head_leaf, initial_adjuncts, map_gold_mentions,
-                   read_ptb, reflexive_subject, resolve_document, run_pipeline,
-                   type_compatible)
+from coref import (Decision, DocumentError, Gender, Mention, MentionKind, Number,
+                   Personhood, ResolveConfig, Rule, SyntaxNode, TokenAnnotation,
+                   TypeProfile, annotation_index, attach_profiles, extract_mentions,
+                   map_gold_mentions, read_ptb, resolve_document, run_pipeline)
 from coref.mention import PRONOUN_TAGS, PROPER_TAGS, _PROFILES, document_order_key
-from coref.resolve import (_nearest_acceptable, _union_latest_first, is_second_person,
-                           pronoun_acceptor)
+from coref.resolve import (MentionIndex, _nearest_acceptable, _union_latest_first,
+                           detect_appositive, detect_pred_nom, detect_role_appositive,
+                           initial_adjuncts, is_second_person, pronoun_acceptor,
+                           reflexive_subject, type_compatible)
+from coref.treebank import collins_head_child, dominates, head_leaf
 from helpers import (EXAMPLE1_SENTENCES, bfs_distances, decision_for, doc_with_mentions,
                      eager_pronoun_acceptor, golden_documents, linked_tree,
                      mention_with_head, parse_doc, pipeline, reference_profile,
@@ -820,6 +817,20 @@ _PREVIOUS_SENTENCE_NEARER = [
 ]
 
 
+def test_a_later_sentence_can_change_an_antecedent(lex):
+    """The last sentence's root sits at depth ``last``, every other root i at
+    ``i + 1``, so appending a sentence lengthens each path out of the old
+    last sentence by one edge: "he" is then 8 edges from John, as from the
+    king, and the tie goes to the king, the more recent mention."""
+    alone = pipeline(_PREVIOUS_SENTENCE_NEARER, lex=lex)
+    followed = pipeline([*_PREVIOUS_SENTENCE_NEARER, "(S (NP (PRP It)) (VP (VBD rained)) (. .))"],
+                        lex=lex)
+    john, king, he = (mention_with_head(alone.mentions, word) for word in ("John", "king", "he"))
+    assert (john.mention_id, king.mention_id) == (0, 2)
+    assert decision_for(alone, he) == Decision(he.mention_id, 0, Rule.PRONOUN)
+    assert decision_for(followed, he) == Decision(he.mention_id, 2, Rule.PRONOUN)
+
+
 def test_search_matches_exhaustive_reference_on_random_documents(lex):
     """Also over the same-sentence shapes, with extracted, gold and every-NP
     mentions: the last two put duplicated spans at one node, and unary
@@ -1249,6 +1260,55 @@ def test_path_distance_calls_per_mention_stay_flat_on_a_wide_coordination(lex, m
     first = result.mentions[0]
     assert first.node is result.tree.sentence_roots[0].children[0]
     assert all(d.antecedent == first.mention_id for d in result.decisions[1:])
+
+
+def _vp_chain(step: str, n: int) -> str:
+    """One sentence whose subject John heads a chain of n nested VPs, each
+    ``(VP step ...``, the innermost ``(VP step)``."""
+    return ("(S (NP (NNP John)) " + f"(VP {step} " * (n - 1) + f"(VP {step})"
+            + ")" * (n - 1) + " (. .))")
+
+
+_XFAIL_ITEM_15 = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 15: each clause lookup climbs to the top of the VP chain, "
+    "so one sentence with a chain n deep costs O(n^2)"))
+
+
+# One sentence of size n: item 15's two VP chains, and n nested clauses with
+# a pronoun subject in each, which stays linear.
+_PARENT_READ_SHAPES = [
+    pytest.param(lambda n: _vp_chain("(VBZ is) (NP (DT a) (NN x))", n),
+                 id="copula-chain", marks=_XFAIL_ITEM_15),
+    pytest.param(lambda n: _vp_chain("(VB saw) (NP (PRP it))", n),
+                 id="object-pronoun-chain", marks=_XFAIL_ITEM_15),
+    pytest.param(lambda n: ("(S " + "(NP (PRP he)) (VP (VBD said) (SBAR (IN that) (S " * (n - 1)
+                            + "(NP (PRP he)) (VP (VBD won))" + ")))" * (n - 1) + " (. .))"),
+                 id="nested-clauses"),
+]
+
+
+@pytest.mark.parametrize("shape", _PARENT_READ_SHAPES)
+def test_parent_reads_grow_linearly_with_one_sentence(lex, monkeypatch, shape):
+    """``SyntaxNode.parent`` reads over ``run_pipeline`` under the default
+    config at most double, plus a little, from n = 100 to 200. The copula
+    chain reads 15,353 and 60,703 and the object-pronoun chain 16,149 and
+    62,299; nested clauses read 1,583 and 3,183."""
+    reads = 0
+    parent = SyntaxNode.parent.fget
+
+    def counted(node):
+        nonlocal reads
+        reads += 1
+        return parent(node)
+
+    monkeypatch.setattr(SyntaxNode, "parent", property(counted))
+    counts = []
+    for n in (100, 200):
+        reads = 0
+        result = pipeline([shape(n)], lex=lex)
+        assert len(result.mentions) in (n, n + 1)
+        counts.append(reads)
+    assert counts[1] <= 2.2 * counts[0] + 50, counts
 
 
 def test_linked_node_facts_match_their_walks_on_random_documents(lex, fixture_lex):

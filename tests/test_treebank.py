@@ -5,9 +5,9 @@ import time
 import pytest
 
 import coref.treebank
-from coref import (DocumentError, DocumentInput, PtbParseError,
-                   collins_head_child, dominates, head_leaf, link_document,
+from coref import (DocumentError, DocumentInput, PtbParseError, link_document,
                    path_distance, read_document, read_ptb, run_pipeline)
+from coref.treebank import collins_head_child, dominates, head_leaf
 from helpers import (BACKTRACKING_PTB_TOKEN, bfs_distances, linked_tree, parse_doc,
                      reference_read_ptb, to_ptb)
 

@@ -16,6 +16,10 @@ from .resolve import Decision
 class Clustering:
     """A partition of mention ids into entities.
 
+    ``entities`` lists each entity's members; a mention of ``universe`` no
+    entity lists is an entity of its own. Raises ValueError on a duplicate
+    id, an empty entity, a member not in ``universe`` or one listed twice.
+
     Each mention's entity is one label, 1..E; the labels number the entities
     in order of first sight in ``universe``, and ``entities[label - 1]`` is
     the entity's member set. ``label_of(mention_id)`` reads a mention's label
@@ -44,12 +48,11 @@ class Clustering:
                     where = "one entity twice" if owner[mid] is group else "two entities"
                     raise ValueError(f"mention {mid} appears in {where}")
                 owner[mid] = group
-        if len(owner) != len(ids):
-            missing = sorted(ids - owner.keys())
-            raise ValueError(f"mentions not covered by any entity: {missing}")
-        # Disjoint, non-empty groups are equal only when they are one group.
+        # Disjoint, non-empty groups are equal only when they are one group;
+        # an unlisted mention makes a group of its own.
         labels: dict[frozenset[int], int] = {}
-        self.label_of = {mid: labels.setdefault(owner[mid], len(labels) + 1)
+        self.label_of = {mid: labels.setdefault(owner.get(mid) or frozenset((mid,)),
+                                                len(labels) + 1)
                          for mid in self.universe}.__getitem__
         self.entities: tuple[frozenset[int], ...] = tuple(labels)
 
@@ -137,15 +140,3 @@ def transitive_closure(decisions: Iterable[Decision],
         for mid in theirs:
             members[mid] = mine
     return Clustering(ids, {id(group): group for group in members.values()}.values())
-
-
-def from_entities(universe: Sequence[int],
-                  entities: Iterable[Iterable[int]]) -> Clustering:
-    """Build a clustering from explicit entity sets; ids not listed in any
-    entity become singletons."""
-    groups = [list(e) for e in entities]
-    listed = {mid for group in groups for mid in group}
-    for mid in universe:
-        if mid not in listed:
-            groups.append([mid])
-    return Clustering(universe, groups)

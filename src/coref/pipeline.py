@@ -11,7 +11,7 @@ from __future__ import annotations
 import gc
 from typing import Optional, Sequence
 
-from .cluster import Clustering, from_entities
+from .cluster import Clustering
 from .lexicon import Lexicon, default_lexicon
 from .mention import (Mention, TokenAnnotation, annotation_index,
                       attach_profiles, extract_mentions, map_gold_mentions)
@@ -158,7 +158,8 @@ def run_pipeline(document: DocumentInput, cfg: Optional[ResolveConfig] = None,
     decisions are grouped in one forward pass (``Clustering.from_decisions``),
     not by the general ``transitive_closure``.
 
-    Parse and annotation problems raise DocumentError carrying the document id.
+    Any ValueError a stage raises (a bad parse or annotation, say) comes
+    out as a DocumentError carrying the document id, chained from it.
 
     The cyclic garbage collector is paused while the document runs: if it
     is on, it is turned off here and back on when the run ends, by a return
@@ -177,26 +178,18 @@ def run_pipeline(document: DocumentInput, cfg: Optional[ResolveConfig] = None,
     if paused:
         gc.disable()
     try:
-        try:
-            doc = read_document(document.sentences)
-        except ValueError as err:
-            raise DocumentError(document.doc_id, str(err)) from err
+        doc = read_document(document.sentences)
         for ann in document.annotations:
             if not 0 <= ann.sentence_index < len(doc.sentence_roots):
-                raise DocumentError(document.doc_id, f"annotation names missing sentence "
-                                                     f"{ann.sentence_index}")
+                raise ValueError(f"annotation names missing sentence {ann.sentence_index}")
             limit = doc.sentence_roots[ann.sentence_index].span[1]
             if not 0 <= ann.token_index < limit:
-                raise DocumentError(document.doc_id, f"annotation names missing token "
-                                                     f"{ann.token_index} in sentence "
-                                                     f"{ann.sentence_index}")
-        try:
-            if document.gold_mentions is not None:
-                mentions = map_gold_mentions(doc, document.gold_mentions)
-            else:
-                mentions = extract_mentions(doc)
-        except ValueError as err:
-            raise DocumentError(document.doc_id, str(err)) from err
+                raise ValueError(f"annotation names missing token {ann.token_index} "
+                                 f"in sentence {ann.sentence_index}")
+        if document.gold_mentions is not None:
+            mentions = map_gold_mentions(doc, document.gold_mentions)
+        else:
+            mentions = extract_mentions(doc)
         attach_profiles(mentions, annotation_index(document.annotations), lex,
                         use_word_lists=cfg.use_word_lists)
         decisions = resolve_document(doc, mentions, lex, cfg)
@@ -204,6 +197,8 @@ def run_pipeline(document: DocumentInput, cfg: Optional[ResolveConfig] = None,
                                                [m.mention_id for m in mentions])
         return PipelineResult(input=document, tree=doc, mentions=mentions,
                               decisions=decisions, clustering=clustering)
+    except ValueError as err:
+        raise DocumentError(document.doc_id, str(err)) from err
     finally:
         if paused:
             gc.enable()
@@ -212,13 +207,14 @@ def run_pipeline(document: DocumentInput, cfg: Optional[ResolveConfig] = None,
 def gold_clustering(document: DocumentInput, mentions: Sequence[Mention]) -> Clustering:
     """Gold partition over the same mention ids the pipeline used.
 
-    A document without gold clusters, or whose clusters do not partition its
-    mentions, raises DocumentError.
+    A mention no gold cluster lists is an entity of its own. A document
+    without gold clusters, or whose clusters do not fit its mentions,
+    raises DocumentError.
     """
     if document.gold_clusters is None:
         raise DocumentError(document.doc_id, "no gold clusters in input")
     universe = [m.mention_id for m in mentions]
     try:
-        return from_entities(universe, document.gold_clusters)
+        return Clustering(universe, document.gold_clusters)
     except ValueError as err:
         raise DocumentError(document.doc_id, f"bad gold clusters: {err}") from err

@@ -203,22 +203,22 @@ def detect_role_appositive(m: Mention, i: int, index: MentionIndex,
     return antecedent
 
 
-def _clause_and_subject(vp: SyntaxNode) -> tuple[Optional[SyntaxNode], Optional[SyntaxNode]]:
-    """Climb a VP chain to its clause; return (clause, rightmost NP subject
-    before the verb group)."""
+def _clause_subject(vp: SyntaxNode) -> Optional[SyntaxNode]:
+    """Climb a VP chain to its clause; return the rightmost NP subject
+    before the verb group."""
     node = vp
     while node.parent is not None and node.parent.label == "VP":
         node = node.parent
     clause = node.parent
     if clause is None or clause.label not in CLAUSE_LABELS:
-        return None, None
+        return None
     subject = None
     for child in clause.children:
         if child is node:
             break
         if child.label == "NP":
             subject = child
-    return clause, subject
+    return subject
 
 
 def _verb_group_modal(vp: SyntaxNode) -> Optional[SyntaxNode]:
@@ -240,11 +240,11 @@ def detect_pred_nom(m: Mention, i: int, index: MentionIndex, lex: Lexicon,
     if vp is None or vp.label != "VP" or node.label != "NP":
         return None
     verb = head_leaf(vp)
-    if verb.token is None or not lex.is_copula(verb.token):
+    if not lex.is_copula(verb.token):
         return None
     if node.span[0] < verb.span[1]:
         return None  # complement must follow the copula
-    _, subject = _clause_and_subject(vp)
+    subject = _clause_subject(vp)
     if subject is None:
         return None
     if cfg.pred_nom_exclude_modals:
@@ -264,7 +264,7 @@ def reflexive_subject(pron: Mention) -> Optional[SyntaxNode]:
     vp = pron.node.parent
     if vp is None or vp.label != "VP":
         return None
-    _, subject = _clause_and_subject(vp)
+    subject = _clause_subject(vp)
     return None if subject is None else head_leaf(subject)
 
 

@@ -251,8 +251,8 @@ def _read_trees(texts: Sequence[str], doc: Optional[list[list[str]]] = None
                                         text, tokens, rest, k)
                     node.span = (children[0].span[0], children[-1].span[1])
                     node._post = count
-                    index = head_table.get(tuple(labels))
-                    child = children[_head_index(node) if index is None else index]
+                    index = head_table.get(key := tuple(labels))
+                    child = children[_head_index(node, key) if index is None else index]
                     node._head = child._head or child
                     depth -= 1
                     up = node._up
@@ -383,16 +383,14 @@ _HEAD_TABLE_LABELS = 65_536
 _head_table_labels = 0  # labels held by the keys of _HEAD_TABLE
 
 
-def _head_index(node: SyntaxNode) -> int:
-    """``collins_head_child(node)``, looked up by the node's production."""
+def _head_index(node: SyntaxNode, key: tuple[str, ...]) -> int:
+    """``collins_head_child(node)`` for production ``key``, which
+    ``_HEAD_TABLE`` lacks; the table keeps it while it has room."""
     global _head_table_labels
-    key = (node.label, *[child.label for child in node.children])
-    index = _HEAD_TABLE.get(key)
-    if index is None:
-        index = collins_head_child(node)
-        if _head_table_labels + len(key) <= _HEAD_TABLE_LABELS:
-            _HEAD_TABLE[key] = index
-            _head_table_labels += len(key)
+    index = collins_head_child(node)
+    if _head_table_labels + len(key) <= _HEAD_TABLE_LABELS:
+        _HEAD_TABLE[key] = index
+        _head_table_labels += len(key)
     return index
 
 

@@ -24,10 +24,9 @@ from coref import (Clustering, DocumentInput, Gender, Mention, MentionKind, Numb
                    attach_profiles, extract_mentions, link_document, read_ptb,
                    run_pipeline)
 from coref.cli import _ABLATION_FLAGS, load_documents, main
-from coref.cluster import from_entities
 from coref.mention import PRONOUN_TAGS, document_order_key
 from coref.resolve import initial_adjuncts, reflexive_subject
-from coref.treebank import PtbParseError, _head_index, dominates
+from coref.treebank import PtbParseError, collins_head_child, dominates
 
 # Three-sentence worked document: "John bought himself a book. Fred found out
 # that John had also bought himself a computer. Next, he found out that John
@@ -94,7 +93,7 @@ def random_partition(rng, universe) -> Clustering:
             rng.choice(entities).append(mid)
         else:
             entities.append([mid])
-    return from_entities(universe, entities)
+    return Clustering(universe, entities)
 
 
 def to_ptb(node: SyntaxNode) -> str:
@@ -196,7 +195,7 @@ def reference_read_ptb(text: str) -> list[SyntaxNode]:
                     f"node ({node.label} has neither token nor children", text, tokens, rest)
             node.span = (children[0].span[0], children[-1].span[1])
             node._post = len(nodes)
-            child = children[_head_index(node)]
+            child = children[collins_head_child(node)]
             node._head = child._head or child
             depth -= 1
             if stack:

@@ -10,10 +10,9 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from coref import (Gender, MentionKind, PairCounts, ResolveConfig, Rule,
+from coref import (Clustering, Gender, MentionKind, PairCounts, ResolveConfig, Rule,
                    b_cubed_doc, default_lexicon, gold_clustering, pairwise_counts,
                    pairwise_micro, resolve_document, run_pipeline, transitive_closure)
-from coref.cluster import from_entities
 from coref.resolve import Decision
 from helpers import (EXAMPLE1_GOLD, EXAMPLE1_SENTENCES, ablation_corpus,
                      decision_for, doc_with_mentions, mention_with_head,
@@ -264,8 +263,8 @@ def test_scorer_oracle_equivalence():
             assert abs(p - float(exact_p)) < 1e-12
             assert abs(r - float(exact_r)) < 1e-12
 
-        gold4 = from_entities("abcd", [["a", "b", "c"], ["d"]])
-        sys4 = from_entities("abcd", [["a", "b"], ["c", "d"]])
+        gold4 = Clustering("abcd", [["a", "b", "c"], ["d"]])
+        sys4 = Clustering("abcd", [["a", "b"], ["c", "d"]])
         score = pairwise_micro([pairwise_counts(sys4, gold4)])
         assert abs(score.precision - 0.5) < 1e-4
         assert abs(score.recall - 0.3333) < 1e-4

@@ -13,11 +13,10 @@ from pathlib import Path
 import pytest
 
 import coref.pipeline
-from coref import (Decision, DocumentError, DocumentInput, Mention, MentionKind,
+from coref import (Clustering, Decision, DocumentError, DocumentInput, Mention, MentionKind,
                    PairCounts, ResolveConfig, Rule, TokenAnnotation, TraceReport,
                    b_cubed_doc, default_lexicon, gold_clustering, pairwise_counts,
                    read_ptb, render_brackets, run_pipeline, score_corpus, trace_report)
-from coref.cluster import from_entities
 from coref.cli import _ABLATION_FLAGS, build_config, build_parser, load_documents, main
 from helpers import (EXAMPLE1_GOLD, EXAMPLE1_SENTENCES, ablation_corpus,
                      GOLDEN, cli_digests, golden_documents, pipeline, random_partition,
@@ -147,6 +146,29 @@ def test_pipeline_rejects_bad_annotation(fixture_lex):
     document.annotations = [__import__("coref").TokenAnnotation(0, 9)]
     with pytest.raises(DocumentError, match="missing token"):
         run_pipeline(document, ResolveConfig(), fixture_lex)
+
+
+@pytest.mark.parametrize("stage", ["attach_profiles", "resolve_document",
+                                   "Clustering.from_decisions"])
+def test_a_value_error_from_a_later_stage_names_its_document(monkeypatch, fixture_lex,
+                                                             stage):
+    """Past the reader, a stage's ValueError also comes out as the
+    document's DocumentError, chained from it, with the collector as the
+    caller left it."""
+    boom = ValueError("boom")
+
+    def fail(*args, **kwargs):
+        raise boom
+
+    owner, _, name = stage.rpartition(".")
+    monkeypatch.setattr(getattr(coref.pipeline, owner) if owner else coref.pipeline,
+                        name, fail)
+    enabled = gc.isenabled()
+    with pytest.raises(DocumentError) as caught:
+        run_pipeline(DocumentInput("d", EXAMPLE1_SENTENCES), ResolveConfig(), fixture_lex)
+    assert str(caught.value) == "document 'd': boom"
+    assert caught.value.__cause__ is boom
+    assert gc.isenabled() is enabled
 
 
 def test_gold_mention_mode_matches_automatic_on_aligned_fixture(fixture_lex):
@@ -372,7 +394,7 @@ def test_trace_report_matches_oracle_on_random_documents():
 def test_trace_report_matches_oracle_with_an_entity_of_2000_mentions():
     rng = random.Random(2000)
     case = _random_trace_case(rng, 2500,
-                              lambda universe: from_entities(universe, [universe[:2000]]))
+                              lambda universe: Clustering(universe, [universe[:2000]]))
     _assert_same_report(trace_report(*case), trace_oracle(*case))
 
 

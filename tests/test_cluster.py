@@ -5,7 +5,6 @@ import pytest
 
 from coref import (Clustering, Decision, DocumentError, Rule, default_lexicon,
                    run_pipeline, transitive_closure)
-from coref.cluster import from_entities
 from helpers import golden_documents, single_flag_configs
 
 
@@ -166,7 +165,8 @@ def test_singleton_preservation():
 
 def _built_four_ways(rng, universe):
     """One clustering of ``universe`` from each constructor, each from its
-    own random input."""
+    own random input, and one from half of ``Clustering``'s entities, which
+    leaves the other half's mentions singletons."""
     forward = [_link(mid, rng.choice(universe[:i]) if i and rng.random() < 0.6 else None)
                for i, mid in enumerate(universe)]
     anywhere = [_link(rng.choice(universe), rng.choice(universe + [None]))
@@ -177,7 +177,7 @@ def _built_four_ways(rng, universe):
     entities = [rng.sample(group, len(group)) for group in groups.values()]
     rng.shuffle(entities)
     return [Clustering(universe, entities),
-            from_entities(universe, entities[:len(entities) // 2]),
+            Clustering(universe, entities[:len(entities) // 2]),
             transitive_closure(anywhere, universe),
             Clustering.from_decisions(forward, universe)]
 
@@ -206,16 +206,14 @@ def test_every_constructor_keeps_one_label_per_mention():
 def test_clustering_rejects_bad_partitions():
     with pytest.raises(ValueError, match="two entities"):
         Clustering([0, 1], [[0, 1], [1]])
-    with pytest.raises(ValueError, match="not covered"):
-        Clustering([0, 1], [[0]])
     with pytest.raises(ValueError, match="not in universe"):
         Clustering([0], [[0, 5]])
 
 
-def test_from_entities_fills_singletons():
-    clustering = from_entities([0, 1, 2, 3], [[0, 2]])
-    assert clustering.entities[clustering.label_of(0) - 1] == frozenset({0, 2})
-    assert clustering.entities[clustering.label_of(1) - 1] == frozenset({1})
+def test_clustering_makes_each_unlisted_mention_a_singleton():
+    clustering = Clustering([0, 1, 2, 3], [[2, 0]])
+    assert [clustering.label_of(mid) for mid in range(4)] == [1, 2, 1, 3]
+    assert clustering.entities == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
     assert len(clustering) == 3
 
 
@@ -223,7 +221,7 @@ def test_clustering_rejects_a_mention_listed_twice_in_one_entity():
     with pytest.raises(ValueError, match="mention 0 appears in one entity twice"):
         Clustering([0, 1], [[0, 0], [1]])
     with pytest.raises(ValueError, match="mention 1 appears in one entity twice"):
-        from_entities([0, 1, 2], [[1, 2, 1]])
+        Clustering([0, 1, 2], [[1, 2, 1]])
 
 
 def _assert_same_clustering(got, want):

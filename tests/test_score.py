@@ -5,19 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from coref import (PairCounts, b_cubed_doc, b_cubed_macro,
+from coref import (Clustering, PairCounts, b_cubed_doc, b_cubed_macro,
                    pairwise_counts, pairwise_micro)
-from coref.cluster import from_entities
 from coref.score import score_from_counts
 from helpers import random_partition
 
 
-def _clustering(universe, entities):
-    return from_entities(universe, entities)
-
-
-GOLD4 = _clustering("abcd", [["a", "b", "c"], ["d"]])
-SYS4 = _clustering("abcd", [["a", "b"], ["c", "d"]])
+GOLD4 = Clustering("abcd", [["a", "b", "c"], ["d"]])
+SYS4 = Clustering("abcd", [["a", "b"], ["c", "d"]])
 
 
 # ---------------------------------------------------------------------------
@@ -81,13 +76,13 @@ def test_worked_four_mention_example():
 
 
 def test_all_singletons_system():
-    singletons = _clustering("abcd", [])
+    singletons = Clustering("abcd", [])
     counts = pairwise_counts(singletons, GOLD4)
     assert counts == PairCounts(tp=0, fp=0, fn=3)
 
 
 def test_universe_mismatch_lists_ids():
-    other = _clustering("abce", [])
+    other = Clustering("abce", [])
     with pytest.raises(ValueError) as err:
         pairwise_counts(other, GOLD4)
     assert "'d'" in str(err.value) and "'e'" in str(err.value)
@@ -149,15 +144,15 @@ def test_b_cubed_worked_example():
 def test_b_cubed_singletons_vs_one_entity():
     n = 5
     universe = list(range(n))
-    singletons = _clustering(universe, [])
-    one = _clustering(universe, [universe])
+    singletons = Clustering(universe, [])
+    one = Clustering(universe, [universe])
     p, r = b_cubed_doc(singletons, one)
     assert p == pytest.approx(1.0)
     assert r == pytest.approx(1 / n)
 
 
 def test_b_cubed_empty_universe_is_an_error():
-    empty = _clustering([], [])
+    empty = Clustering([], [])
     with pytest.raises(ValueError):
         b_cubed_doc(empty, empty)
 
@@ -180,7 +175,7 @@ def test_scorers_match_oracles_with_an_entity_of_2000_mentions(big_side):
     rng = random.Random(2000)
     universe = list(range(2600))
     rng.shuffle(universe)
-    one_big = _clustering(universe, [rng.sample(universe, 2000)])
+    one_big = Clustering(universe, [rng.sample(universe, 2000)])
     sys = one_big if big_side != "gold" else random_partition(rng, universe)
     gold = one_big if big_side != "system" else random_partition(rng, universe)
     assert pairwise_counts(sys, gold) == intersection_pairs(sys, gold)
@@ -247,7 +242,7 @@ def test_permutation_invariance():
         universe = list(range(rng.randint(2, 8)))
         sys = random_partition(rng, universe)
         gold = random_partition(rng, universe)
-        relabeled_sys = _clustering(list(reversed(universe)),
-                                    [sorted(e) for e in reversed(sys.entities)])
+        relabeled_sys = Clustering(list(reversed(universe)),
+                                   [sorted(e) for e in reversed(sys.entities)])
         assert pairwise_counts(relabeled_sys, gold) == pairwise_counts(sys, gold)
         assert b_cubed_doc(relabeled_sys, gold) == b_cubed_doc(sys, gold)

@@ -219,24 +219,8 @@ class _WordCues:
                 self.named_at.append(i)
                 self.named_as.append(gender)
 
-    def gender(self, start: int, end: int) -> Gender:
-        """The first gendered title in tokens [start, end), else the first
-        unambiguous first name, else unknown."""
-        for at, genders in ((self.gendered_at, self.gendered_as),
-                            (self.named_at, self.named_as)):
-            k = bisect_left(at, start)
-            if k < len(at) and at[k] < end:
-                return genders[k]
-        return _UNKNOWN_GENDER
 
-    def has_title(self, start: int, end: int) -> bool:
-        k = bisect_left(self.titled_at, start)
-        return k < len(self.titled_at) and self.titled_at[k] < end
-
-
-def _annotation_personhood(ann: Optional[TokenAnnotation]) -> Personhood:
-    if ann is None:
-        return _UNKNOWN_PERSONHOOD
+def _annotation_personhood(ann: TokenAnnotation) -> Personhood:
     if ann.supersense:
         if ann.supersense.casefold() == _PERSON_SUPERSENSE:
             return _PERSON
@@ -253,25 +237,6 @@ def _annotation_personhood(ann: Optional[TokenAnnotation]) -> Personhood:
 #: Every profile there is, keyed by its fields, so that mentions share them.
 _PROFILES = {(g, p, n): TypeProfile(g, p, n)
              for g in Gender for p in Personhood for n in Number}
-
-
-def _pronoun_profile(entry: Optional[PronounEntry]) -> TypeProfile:
-    if entry is None:
-        return _PROFILES[_UNKNOWN_GENDER, _UNKNOWN_PERSONHOOD, _UNKNOWN_NUMBER]
-    return _PROFILES[entry.gender, entry.personhood, entry.number]
-
-
-def _nominal_profile(m: Mention, annotations: AnnotationIndex,
-                     cues: Optional[_WordCues]) -> TypeProfile:
-    """The profile of a non-pronoun mention, from the cues of the tokens of
-    its sentence (None: word lists are off)."""
-    start, end = m.span
-    gender = _UNKNOWN_GENDER if cues is None else cues.gender(start, end)
-    personhood = _annotation_personhood(annotations.get((m.sentence_index, m.head.span[0])))
-    if personhood is not _PERSON and (
-            gender is not _UNKNOWN_GENDER or cues is not None and cues.has_title(start, end)):
-        personhood = _PERSON
-    return _PROFILES[gender, personhood, _TAG_NUMBER.get(m.head_tag, _UNKNOWN_NUMBER)]
 
 
 def attach_profiles(mentions: Iterable[Mention], annotations: AnnotationIndex,
@@ -297,11 +262,13 @@ def attach_profiles(mentions: Iterable[Mention], annotations: AnnotationIndex,
     cues: dict[int, _WordCues] = {}
     for m in mentions:
         if m.kind is _PRONOUN:
-            m.pronoun = pronoun_lookup(m.head_word, lex)
-            m.profile = _pronoun_profile(m.pronoun)
-        elif not use_word_lists:
-            m.profile = _nominal_profile(m, annotations, None)
-        else:
+            m.pronoun = entry = pronoun_lookup(m.head_word, lex)
+            m.profile = (_PROFILES[_UNKNOWN_GENDER, _UNKNOWN_PERSONHOOD, _UNKNOWN_NUMBER]
+                         if entry is None
+                         else _PROFILES[entry.gender, entry.personhood, entry.number])
+            continue
+        gender, titled = _UNKNOWN_GENDER, False
+        if use_word_lists:
             if m.node.doc is not doc:
                 doc, cues = m.node.doc, {}
                 if doc is None:
@@ -310,4 +277,25 @@ def attach_profiles(mentions: Iterable[Mention], annotations: AnnotationIndex,
             sentence = cues.get(s)
             if sentence is None:
                 sentence = cues[s] = _WordCues(doc[s], lex)
-            m.profile = _nominal_profile(m, annotations, sentence)
+            # the first gendered title in the span, else the first name;
+            # a title is only looked for when neither gives a gender
+            start, end = m.span
+            at = sentence.gendered_at
+            k = bisect_left(at, start)
+            if k < len(at) and at[k] < end:
+                gender = sentence.gendered_as[k]
+            else:
+                at = sentence.named_at
+                k = bisect_left(at, start)
+                if k < len(at) and at[k] < end:
+                    gender = sentence.named_as[k]
+                else:
+                    at = sentence.titled_at
+                    k = bisect_left(at, start)
+                    titled = k < len(at) and at[k] < end
+        if gender is not _UNKNOWN_GENDER or titled:
+            personhood = _PERSON
+        else:
+            ann = annotations.get((m.sentence_index, m.head.span[0]))
+            personhood = _UNKNOWN_PERSONHOOD if ann is None else _annotation_personhood(ann)
+        m.profile = _PROFILES[gender, personhood, _TAG_NUMBER.get(m.head_tag, _UNKNOWN_NUMBER)]

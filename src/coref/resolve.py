@@ -10,12 +10,13 @@ Pre-filters only ever reject; they never force a match.
 from __future__ import annotations
 
 import enum
+import functools
 from bisect import bisect_left
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .lexicon import Gender, GrammaticalPerson, Lexicon, Number, Personhood
-from .mention import Mention, MentionKind, TypeProfile, document_order_key
+from .mention import _PROFILES, Mention, MentionKind, TypeProfile, document_order_key
 from .treebank import (CLAUSE_LABELS, DocumentTree, SyntaxNode, dominates,
                        head_leaf, path_distance)
 
@@ -94,8 +95,11 @@ class MentionIndex:
         # head-leaf id -> position of the first mention with that head
         self.by_head: dict[int, int] = {}
         # each position's nominal keys, and nominal key -> ascending
-        # positions of the mentions that have it
-        self.keys_at = [nominal_keys(m) for m in self.mentions]
+        # positions of the mentions that have it. A nominal or proper mention
+        # matches a candidate that shares one of its keys: the casefolded
+        # head word, or for NNP heads of at least 4 characters its
+        # casefolded 4-character prefix ("Japan" / "the Japanese").
+        self.keys_at: list[tuple[tuple[str, str], ...]] = []
         self.by_nominal_key: dict[tuple[str, str], list[int]] = {}
         # whether the mention at each position is the first with each of its
         # keys, so that ``nominal_matches_before`` yields nothing for it
@@ -103,8 +107,12 @@ class MentionIndex:
         for i, m in enumerate(self.mentions):
             self.by_node.setdefault(m.node.node_id, i)
             self.by_head.setdefault(m.head.node_id, i)
+            head = m.head_word.casefold()
+            keys = ((("head", head), ("prefix", head[:4]))
+                    if m.head_tag == "NNP" and len(head) >= 4 else (("head", head),))
+            self.keys_at.append(keys)
             opens = True
-            for key in self.keys_at[i]:
+            for key in keys:
                 run = self.by_nominal_key.setdefault(key, [])
                 opens = opens and not run
                 run.append(i)
@@ -112,7 +120,7 @@ class MentionIndex:
 
     def nominal_matches_before(self, i: int) -> Iterator[int]:
         """The positions before ``i`` whose mentions share a nominal key with
-        the mention at ``i`` (see ``nominal_keys``), most recent first."""
+        the mention at ``i``, most recent first."""
         keys = self.keys_at[i]
         run = self.by_nominal_key[keys[0]]
         # a one-key mention merges its run with an empty second one
@@ -158,10 +166,11 @@ def _child_index(parent: SyntaxNode, node: SyntaxNode) -> int:
     return bisect_left(parent.children, node.span, key=_SPAN)
 
 
-def detect_appositive(m: Mention, i: int, index: MentionIndex) -> Optional[Mention]:
+def detect_appositive(m: Mention, i: int, index: MentionIndex,
+                      parent: Optional[SyntaxNode]) -> Optional[Mention]:
     """Right NP of (NP [NP] [,] [NP] ...) links to the mention headed by the
-    left NP."""
-    node, parent = m.node, m.node.parent
+    left NP. ``parent`` is ``m.node.parent``, which the caller has read."""
+    node = m.node
     if parent is None or parent.label != "NP" or node.label != "NP":
         return None
     k = _child_index(parent, node)
@@ -175,17 +184,18 @@ def detect_appositive(m: Mention, i: int, index: MentionIndex) -> Optional[Menti
     return index.mention_before(left, i)
 
 
-def detect_role_appositive(m: Mention, i: int, index: MentionIndex,
-                           cfg: ResolveConfig) -> Optional[Mention]:
+def detect_role_appositive(m: Mention, i: int, index: MentionIndex, cfg: ResolveConfig,
+                           parent: Optional[SyntaxNode]) -> Optional[Mention]:
     """Proper person mention directly preceded by a sibling nominal NP,
-    no comma between, e.g. "[Republican candidate] [George Bush]"."""
+    no comma between, e.g. "[Republican candidate] [George Bush]".
+    ``parent`` is ``m.node.parent``, which the caller has read."""
     if not cfg.enable_role_appositive:
         return None
     if m.kind is not _PROPER:
         return None
     if m.profile is None or m.profile.personhood is not _PERSON:
         return None
-    node, parent = m.node, m.node.parent
+    node = m.node
     if parent is None or node.label != "NP":
         return None
     k = _child_index(parent, node)
@@ -233,13 +243,14 @@ def _verb_group_modal(vp: SyntaxNode) -> Optional[SyntaxNode]:
 
 
 def detect_pred_nom(m: Mention, i: int, index: MentionIndex, lex: Lexicon,
-                    cfg: ResolveConfig) -> Optional[Mention]:
+                    cfg: ResolveConfig, vp: Optional[SyntaxNode]) -> Optional[Mention]:
     """Copular complement links to the clause subject:
-    "[Lameu] was the first NHL [player] ..."."""
-    node, vp = m.node, m.node.parent
+    "[Lameu] was the first NHL [player] ...". ``vp`` is ``m.node.parent``,
+    which the caller has read."""
+    node = m.node
     if vp is None or vp.label != "VP" or node.label != "NP":
         return None
-    verb = head_leaf(vp)
+    verb = vp._head  # an interior node's head leaf, set when it was read
     if not lex.is_copula(verb.token):
         return None
     if node.span[0] < verb.span[1]:
@@ -314,6 +325,15 @@ def type_compatible(p: TypeProfile, c: TypeProfile, cfg: ResolveConfig) -> bool:
             and _attribute_clash(p.number, c.number, _UNKNOWN_NUMBER, strict)))
 
 
+@functools.cache
+def _compatible_profiles(cfg: ResolveConfig) -> frozenset[tuple[TypeProfile, TypeProfile]]:
+    """The (pronoun, candidate) pairs of the 27 profiles there are that
+    ``type_compatible`` accepts under ``cfg``. Cached per config: eleven
+    flags make at most 2^11 configs, and the set is never changed."""
+    profiles = _PROFILES.values()
+    return frozenset((p, c) for p in profiles for c in profiles if type_compatible(p, c, cfg))
+
+
 def is_second_person(m: Mention) -> bool:
     return (m.pronoun is not None
             and m.pronoun.grammatical_person is _SECOND_PERSON)
@@ -333,6 +353,8 @@ def pronoun_acceptor(m: Mention, cfg: ResolveConfig) -> Callable[[Mention], bool
     computes them."""
     sentence = m.sentence_index
     constraints: Optional[tuple[Optional[SyntaxNode], list[SyntaxNode]]] = None
+    profile = m.profile
+    compatible = None if profile is None else _compatible_profiles(cfg)
 
     def accepts(cand: Mention) -> bool:
         nonlocal constraints
@@ -353,21 +375,10 @@ def pronoun_acceptor(m: Mention, cfg: ResolveConfig) -> Callable[[Mention], bool
                 return False
             if adjuncts and any(dominates(adjunct, cand.node) for adjunct in adjuncts):
                 return False
-        return not (m.profile and cand.profile
-                    and not type_compatible(m.profile, cand.profile, cfg))
+        return (compatible is None or cand.profile is None
+                or (profile, cand.profile) in compatible)
 
     return accepts
-
-
-def nominal_keys(m: Mention) -> tuple[tuple[str, str], ...]:
-    """A nominal or proper mention matches a candidate that shares one of
-    these keys with it: the casefolded head word, or for NNP heads of at
-    least 4 characters its casefolded 4-character prefix ("Japan" / "the
-    Japanese")."""
-    head = m.head_word.casefold()
-    if m.head_tag == "NNP" and len(head) >= 4:
-        return ("head", head), ("prefix", head[:4])
-    return (("head", head),)
 
 
 def _nearest_acceptable(i: int, candidates: Iterable[int],
@@ -462,18 +473,28 @@ def _resolve_one(m: Mention, i: int, index: MentionIndex, lex: Lexicon,
                  ) -> tuple[Optional[Mention], Rule]:
     """The antecedent (or None) of ``m``, the mention at position ``i`` of
     ``index``, and the rule that decided it."""
-    antecedent = detect_appositive(m, i, index)
-    if antecedent is not None:
-        return antecedent, _APPOSITIVE
-    antecedent = detect_role_appositive(m, i, index, cfg)
-    if antecedent is not None:
-        return antecedent, _ROLE_APPOSITIVE
-    antecedent = detect_pred_nom(m, i, index, lex, cfg)
-    if antecedent is not None:
-        return antecedent, _PRED_NOM
+    # Each pattern is tried only where it can fire: the appositive under an
+    # NP parent, the predicate nominative under a VP parent, and the role
+    # appositive for a proper person mention while it is enabled.
+    parent = m.node.parent
+    if parent is not None:
+        label = parent.label
+        if label == "NP":
+            antecedent = detect_appositive(m, i, index, parent)
+            if antecedent is not None:
+                return antecedent, _APPOSITIVE
+        if (m.kind is _PROPER and cfg.enable_role_appositive
+                and m.profile is not None and m.profile.personhood is _PERSON):
+            antecedent = detect_role_appositive(m, i, index, cfg, parent)
+            if antecedent is not None:
+                return antecedent, _ROLE_APPOSITIVE
+        if label == "VP":
+            antecedent = detect_pred_nom(m, i, index, lex, cfg, parent)
+            if antecedent is not None:
+                return antecedent, _PRED_NOM
 
     if m.kind is _PRONOUN:
-        if not cfg.resolve_pronouns or (is_second_person(m) and not cfg.resolve_second_person):
+        if not cfg.resolve_pronouns or (not cfg.resolve_second_person and is_second_person(m)):
             return None, _NULL_RESOLVE
         candidates, accepts = range(i - 1, -1, -1), pronoun_acceptor(m, cfg)
         rule = _PRONOUN_RESOLVE
@@ -514,7 +535,13 @@ def resolve_document(doc: DocumentTree, mentions: Sequence[Mention],
     that no earlier mention shares a key with (``MentionIndex.opens_keys``)
     takes NullResolve without a search, a pronoun's syntactic constraints
     are only put to candidates of its own sentence (see
-    ``pronoun_acceptor``), and its ancestors are never looked up.
+    ``pronoun_acceptor``), and its ancestors are never looked up. An
+    immediate pattern is only tried where it can fire: the appositive under
+    an NP parent, the predicate nominative under a VP parent, and the role
+    appositive for a proper person mention while it is enabled; each
+    mention's parent is read once, for all three. A pronoun's type check is
+    one lookup in the set of (pronoun, candidate) profile pairs that
+    ``type_compatible`` accepts, built once per config over the 27 profiles.
 
     ``candidate_log``, when given, records the filtered candidate id set per
     mention that reached filtering (empty for a mention with no key-sharer);

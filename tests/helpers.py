@@ -528,6 +528,34 @@ def golden_documents() -> list[DocumentInput]:
             if isinstance(document, DocumentInput)]
 
 
+def calls_per_mention(path, cfg: ResolveConfig) -> float:
+    """Python-level calls into the ``coref`` package per mention, over
+    ``run_pipeline`` on every document of the corpus at ``path``: the
+    ``sys.setprofile`` "call" events (a generator's resumption is one) whose
+    code lies in the package. Counted on a second pass over the corpus, so
+    that the head rule table and the profile-pair table are already filled;
+    the profiler in place before is restored whatever happens."""
+    documents = [d for d in load_documents([str(path)]) if isinstance(d, DocumentInput)]
+    for document in documents:
+        run_pipeline(document, cfg)
+    package = os.path.dirname(coref.__file__) + os.sep
+    calls = mentions = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        for document in documents:
+            mentions += len(run_pipeline(document, cfg).mentions)
+    finally:
+        sys.setprofile(previous)
+    return calls / mentions
+
+
 def single_flag_configs() -> list[ResolveConfig]:
     """The default config, then one per ablation flag with that flag set:
     one per ``ResolveConfig`` field, in order, each the default flipped."""
